@@ -46,7 +46,7 @@ from .rtl import (Adder, ArrayMultiplier, BoothMultiplier,
                   fir_microarchitecture, idct_microarchitecture,
                   lowpass_taps)
 from .synth import (aging_aware_synthesize, synthesize, synthesize_netlist,
-                    upsize_critical_paths)
+                    upsize_fast)
 from .sta import analyze, critical_path, critical_path_delay, logic_depth
 from .sim import (EventSimulator, TimedSimulator, bits_to_int,
                   compile_netlist, evaluate, evaluate_packed,
@@ -84,7 +84,7 @@ __all__ = [
     "idct_microarchitecture", "lowpass_taps",
     # synth
     "aging_aware_synthesize", "synthesize", "synthesize_netlist",
-    "upsize_critical_paths",
+    "upsize_fast",
     # sta
     "analyze", "critical_path", "critical_path_delay", "logic_depth",
     # sim

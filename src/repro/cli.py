@@ -226,8 +226,7 @@ def cmd_characterize(args):
         scenarios = _scenarios(args.years, args.stress)
         entry = characterize(component, lib, scenarios=scenarios,
                              precisions=sweep, effort=args.effort,
-                             jobs=args.jobs, sta=args.sta,
-                             synth=args.synth)
+                             jobs=args.jobs)
         print(characterization_report(entry))
         if args.screen:
             from .core.characterize import truncation_screen
@@ -536,15 +535,6 @@ def build_parser():
     p.add_argument("--output", help="approximation-library JSON to write")
     p.add_argument("--update", action="store_true",
                    help="merge into an existing JSON library")
-    p.add_argument("--synth", choices=("sweep", "scratch"),
-                   default="sweep",
-                   help="variant synthesis strategy: one base synthesis "
-                        "per worker with cone-restricted derivation "
-                        "(sweep, default) or independent per-point "
-                        "synthesis (scratch); bit-identical results")
-    p.add_argument("--sta", choices=("batched", "scalar"),
-                   default="batched",
-                   help="STA engine for the sweep (default batched)")
     p.add_argument("--screen", action="store_true",
                    help="also print the fast incremental-STA truncation "
                         "screen (one netlist, no re-synthesis)")

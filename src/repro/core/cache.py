@@ -28,9 +28,10 @@ flag) is picked up by :func:`~repro.core.characterize.characterize`
 and everything built on it, so deep flows hit the cache without
 plumbing a handle through every call.
 
-A second, in-process layer — :func:`synthesize_netlist_memoized` —
-memoizes synthesized *netlists* by the same content fingerprints for
-consumers that need the gate-level structure itself (e.g.
+A second, in-process layer — :func:`synthesize_netlist_memoized`,
+served by the sweep-synthesis memo (:func:`repro.synth.sweep.sweep_for`,
+keyed by the same content fingerprints) — shares synthesized *netlists*
+with consumers that need the gate-level structure itself (e.g.
 ``Block.synthesized``), where a metrics-only disk entry cannot help.
 """
 
@@ -554,40 +555,41 @@ def resolve_cache(cache):
 
 
 # ---------------------------------------------------------------------------
-# in-process synthesized-netlist memo
+# in-process synthesized netlists
 # ---------------------------------------------------------------------------
 
-#: Keep the memo bounded; a sweep touches a few dozen variants at most.
-_NETLIST_MEMO_LIMIT = 256
-_netlist_memo = {}
-
-
 def synthesize_netlist_memoized(component, library, effort="ultra"):
-    """Synthesize *component* once per content fingerprint per process.
+    """Synthesized netlist of *component*, shared within the process.
 
-    Returns the shared optimized netlist for repeated requests with an
-    identical (component spec, effort, library contents) triple — the
-    in-memory complement of the on-disk metrics cache for callers that
-    need the gate-level structure (lazy ``Block.synthesized``, repeated
-    flow validations). Callers must treat the result as read-only.
+    Served by the process's one synthesis memo: the component family's
+    :func:`repro.synth.sweep.sweep_for` base, derived to the
+    component's precision (bit-identical to scratch synthesis). It is
+    the in-memory complement of the on-disk metrics cache for callers
+    that need the gate-level structure (lazy ``Block.synthesized``,
+    repeated flow validations, campaign preludes). Callers must treat
+    the result as read-only.
     """
-    from ..synth.synthesize import synthesize_netlist
+    from ..synth.sweep import sweep_for
 
-    key = (component_fingerprint(component), effort,
-           library_fingerprint(library))
-    netlist = _netlist_memo.get(key)
-    if netlist is not None:
-        instrument.current().count(instrument.COUNT_NETLIST_MEMO_HITS)
-        obs_metrics.inc(obs_metrics.NETLIST_MEMO_HITS)
-        return netlist
-    if len(_netlist_memo) >= _NETLIST_MEMO_LIMIT:
-        _netlist_memo.clear()
     with instrument.current().stage(instrument.STAGE_SYNTHESIZE):
-        netlist = synthesize_netlist(component, library, effort=effort)
-    _netlist_memo[key] = netlist
-    return netlist
+        return sweep_for(component, library, effort=effort).derive(
+            component.precision).netlist
 
 
-def clear_netlist_memo():
-    """Drop every memoized synthesized netlist (mainly for tests)."""
-    _netlist_memo.clear()
+def memoized_prelude(memo, spec, library, build, limit=4):
+    """Per-process FIFO memo of a campaign prelude (inject, mc).
+
+    Keyed by the spec fingerprint and the library's content fingerprint
+    (``None`` means the default library) — never ``id(library)``, which
+    Python may hand to a new library once the old one is collected.
+    """
+    from ..cells.library import default_library
+
+    key = (spec.key(), library_fingerprint(
+        library if library is not None else default_library()))
+    prelude = memo.get(key)
+    if prelude is None:
+        if len(memo) >= limit:
+            memo.pop(next(iter(memo)))
+        prelude = memo[key] = build(spec, library)
+    return prelude

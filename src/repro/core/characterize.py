@@ -32,8 +32,6 @@ from ..obs import logs, metrics as obs_metrics, trace as obs_trace
 from ..sim.activity import extract_stress, operand_stream_bits
 from ..sta.engine import (analyze_batch, analyze_incremental,
                           truncated_input_nets)
-from ..sta.sta import critical_path_delay
-from ..synth.synthesize import synthesize
 from ..synth.sweep import synthesize_variant
 from ..sta.paths import logic_depth
 from . import cache as cache_mod
@@ -266,9 +264,6 @@ def _characterize_point_inner(task, point_span):
     scenarios = task["scenarios"]        # [(spec, label, fingerprint)]
     key = task["key"]
     cache_root = task["cache_root"]
-    engine = task.get("engine", "packed")
-    sta = task.get("sta", "batched")
-    synth = task.get("synth", "sweep")
 
     instr = instrument.Instrumentation()
     store = (cache_mod.CharacterizationCache(
@@ -300,14 +295,11 @@ def _characterize_point_inner(task, point_span):
 
     variant = component.with_precision(precision)
     with instr.stage(instrument.STAGE_SYNTHESIZE):
-        if synth == "sweep":
-            # One base synthesis per worker process (memoized on the
-            # full-precision content), every truncated point derived by
-            # cone-restricted replay — bit-identical to from-scratch.
-            result = synthesize_variant(component, precision, library,
-                                        effort=effort)
-        else:
-            result = synthesize(variant, library, effort=effort)
+        # One base synthesis per worker process (memoized on the
+        # full-precision content), every truncated point derived by
+        # cone-restricted replay — bit-identical to from-scratch.
+        result = synthesize_variant(component, precision, library,
+                                    effort=effort)
     netlist = result.netlist
     metrics = {
         "delay_ps": result.delay_ps,
@@ -328,8 +320,7 @@ def _characterize_point_inner(task, point_span):
                 bits = operand_stream_bits(spec.operands,
                                            variant.operand_widths)
                 annotation = extract_stress(netlist, library, bits,
-                                            label=spec.label,
-                                            engine=engine)
+                                            label=spec.label)
             scenario = AgingScenario(spec.years, annotation)
         else:
             scenario = spec
@@ -337,22 +328,12 @@ def _characterize_point_inner(task, point_span):
         pending.append((len(aged) - 1, label, fp, scenario))
     if pending:
         # All corners of this grid point share one compiled timing
-        # program; the batched engine is bit-identical to per-corner
-        # scalar analyze (sta="scalar" keeps the reference path).
-        if sta == "batched":
-            with instr.stage(instrument.STAGE_STA):
-                batch = analyze_batch(
-                    netlist, library,
-                    [corner for __, __, __, corner in pending],
-                    bti=bti, degradation=degradation)
-            delays = batch.critical_paths_ps
-        else:
-            delays = []
-            for __, __, __, corner in pending:
-                with instr.stage(instrument.STAGE_STA):
-                    delays.append(critical_path_delay(
-                        netlist, library, scenario=corner, bti=bti,
-                        degradation=degradation))
+        # program (seeded by synthesis); the batched engine is
+        # bit-identical to per-corner scalar analyze.
+        with instr.stage(instrument.STAGE_STA):
+            delays = analyze_batch(
+                netlist, library, [corner for __, __, __, corner in pending],
+                bti=bti, degradation=degradation).critical_paths_ps
         for (slot, label, fp, __), delay in zip(pending, delays):
             aged[slot] = (label, delay)
             new_aged[fp] = {"label": label, "delay_ps": delay}
@@ -385,8 +366,7 @@ def scenario_specs(scenarios):
 
 def make_point_task(component, precision, library, specs, effort="ultra",
                     bti=DEFAULT_BTI, degradation=None, cache_root=None,
-                    cache_shards=0, engine="packed", sta="batched",
-                    synth="sweep"):
+                    cache_shards=0):
     """Build one picklable ``(component, precision)`` point task.
 
     *specs* is a :func:`scenario_specs` list. The task is the unit both
@@ -406,16 +386,12 @@ def make_point_task(component, precision, library, specs, effort="ultra",
                                    bti, degradation),
         "cache_root": cache_root,
         "cache_shards": cache_shards,
-        "engine": engine,
-        "sta": sta,
-        "synth": synth,
     }
 
 
 def characterize(component, library, scenarios, precisions=None,
                  effort="ultra", bti=DEFAULT_BTI, degradation=None,
-                 jobs=None, cache=cache_mod.AMBIENT, engine="packed",
-                 sta="batched", synth="sweep", pool=None):
+                 jobs=None, cache=cache_mod.AMBIENT, pool=None):
     """Characterize *component* across precisions and aging scenarios.
 
     Parameters
@@ -442,25 +418,6 @@ def characterize(component, library, scenarios, precisions=None,
         :func:`repro.core.cache.set_cache` / ``REPRO_CACHE_DIR``), an
         explicit :class:`~repro.core.cache.CharacterizationCache` or
         directory path, or None to bypass caching.
-    engine:
-        Functional-simulation engine for actual-case stress extraction:
-        ``"packed"`` (64-way bit-parallel, the default) or ``"bytes"``
-        (uint8 reference). Both are bit-identical, so the cache
-        fingerprint is engine-independent.
-    sta:
-        STA engine for the aged corners: ``"batched"`` (one compiled
-        timing program per grid point, all corners in one vectorized
-        pass — the default) or ``"scalar"`` (per-corner
-        :func:`repro.sta.sta.analyze`). Both are bit-identical, so the
-        cache fingerprint is engine-independent.
-    synth:
-        Variant synthesis strategy: ``"sweep"`` (synthesize the
-        full-precision base once per worker process, derive each
-        truncated point by cone-restricted replay —
-        :func:`repro.synth.sweep.synthesize_variant`, the default) or
-        ``"scratch"`` (independent :func:`repro.synth.synthesize` per
-        point). Both are bit-identical, so the cache fingerprint is
-        strategy-independent.
     pool:
         Optional persistent :class:`~repro.core.parallel.WorkerPool`
         to fan out over (overrides *jobs*); repeated sweeps reuse its
@@ -475,15 +432,6 @@ def characterize(component, library, scenarios, precisions=None,
         precisions = list(range(width, max(width - 12, 1) - 1, -1))
     precisions = sorted(set(precisions), reverse=True)
     scenarios = list(scenarios)
-    if engine not in ("packed", "bytes"):
-        raise ValueError("engine must be 'packed' or 'bytes', got %r"
-                         % (engine,))
-    if sta not in ("batched", "scalar"):
-        raise ValueError("sta must be 'batched' or 'scalar', got %r"
-                         % (sta,))
-    if synth not in ("sweep", "scratch"):
-        raise ValueError("synth must be 'sweep' or 'scratch', got %r"
-                         % (synth,))
 
     store = cache_mod.resolve_cache(cache)
     cache_root = store.root if store is not None else None
@@ -493,8 +441,7 @@ def characterize(component, library, scenarios, precisions=None,
                              effort=effort, bti=bti,
                              degradation=degradation,
                              cache_root=cache_root,
-                             cache_shards=cache_shards,
-                             engine=engine, sta=sta, synth=synth)
+                             cache_shards=cache_shards)
              for precision in precisions]
 
     jobs = pool.jobs if pool is not None else resolve_jobs(jobs)
@@ -647,7 +594,8 @@ def truncation_screen(component, library, scenarios, precisions=None,
                         precisions=len(precisions),
                         corners=len(corners)):
         with instr.stage(instrument.STAGE_SYNTHESIZE):
-            netlist = synthesize(component, library, effort=effort).netlist
+            netlist = cache_mod.synthesize_netlist_memoized(
+                component, library, effort=effort)
         with instr.stage(instrument.STAGE_STA):
             baseline = analyze_batch(netlist, library, corners, bti=bti,
                                      degradation=degradation)

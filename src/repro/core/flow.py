@@ -20,7 +20,6 @@ from ..obs import logs, trace as obs_trace
 from ..power.power import PowerReport, dynamic_power_uw
 from ..sim.activity import operand_stream_bits, simulate_activity
 from ..sta.engine import analyze_batch
-from ..sta.sta import critical_path_delay
 from ..synth.aging_aware import aging_aware_synthesize
 from .library import AgingApproximationLibrary
 from .microarch import ApproximationOutcome, apply_aging_approximations
@@ -60,9 +59,9 @@ class GuardbandRemovalReport:
 def design_delay_ps(micro, library, scenario=None, effort="ultra",
                     bti=DEFAULT_BTI, degradation=None):
     """Design-level delay: the slowest block under *scenario*."""
-    return max(critical_path_delay(blk.synthesized(library, effort),
-                                   library, scenario=scenario, bti=bti,
-                                   degradation=degradation)
+    return max(analyze_batch(blk.synthesized(library, effort), library,
+                             [scenario], bti=bti,
+                             degradation=degradation).critical_paths_ps[0]
                for blk in micro.blocks)
 
 

@@ -23,7 +23,6 @@ from typing import Callable, Dict, List, Optional
 
 from ..aging.bti import DEFAULT_BTI
 from ..sta.engine import analyze_batch
-from ..sta.sta import critical_path_delay
 from .cache import synthesize_netlist_memoized
 
 
@@ -54,11 +53,11 @@ class Block:
     def synthesized(self, library, effort="ultra"):
         """Return (building lazily) the synthesized netlist.
 
-        Backed by the process-wide content-addressed netlist memo, so
-        the many block copies a flow creates (``with_precisions``,
-        validation rounds, delay reports) share one synthesis run per
-        distinct (component, effort, library) triple. The shared netlist
-        must be treated as read-only.
+        Backed by the process-wide synthesis memo, so the many block
+        copies a flow creates (``with_precisions``, validation rounds,
+        delay reports) share one base synthesis per (component family,
+        effort, library) and one derivation per precision. The shared
+        netlist must be treated as read-only.
         """
         if self.netlist is None:
             self.netlist = synthesize_netlist_memoized(
@@ -116,8 +115,8 @@ class Microarchitecture:
 
     def timing_constraint_ps(self, library, effort="ultra"):
         """``t_CP(noAging)``: the fresh critical path across all blocks."""
-        return max(critical_path_delay(blk.synthesized(library, effort),
-                                       library)
+        return max(analyze_batch(blk.synthesized(library, effort), library,
+                                 [None]).critical_paths_ps[0]
                    for blk in self.blocks)
 
     def timing(self, library, scenario=None, constraint_ps=None,

@@ -98,6 +98,19 @@ def parse_scenario(spec):
     return (worst_case if kind == "worst" else balance_case)(float(years))
 
 
+def corner_grid(scenarios):
+    """``(corners, labels)``: fresh first (it defines the guardband-free
+    clock), then the *scenarios* specs in order, deduplicated by label."""
+    corners = [parse_scenario("fresh")]
+    labels = ["fresh"]
+    for text in scenarios:
+        scenario = parse_scenario(text)
+        if scenario.label not in labels:
+            corners.append(scenario)
+            labels.append(scenario.label)
+    return tuple(corners), tuple(labels)
+
+
 def parse_effort(spec):
     """Validate a synthesis-effort name."""
     effort = str(spec)

@@ -42,9 +42,10 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ..cells.library import default_library
+from ..core.cache import memoized_prelude, synthesize_netlist_memoized
 from ..core.parallel import map_tasks
-from ..core.specs import (SpecError, parse_component, parse_effort,
-                          parse_scenario)
+from ..core.specs import (SpecError, corner_grid, parse_component,
+                          parse_effort, parse_scenario)
 from ..obs import logs, metrics as obs_metrics, trace as obs_trace
 from ..quality.metrics import (error_rate, max_abs_error, mean_abs_error,
                                psnr_db)
@@ -54,7 +55,6 @@ from ..sim import bitpack
 from ..sim.stimuli import STIMULUS_NAMES, make_stimulus
 from ..sta.engine import (analyze_batch, analyze_incremental, compile_timing,
                           corner_label, truncated_input_nets)
-from ..synth.synthesize import synthesize_netlist
 from .faultload import DEFAULT_ACTIVITY, build_faultload
 from .inject_sim import (check_alignment, count_mask_bits,
                          evaluate_packed_injected)
@@ -228,21 +228,6 @@ class _Prelude:
 
 
 _PRELUDE_MEMO = {}
-_PRELUDE_MEMO_LIMIT = 4
-
-
-def _campaign_corners(spec):
-    """Corner grid: fresh first (it defines the guardband-free clock),
-    then the spec's aged scenarios in order, deduplicated by label."""
-    corners = [parse_scenario("fresh")]
-    labels = ["fresh"]
-    for text in spec.scenarios:
-        scenario = parse_scenario(text)
-        label = corner_label(scenario)
-        if label not in labels:
-            corners.append(scenario)
-            labels.append(label)
-    return tuple(corners), tuple(labels)
 
 
 def _stimulus_operands(spec, component):
@@ -264,11 +249,11 @@ def _stimulus_operands(spec, component):
 def _build_prelude(spec, library):
     component = parse_component(spec.component, width=spec.width)
     lib = library if library is not None else default_library()
-    netlist = synthesize_netlist(component, lib, effort=spec.effort)
+    netlist = synthesize_netlist_memoized(component, lib, effort=spec.effort)
     compiled = compile_netlist(netlist, lib)
     program = compile_timing(netlist, lib)
     check_alignment(compiled, program)
-    corners, labels = _campaign_corners(spec)
+    corners, labels = corner_grid(spec.scenarios)
     batch = analyze_batch(netlist, lib, corners, program=program)
     fresh_clock = float(batch.critical_path_ps[0])
     operands = _stimulus_operands(spec, component)
@@ -285,22 +270,9 @@ def _build_prelude(spec, library):
 
 
 def _prelude(spec, library=None):
-    """Per-process memoized campaign prelude.
-
-    Keyed by the spec fingerprint plus the library's identity: with the
-    default library the memo is effective across tasks of a campaign
-    (and across campaigns over the same spec); an explicit library
-    instance keys by ``id`` so tests with custom libraries stay
-    correct.
-    """
-    key = (spec.key(), "default" if library is None else id(library))
-    prelude = _PRELUDE_MEMO.get(key)
-    if prelude is None:
-        if len(_PRELUDE_MEMO) >= _PRELUDE_MEMO_LIMIT:
-            _PRELUDE_MEMO.pop(next(iter(_PRELUDE_MEMO)))
-        prelude = _build_prelude(spec, library)
-        _PRELUDE_MEMO[key] = prelude
-    return prelude
+    """Per-process memoized prelude (see
+    :func:`repro.core.cache.memoized_prelude`)."""
+    return memoized_prelude(_PRELUDE_MEMO, spec, library, _build_prelude)
 
 
 # ---------------------------------------------------------------------------

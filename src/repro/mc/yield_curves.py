@@ -38,15 +38,15 @@ import numpy as np
 
 from ..aging.bti import SECONDS_PER_YEAR
 from ..cells.library import default_library
+from ..core.cache import memoized_prelude, synthesize_netlist_memoized
 from ..core.parallel import map_tasks
-from ..core.specs import (SpecError, parse_component, parse_effort,
-                          parse_scenario)
+from ..core.specs import (SpecError, corner_grid, parse_component,
+                          parse_effort, parse_scenario)
 from ..obs import logs, metrics as obs_metrics, trace as obs_trace
 from ..sta.engine import (_critical_paths, _propagate, analyze_batch,
                           compile_timing, cone_plan, corner_delays,
                           corner_label, corner_stress, replay_cone,
                           truncated_input_nets)
-from ..synth.synthesize import synthesize_netlist
 from .engine import DEFAULT_BLOCK, sample_blocks
 from .surrogate import cross_validate, fit_surrogate, pick_degree
 from .variation import VariationModel
@@ -245,29 +245,14 @@ class _Prelude:
 
 
 _PRELUDE_MEMO = {}
-_PRELUDE_MEMO_LIMIT = 4
-
-
-def _mc_corners(spec):
-    """Corner grid: fresh first (defines the guardband-free clock),
-    then the spec's scenarios in order, deduplicated by label."""
-    corners = [parse_scenario("fresh")]
-    labels = ["fresh"]
-    for text in spec.scenarios:
-        scenario = parse_scenario(text)
-        label = corner_label(scenario)
-        if label not in labels:
-            corners.append(scenario)
-            labels.append(label)
-    return tuple(corners), tuple(labels)
 
 
 def _build_prelude(spec, library):
     component = parse_component(spec.component, width=spec.width)
     lib = library if library is not None else default_library()
-    netlist = synthesize_netlist(component, lib, effort=spec.effort)
+    netlist = synthesize_netlist_memoized(component, lib, effort=spec.effort)
     program = compile_timing(netlist, lib)
-    corners, labels = _mc_corners(spec)
+    corners, labels = corner_grid(spec.scenarios)
     batch = analyze_batch(netlist, lib, corners, program=program)
     fresh_clock = float(batch.critical_path_ps[0])
     low = max(1, component.width - int(spec.sweep_bits))
@@ -303,16 +288,9 @@ def _build_prelude(spec, library):
 
 
 def _prelude(spec, library=None):
-    """Per-process memoized prelude (same recipe as
-    :func:`repro.inject.campaign._prelude`)."""
-    key = (spec.key(), "default" if library is None else id(library))
-    prelude = _PRELUDE_MEMO.get(key)
-    if prelude is None:
-        if len(_PRELUDE_MEMO) >= _PRELUDE_MEMO_LIMIT:
-            _PRELUDE_MEMO.pop(next(iter(_PRELUDE_MEMO)))
-        prelude = _build_prelude(spec, library)
-        _PRELUDE_MEMO[key] = prelude
-    return prelude
+    """Per-process memoized prelude (see
+    :func:`repro.core.cache.memoized_prelude`)."""
+    return memoized_prelude(_PRELUDE_MEMO, spec, library, _build_prelude)
 
 
 # ---------------------------------------------------------------------------

@@ -152,9 +152,6 @@ def instrumentation_report_text(instr, cache_stats=None):
         lines.append("cache: %d hits / %d misses (%.0f%% hit rate)"
                      % (hits, misses, 100.0 * hits / looked if looked
                         else 0.0))
-    memo_hits = counters.get("netlist_memo_hits", 0)
-    if memo_hits:
-        lines.append("netlist memo: %d reuse(s)" % memo_hits)
     return "\n".join(lines)
 
 

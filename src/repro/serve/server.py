@@ -525,12 +525,9 @@ class CharacterizationServer:
         elif path == "/v1/batch":
             self._require(request, "POST")
             keep = await self._stream_batch(request, writer, keep)
-        elif path == "/v1/inject":
+        elif path in ("/v1/inject", "/v1/mc"):
             self._require(request, "POST")
-            keep = await self._inject(request, writer, keep)
-        elif path == "/v1/mc":
-            self._require(request, "POST")
-            keep = await self._mc(request, writer, keep)
+            keep = await self._stat_arm(request, writer, keep, path[4:])
         elif path == "/v1/shutdown":
             self._require(request, "POST")
             self._respond(writer, 200, {"status": "shutting down"},
@@ -695,74 +692,46 @@ class CharacterizationServer:
                 span.attrs["source"] = "computed"
             return protocol.record_from_result(task, result, "computed")
 
-    async def _inject(self, request, writer, keep):
-        """``/v1/inject``: one fault-injection campaign per request.
+    async def _stat_arm(self, request, writer, keep, kind):
+        """``/v1/inject`` and ``/v1/mc``: one statistical run per request.
 
-        The whole campaign runs in a single pool worker
-        (:func:`repro.inject.campaign._inject_campaign`); its result is
-        deterministic from the spec, so the served answer is
-        bit-identical to an in-process ``run_campaign`` — the
-        determinism suite compares the two verbatim.
+        The whole fault-injection campaign
+        (:func:`repro.inject.campaign._inject_campaign`) or Monte Carlo
+        yield analysis (:func:`repro.mc.yield_curves._mc_job`) runs in a
+        single pool worker. Its result is deterministic from the spec
+        (per-gate Philox streams indexed by absolute position), so the
+        served answer is bit-identical to an in-process
+        ``run_campaign`` / ``run_mc`` at any ``--jobs`` — the
+        determinism suites compare the two verbatim.
         """
         from ..core.specs import SpecError
         from ..inject import CampaignSpec
         from ..inject.campaign import _inject_campaign
-
-        try:
-            payload = json.loads(request.body.decode("utf-8"))
-        except (UnicodeDecodeError, ValueError):
-            raise protocol.ProtocolError("request body is not valid JSON")
-        try:
-            # Validate on the event loop so bad specs answer 400.
-            spec = CampaignSpec.from_dict(payload)
-        except SpecError as exc:
-            raise protocol.ProtocolError(str(exc))
-        ctx = obs_trace.propagation_context()
-        task = {"spec": spec.to_dict(), "trace": ctx}
-        loop = asyncio.get_running_loop()
-        future = loop.run_in_executor(self.pool.executor,
-                                      _inject_campaign, task)
-        result = await asyncio.shield(future)
-        obs_trace.adopt(result["trace"])
-        self._registry.merge(result["obs_metrics"])
-        self._respond(writer, 200, {
-            "protocol": protocol.PROTOCOL_VERSION,
-            "campaign": result["campaign"],
-        }, keep=keep)
-        return keep
-
-    async def _mc(self, request, writer, keep):
-        """``/v1/mc``: one Monte Carlo yield analysis per request.
-
-        The whole run executes in a single pool worker
-        (:func:`repro.mc.yield_curves._mc_job`); the result is
-        deterministic from the spec (per-gate Philox streams indexed by
-        absolute sample position), so the served answer is bit-identical
-        to an in-process ``run_mc`` at any ``--jobs``.
-        """
-        from ..core.specs import SpecError
         from ..mc import MCSpec
         from ..mc.yield_curves import _mc_job
 
+        spec_cls, job, field = {
+            "inject": (CampaignSpec, _inject_campaign, "campaign"),
+            "mc": (MCSpec, _mc_job, "mc")}[kind]
         try:
             payload = json.loads(request.body.decode("utf-8"))
         except (UnicodeDecodeError, ValueError):
             raise protocol.ProtocolError("request body is not valid JSON")
         try:
             # Validate on the event loop so bad specs answer 400.
-            spec = MCSpec.from_dict(payload)
+            spec = spec_cls.from_dict(payload)
         except SpecError as exc:
             raise protocol.ProtocolError(str(exc))
         ctx = obs_trace.propagation_context()
         task = {"spec": spec.to_dict(), "trace": ctx}
         loop = asyncio.get_running_loop()
-        future = loop.run_in_executor(self.pool.executor, _mc_job, task)
+        future = loop.run_in_executor(self.pool.executor, job, task)
         result = await asyncio.shield(future)
         obs_trace.adopt(result["trace"])
         self._registry.merge(result["obs_metrics"])
         self._respond(writer, 200, {
             "protocol": protocol.PROTOCOL_VERSION,
-            "mc": result["mc"],
+            field: result[field],
         }, keep=keep)
         return keep
 

@@ -163,14 +163,12 @@ def simulate_activity(netlist, library, pi_bits, engine="packed"):
                           vectors=int(pi_bits.shape[0]))
 
 
-def extract_stress(netlist, library, pi_bits, label="actual",
-                   engine="packed"):
+def extract_stress(netlist, library, pi_bits, label="actual"):
     """One-call helper: simulate activity and build an actual-case
     :class:`~repro.aging.stress.ActualStress` annotation (Fig. 3(c))."""
     with obs_trace.span("stress.extract", design=netlist.name,
-                        label=label, engine=engine):
-        report = simulate_activity(netlist, library, pi_bits,
-                                   engine=engine)
+                        label=label):
+        report = simulate_activity(netlist, library, pi_bits)
         annotation = ActualStress.from_signal_probabilities(
             netlist, report.signal_probability, label=label)
     obs_metrics.inc(obs_metrics.STRESS_EXTRACTIONS)

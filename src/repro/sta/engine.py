@@ -128,11 +128,24 @@ def compile_timing(netlist, library, memo=True):
     :func:`repro.sim.logic.compile_netlist` (library weakref + interface
     + every gate's cell/pins), so all corner batches of one sweep share
     a single lowering while any structural mutation — including in-place
-    ``gate.cell`` edits by the sizing passes — recompiles. Pass
-    ``memo=False`` to force a fresh lowering.
+    ``gate.cell`` edits by the sizing passes — recompiles. Synthesis
+    seeds the memo with the program it lowers from its sizer
+    (:func:`seed_timing`). Pass ``memo=False`` to force a fresh lowering.
     """
     if not memo:
         return _compile_timing(netlist, library)
+    cache, token = _timing_memo(netlist, library)
+    program = cache.pop(token, None)
+    if program is None:
+        program = _compile_timing(netlist, library)
+    else:
+        obs_metrics.inc(obs_metrics.TIMING_MEMO_HITS)
+    _remember(cache, token, program)
+    return program
+
+
+def _timing_memo(netlist, library):
+    """``(memo dict, content token)`` of *netlist* under *library*."""
     try:
         lib_key = weakref.ref(library)
     except TypeError:  # un-weakref-able library stand-in (e.g. a dict)
@@ -142,18 +155,22 @@ def compile_timing(netlist, library, memo=True):
              tuple((g.cell, g.inputs, g.output) for g in netlist.gates))
     cache = getattr(netlist, "_timing_memo", None)
     if cache is None:
-        cache = {}
-        netlist._timing_memo = cache
-    program = cache.get(token)
-    if program is None:
-        if len(cache) >= _TIMING_MEMO_LIMIT:
-            cache.pop(next(iter(cache)))
-        program = _compile_timing(netlist, library)
-        cache[token] = program
-    else:
-        cache[token] = cache.pop(token)  # refresh LRU position
-        obs_metrics.inc(obs_metrics.TIMING_MEMO_HITS)
-    return program
+        cache = netlist._timing_memo = {}
+    return cache, token
+
+
+def seed_timing(netlist, library, program):
+    """Memoize *program* as the timing program of *netlist*'s content."""
+    cache, token = _timing_memo(netlist, library)
+    cache.pop(token, None)
+    _remember(cache, token, program)
+
+
+def _remember(cache, token, program):
+    """Insert as most recently used, evicting the oldest when full."""
+    if len(cache) >= _TIMING_MEMO_LIMIT:
+        cache.pop(next(iter(cache)))
+    cache[token] = program
 
 
 def _compile_timing(netlist, library):

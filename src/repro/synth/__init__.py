@@ -5,7 +5,8 @@ from .optimize import (constant_propagation, dead_gate_elimination,
                        structural_hashing)
 from .synthesize import (EFFORTS, SynthesisResult, synthesize,
                          synthesize_netlist)
-from .sizing import SizingReport, upsize_critical_paths
+from .fastsize import upsize_fast
+from .sizing import SizingReport
 from .sweep import (SweepSynthesis, clear_sweep_memo, sweep_for,
                     synthesize_variant)
 from .aging_aware import AgingAwareResult, aging_aware_synthesize
@@ -14,7 +15,7 @@ __all__ = [
     "constant_propagation", "dead_gate_elimination", "optimize",
     "remove_inverter_pairs", "structural_hashing",
     "EFFORTS", "SynthesisResult", "synthesize", "synthesize_netlist",
-    "SizingReport", "upsize_critical_paths",
+    "SizingReport", "upsize_fast",
     "SweepSynthesis", "clear_sweep_memo", "sweep_for",
     "synthesize_variant",
     "AgingAwareResult", "aging_aware_synthesize",

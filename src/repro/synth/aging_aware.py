@@ -11,9 +11,9 @@ axis of the paper's Fig. 8(c) comparison.
 from dataclasses import dataclass
 
 from ..aging.bti import DEFAULT_BTI
-from ..sta.sta import critical_path_delay
-from .optimize import optimize
-from .sizing import SizingReport, upsize_critical_paths
+from .fastsize import critical_path, propagate_full, upsize_fast
+from .sizing import SizingReport
+from .sweep import optimized
 
 
 @dataclass
@@ -64,24 +64,17 @@ def aging_aware_synthesize(source, library, scenario, target_ps=None,
         for resilience; any delay it cannot close within the budget
         remains as a — reduced — guardband, as in [4]).
     """
-    netlist = source.build() if hasattr(source, "_build_core") else source
-    netlist = netlist.copy()
-    optimize(netlist, library, max_rounds=effort_rounds)
+    netlist, program = optimized(source, library, effort_rounds)
     if target_ps is None:
-        target_ps = critical_path_delay(netlist, library)
+        target_ps = critical_path(program, propagate_full(program))
     area_budget = None
     if area_budget_ratio is not None:
         area_budget = area_budget_ratio * netlist.area(library)
-    sizing = upsize_critical_paths(netlist, library, target_ps,
+    sizing, __, aged = upsize_fast(netlist, library, target_ps, program,
                                    scenario=scenario, bti=bti,
                                    degradation=degradation,
                                    max_area_um2=area_budget)
     return AgingAwareResult(
         netlist=netlist,
-        fresh_delay_ps=critical_path_delay(netlist, library),
-        aged_delay_ps=critical_path_delay(netlist, library,
-                                          scenario=scenario, bti=bti,
-                                          degradation=degradation),
-        target_ps=target_ps,
-        sizing=sizing,
-    )
+        fresh_delay_ps=critical_path(program, propagate_full(program)),
+        aged_delay_ps=aged, target_ps=target_ps, sizing=sizing)

@@ -1,27 +1,27 @@
-"""Array-compiled timing-driven sizing (exact fast path).
+"""Array-compiled timing-driven sizing: the one production sizer.
 
-:func:`repro.synth.sizing.upsize_critical_paths` runs one full STA
-compile per sizing round — for a multi-thousand-gate multiplier that is
-the dominant cost of ``"ultra"``-effort synthesis. This module lowers
-the netlist into a :class:`SizerProgram` once and then:
+Every sizing pass — "ultra" synthesis, sweep derivations and the
+aging-aware baseline [4] — runs here, on a :class:`SizerProgram`
+lowered once per netlist:
 
-* re-propagates arrivals **incrementally** per round: only gates whose
-  delay changed (upsized cells and their fan-in drivers, whose loads
-  changed) and the slots downstream of them are recomputed;
-* computes required times / slacks as vectorized level sweeps;
-* derives the program of a *truncated variant* by **patching** a base
-  program (:func:`patch_sizer`) instead of recompiling: rows are
-  dropped/overridden/appended and loads, levels and delays are
-  recomputed only where the deltas touch them.
+* arrivals are re-propagated **incrementally** per round: only upsized
+  gates, their fan-in drivers (whose loads changed) and the slots
+  downstream of them are recomputed; slacks are vectorized level sweeps;
+* sizing may run under an **aged corner** (uniform or per-gate
+  :class:`~repro.aging.stress.ActualStress`) and an **area budget**;
+* a *truncated variant*'s program is **patched** from a base program
+  (:func:`patch_sizer`) instead of recompiled;
+* the final program is **lowered** into the netlist's
+  :class:`~repro.sta.engine.TimingProgram` (:func:`timing_program`), so
+  STA after synthesis skips the gate walk and ``load_caps`` pass.
 
-Everything is **bit-identical** to the scalar pass: loads are summed in
-the exact gate-list order of :meth:`Netlist.load_caps`, delays come from
-the same ``cell.delay_ps(load)`` calls, arrival propagation performs the
-same IEEE-754 max/add (unchanged gates keep their previous — equal —
-values), and candidate selection replays the scalar loop's sorted-uid
-order, margins, stall and round limits. ``repro.synth.sweep`` relies on
-this exactness for fingerprint-equal sweep-vs-scratch synthesis;
-``tests/test_synth_sweep.py`` enforces it.
+Everything is **bit-identical** to the dict-based oracle
+:func:`repro.verify.sizing.upsize_critical_paths`: loads are summed in
+the exact gate-list order of :meth:`Netlist.load_caps`, delays and
+aging multipliers come from the same calls, propagation performs the
+same IEEE-754 max/add, and candidate selection replays the oracle's
+sorted-uid order, margins, stall, area and round limits
+(``tests/test_fastsize_oracle.py``, ``tests/test_synth_sweep.py``).
 """
 
 import heapq
@@ -30,7 +30,12 @@ from typing import Dict, List
 
 import numpy as np
 
+from ..aging.bti import DEFAULT_BTI
+from ..aging.delay import _stress_multiplier
+from ..netlist.net import CONST0, CONST1
+from ..netlist.netlist import NetlistError
 from ..obs import metrics as obs_metrics
+from ..sta.engine import TimingProgram, _Level
 from .sizing import SizingReport
 
 #: Global pin-count pad; every library cell has at most 3 inputs
@@ -199,18 +204,22 @@ def compile_sizer(netlist, library):
     return prog.finish()
 
 
-def propagate_full(program):
-    """Levelized arrival propagation (same arithmetic as the STA engine)."""
+def propagate_full(program, delay=None):
+    """Levelized arrival propagation (same arithmetic as the STA engine).
+
+    *delay* overrides the program's fresh per-row delays (aged sizing).
+    """
+    delay = program.delay if delay is None else delay
     arr = np.zeros(program.slots, dtype=np.float64)
     order = program.level_order
     for start, end in program.level_bounds:
         rows = order[start:end]
-        at = arr[program.in_slots[rows]].max(axis=1) + program.delay[rows]
+        at = arr[program.in_slots[rows]].max(axis=1) + delay[rows]
         arr[program.out_slot[rows]] = at
     return arr
 
 
-def _propagate_masked(program, arr, forced_rows):
+def _propagate_masked(program, arr, forced_rows, delay):
     """Re-propagate only rows whose delay or any input arrival changed.
 
     Skipped rows would recompute the identical float, so the result is
@@ -224,7 +233,7 @@ def _propagate_masked(program, arr, forced_rows):
         if not touched.any():
             continue
         rr = rows[touched]
-        at = arr[program.in_slots[rr]].max(axis=1) + program.delay[rr]
+        at = arr[program.in_slots[rr]].max(axis=1) + delay[rr]
         outs = program.out_slot[rr]
         diff = at != arr[outs]
         arr[outs] = at
@@ -239,46 +248,82 @@ def critical_path(program, arr):
     return float(np.maximum(arr[program.po_slots].max(), 0.0))
 
 
-def _slacks(program, arr, constraint):
+def _slacks(program, arr, constraint, delay):
     """Per-row slack, float-identical to ``sizing.gate_slacks``."""
     req = np.full(program.slots, np.inf, dtype=np.float64)
     np.minimum.at(req, program.po_slots, constraint)
     order = program.level_order
     for start, end in reversed(program.level_bounds):
         rows = order[start:end]
-        budget = req[program.out_slot[rows]] - program.delay[rows]
+        budget = req[program.out_slot[rows]] - delay[rows]
         np.minimum.at(req, program.in_slots[rows],
                       np.broadcast_to(budget[:, None],
                                       (len(rows), _MAX_PINS)))
     return req[program.out_slot] - arr[program.out_slot]
 
 
-def upsize_fast(netlist, library, target_ps, program, max_rounds=40,
-                slack_margin=0.05, stall_rounds=3):
-    """Exact fast replay of ``sizing.upsize_critical_paths``.
+def _aging(netlist, program, scenario, bti, degradation):
+    """Per-row aged delay under *scenario* (None when fresh): fresh delay
+    times the stress multiplier of the row's current cell, the product
+    :func:`repro.sta.engine.corner_delays` forms."""
+    if scenario is None or scenario.is_fresh:
+        return None
+    years = scenario.years
+    cells = program.cells
+    fresh = program.delay
+    gate_of = {g.uid: g for g in netlist.gates}
+    stress = [scenario.gate_stress(gate_of[uid])
+              for uid in program.uids.tolist()]
 
-    Fresh-silicon sizing only (``scenario=None``, no area budget) — the
-    configuration plain synthesis uses. Mutates *netlist* cells exactly
-    like the scalar pass and updates *program* in place (cells, loads,
-    delays). Returns ``(SizingReport, arrivals, critical_path)`` so
-    callers can reuse the final timing without another STA.
+    def aged(row):
+        sp, sn = stress[row]
+        return fresh[row] * _stress_multiplier(cells[row], sp, sn, years,
+                                               bti, degradation)
+    return aged
+
+
+def upsize_fast(netlist, library, target_ps, program=None, scenario=None,
+                bti=DEFAULT_BTI, degradation=None, max_rounds=40,
+                max_area_um2=None, slack_margin=0.05, stall_rounds=3):
+    """Upsize near-critical cells until the critical path meets *target_ps*.
+
+    Each round upsizes, in sorted-uid order, every gate whose slack is
+    within ``slack_margin * critical_path``, until the target is met,
+    nothing is upsizable, the critical path stalls for *stall_rounds*
+    rounds, *max_rounds* pass, or the cell area (summed in gate-list
+    order) reaches *max_area_um2*. With *scenario* (uniform or
+    ``ActualStress``), timing is aged. *program* (compiled if omitted)
+    is updated in place; the final cells are written to *netlist*.
+    Returns ``(SizingReport, arrivals, critical_path)`` under the sizing
+    corner.
     """
+    if program is None:
+        program = compile_sizer(netlist, library)
     upsized = 0
     best_cp = float("inf")
     stalled = 0
     rounds = 0
-    arr = propagate_full(program)
-    cp = critical_path(program, arr)
     cellnames = program.cellnames
     cells = program.cells
     incap = program.incap
     loads = program.loads
-    delay = program.delay
+    fresh = program.delay
+    aged = _aging(netlist, program, scenario, bti, degradation)
+    delay = (fresh if aged is None
+             else np.asarray([aged(row) for row in range(program.n)],
+                             dtype=np.float64))
+    area_rows = (None if max_area_um2 is None
+                 else [program.uid_row[g.uid] for g in netlist.gates])
+    arr = propagate_full(program, delay)
+    cp = critical_path(program, arr)
     driver_row = program.driver_row
     up = library.next_drive_up
     cell_of = library.__getitem__
     while rounds < max_rounds:
         if cp <= target_ps:
+            break
+        if area_rows is not None and sum(
+                cells[row].area for row in area_rows) >= max_area_um2:
             break
         if cp < best_cp - 1e-9:
             best_cp = cp
@@ -287,11 +332,11 @@ def upsize_fast(netlist, library, target_ps, program, max_rounds=40,
             stalled += 1
             if stalled >= stall_rounds:
                 break
-        slack = _slacks(program, arr, cp)
+        slack = _slacks(program, arr, cp, delay)
         margin = slack_margin * cp
         cand = np.flatnonzero(slack <= margin)
-        # Sorted-uid candidate order, mirroring the canonicalized
-        # scalar loop.
+        # Sorted-uid candidate order: the upsize sequence is a function
+        # of netlist content, independent of gate-list order.
         cand = cand[np.argsort(program.uids[cand], kind="stable")]
         changed_rows = []
         for row in cand.tolist():
@@ -309,34 +354,75 @@ def upsize_fast(netlist, library, target_ps, program, max_rounds=40,
         # Upsized cells change their own delay directly and — via input
         # capacitance — the load (hence delay) of their fan-in drivers;
         # everything else recomputes to the identical float.
-        fanin = set()
-        for row in changed_rows:
-            for net in program.ins[row]:
-                drow = driver_row.get(net)
-                if drow is not None:
-                    fanin.add(drow)
+        fanin = {driver_row[net] for row in changed_rows
+                 for net in program.ins[row] if net in driver_row}
         forced = np.zeros(program.n, dtype=bool)
+        forced[changed_rows] = True
         for row in fanin:
             loads[row] = _gate_load(program, row)
-            delay[row] = cells[row].delay_ps(loads[row])
             forced[row] = True
-        for row in changed_rows:
-            if row not in fanin:
-                delay[row] = cells[row].delay_ps(loads[row])
-                forced[row] = True
-        arr = _propagate_masked(program, arr, forced)
+        for row in np.flatnonzero(forced).tolist():
+            fresh[row] = cells[row].delay_ps(loads[row])
+            if aged is not None:
+                delay[row] = aged(row)
+        arr = _propagate_masked(program, arr, forced, delay)
         cp = critical_path(program, arr)
-    # The scalar pass mutates gate cells round by round; only the final
-    # cells are observable, so apply them once at the end.
+    # Only the final cells are observable; apply them once at the end.
     if upsized:
         uid_row = program.uid_row
         for g in netlist.gates:
             g.cell = cellnames[uid_row[g.uid]]
-        netlist._topo_cache = None
     _size_metrics(rounds, upsized)
     return (SizingReport(met=cp <= target_ps, target_ps=target_ps,
                          achieved_ps=cp, upsized=upsized, rounds=rounds),
             arr, cp)
+
+
+def timing_program(program):
+    """The :class:`~repro.sta.engine.TimingProgram` ``_compile_timing``
+    would build for ``program.netlist``, from the sizer's current arrays
+    (after :func:`upsize_fast`, or unsized) instead of a gate walk."""
+    netlist = program.netlist
+    slot_of = {CONST0: 0, CONST1: 1}
+    for net in netlist.primary_inputs:
+        slot_of.setdefault(net, len(slot_of))
+    for net in program.out_net:
+        slot_of.setdefault(net, len(slot_of))
+    for net in netlist.primary_outputs:
+        if net not in slot_of:
+            raise NetlistError(
+                "primary output %d is undriven (not a PI, constant or "
+                "gate output)" % net)
+    # Sizer slots (a patched program keeps dead ones) -> dense slots.
+    remap = np.zeros(program.slots, dtype=np.int64)
+    sizer_slot = program.slot_of
+    remap[[sizer_slot[net] for net in slot_of]] = np.arange(len(slot_of))
+
+    cell_row = {}   # distinct cells in order of first appearance
+    cell_index = np.fromiter((cell_row.setdefault(name, len(cell_row))
+                              for name in program.cellnames),
+                             dtype=np.int64, count=program.n)
+    arity = np.fromiter((len(ins) for ins in program.ins), dtype=np.int64,
+                        count=program.n)
+    levels = []
+    for start, end in program.level_bounds:
+        rows = program.level_order[start:end]
+        width = max(int(arity[rows].max()), 1)
+        levels.append(_Level(rows=rows,
+                             in_slots=remap[program.in_slots[rows, :width]],
+                             out_slots=remap[program.out_slot[rows]]))
+    return TimingProgram(
+        netlist=netlist, slots=len(slot_of), slot_of=slot_of,
+        gates=tuple(netlist.topological_gates()),
+        gate_uids=program.uids.copy(), base_delay_ps=program.delay.copy(),
+        cells=[program.library[name] for name in cell_row],
+        cell_index=cell_index, levels=levels,
+        pi_slots=np.asarray([slot_of[net]
+                             for net in netlist.primary_inputs],
+                            dtype=np.int64),
+        po_slots=np.asarray([slot_of[net]
+                             for net in netlist.primary_outputs],
+                            dtype=np.int64))
 
 
 def _size_metrics(rounds, upsized):

@@ -1,43 +1,18 @@
-"""Timing-driven gate sizing.
+"""Sizing report and the scalar slack definitions.
 
-Iteratively upsizes cells along (possibly aged) near-critical paths
-until a delay target is met, the library runs out of stronger variants,
-or an area budget is exhausted. Sizing proceeds in *rounds*: one STA per
-round, then every gate whose slack is within a small margin of zero is
-upsized one step — this batched strategy converges in a handful of STA
-runs even for multi-thousand-gate multipliers.
-
-Two users:
-
-* plain synthesis at "ultra" effort sizes for **maximum performance**
-  (``target_ps=0``), reproducing the paper's "ultra compile" setting —
-  this is also what flattens the path-delay distribution into the
-  timing wall that makes naive guardband removal so error-prone;
-* the aging-aware baseline [4] sizes against **aged** delays to a fixed
-  constraint, trading bounded area/power for resilience.
+The production sizer is :func:`repro.synth.fastsize.upsize_fast`; its
+dict-based oracle is :mod:`repro.verify.sizing`. Both report a
+:class:`SizingReport`; :func:`required_times` / :func:`gate_slacks`
+are the scalar slack definitions the oracle and :mod:`repro.sta.stats`
+use.
 """
 
 from dataclasses import dataclass
 
-from ..aging.bti import DEFAULT_BTI
-from ..obs import metrics as obs_metrics
-from ..sta.engine import analyze_batch
-
-
-def _analyze(netlist, library, scenario, bti, degradation):
-    """One-corner STA through the compiled engine.
-
-    Returns the scalar-identical :class:`~repro.sta.sta.TimingReport`;
-    cell upsizes change the netlist content token, so each sizing round
-    compiles (and vectorizes) a fresh timing program.
-    """
-    return analyze_batch(netlist, library, [scenario], bti=bti,
-                         degradation=degradation).report(0)
-
 
 @dataclass
 class SizingReport:
-    """Outcome of :func:`upsize_critical_paths`.
+    """Outcome of a sizing pass.
 
     Attributes
     ----------
@@ -86,85 +61,3 @@ def gate_slacks(netlist, report, constraint_ps):
     return {g.uid: required.get(g.output, float("inf"))
             - report.arrivals[g.output]
             for g in netlist.gates}
-
-
-def upsize_critical_paths(netlist, library, target_ps, scenario=None,
-                          bti=DEFAULT_BTI, degradation=None, max_rounds=40,
-                          max_area_um2=None, slack_margin=0.05,
-                          stall_rounds=3):
-    """Upsize near-critical cells until the critical path meets *target_ps*.
-
-    Parameters
-    ----------
-    target_ps:
-        Timing goal; pass 0 to size for maximum performance (stops when
-        no upsizable near-critical gate remains or progress stalls).
-    scenario:
-        When given, slack is measured under *aged* delays (the baseline
-        [4] hardening mode).
-    max_area_um2:
-        Optional area budget; the pass stops (met=False) once exceeded.
-    slack_margin:
-        Gates with slack below ``slack_margin * critical_path`` are
-        considered near-critical and upsized together each round.
-    stall_rounds:
-        Abort after this many consecutive rounds without critical-path
-        improvement.
-    """
-    gates_by_uid = {g.uid: g for g in netlist.gates}
-    upsized = 0
-    best_cp = float("inf")
-    stalled = 0
-    rounds = 0
-    report = _analyze(netlist, library, scenario, bti, degradation)
-    while rounds < max_rounds:
-        cp = report.critical_path_ps
-        if cp <= target_ps:
-            return _record(SizingReport(met=True, target_ps=target_ps,
-                                        achieved_ps=cp, upsized=upsized,
-                                        rounds=rounds))
-        if max_area_um2 is not None and netlist.area(library) >= max_area_um2:
-            return _record(SizingReport(met=False, target_ps=target_ps,
-                                        achieved_ps=cp, upsized=upsized,
-                                        rounds=rounds))
-        if cp < best_cp - 1e-9:
-            best_cp = cp
-            stalled = 0
-        else:
-            stalled += 1
-            if stalled >= stall_rounds:
-                break
-        slacks = gate_slacks(netlist, report, cp)
-        margin = slack_margin * cp
-        changed = 0
-        # Candidates are visited in sorted-uid order so the upsize
-        # sequence is a pure function of netlist *content*, independent
-        # of gate-list or dict-iteration order (required for bit-exact
-        # sweep-vs-scratch equality in repro.synth.sweep).
-        for uid in sorted(slacks):
-            slack = slacks[uid]
-            if slack > margin:
-                continue
-            gate = gates_by_uid[uid]
-            stronger = library.next_drive_up(gate.cell)
-            if stronger is not None:
-                gate.cell = stronger
-                changed += 1
-        if changed == 0:
-            break
-        upsized += changed
-        rounds += 1
-        netlist._topo_cache = None  # cell changes keep the topology
-        report = _analyze(netlist, library, scenario, bti, degradation)
-    report = _analyze(netlist, library, scenario, bti, degradation)
-    return _record(SizingReport(met=report.critical_path_ps <= target_ps,
-                                target_ps=target_ps,
-                                achieved_ps=report.critical_path_ps,
-                                upsized=upsized, rounds=rounds))
-
-
-def _record(report):
-    """Count sizing work in the ambient metrics registry."""
-    obs_metrics.inc(obs_metrics.SYNTH_SIZING_ROUNDS, report.rounds)
-    obs_metrics.inc(obs_metrics.SYNTH_SIZING_UPSIZES, report.upsized)
-    return report

@@ -54,10 +54,9 @@ from ..netlist.net import CONST0
 from ..netlist.netlist import Netlist
 from ..obs import logs, metrics as obs_metrics, trace as obs_trace
 from ..sta.engine import truncated_input_nets
-from .fastsize import (compile_sizer, critical_path, patch_sizer,
-                       propagate_full, upsize_fast)
+from .fastsize import compile_sizer, patch_sizer
 from .optimize import OptimizeJournal, _constprop_step, _hash_key, optimize
-from .synthesize import EFFORTS, SynthesisResult, synthesize
+from .synthesize import EFFORTS, finish, synthesize
 
 _log = logs.get_logger("synth.sweep")
 
@@ -174,7 +173,7 @@ class SweepSynthesis:
     :meth:`derive` produces each truncated variant by cone-restricted
     replay. Derived results are memoized per precision; netlists must be
     treated as read-only by callers (same contract as
-    ``synthesize_netlist_memoized``).
+    :func:`~repro.core.cache.synthesize_netlist_memoized`).
     """
 
     def __init__(self, component, library, effort="ultra", target_ps=None):
@@ -187,7 +186,7 @@ class SweepSynthesis:
         self.library = library
         self.effort = effort
         self.target_ps = target_ps
-        self._max_rounds, self._do_sizing = EFFORTS[effort]
+        self._max_rounds = EFFORTS[effort][0]
 
         raw = component.build()
         self._raw = raw
@@ -211,32 +210,19 @@ class SweepSynthesis:
                             effort=effort, source_gates=source_gates) as s:
             optimize(work, library, max_rounds=self._max_rounds,
                      journal=journal)
+            work.validate()
             # Post-optimize, pre-sizing snapshots: the reference state
             # variant deltas are diffed against (sizing mutates cells in
             # place, so both must be captured here).
             self._bmap = {g.uid: (g.cell, g.inputs) for g in work.gates}
             self._presize = compile_sizer(work, library)
-            if self._do_sizing:
-                goal = 0.0 if target_ps is None else target_ps
-                __, __, delay = upsize_fast(work, library, goal,
-                                            self._presize.clone())
-            else:
-                delay = critical_path(self._presize,
-                                      propagate_full(self._presize))
-            work.validate()
-            self.base_result = SynthesisResult(
-                netlist=work, delay_ps=delay,
-                area_um2=work.area(library),
-                leakage_nw=work.leakage(library),
-                source_gates=source_gates, final_gates=work.num_gates)
+            self.base_result = finish(work, library, self._presize.clone(),
+                                      effort, target_ps, source_gates)
             if s is not None:
                 s.attrs["final_gates"] = work.num_gates
-        obs_metrics.inc(obs_metrics.SYNTH_RUNS)
-        obs_metrics.observe(obs_metrics.SYNTH_DELAY_PS, delay)
-        obs_metrics.observe(obs_metrics.SYNTH_AREA_UM2,
-                            self.base_result.area_um2)
         _log.debug("sweep base %s: %d -> %d gates, %.1f ps (effort=%s)",
-                   work.name, source_gates, work.num_gates, delay, effort)
+                   work.name, source_gates, work.num_gates,
+                   self.base_result.delay_ps, effort)
         self._journal = journal
         self._idx = {}
         self._derived = {}
@@ -256,13 +242,10 @@ class SweepSynthesis:
         precision), library, effort, target_ps)``; falls back to exactly
         that call when replay is unavailable or surprises.
         """
-        if precision == self.component.width:
-            with obs_trace.span("synth.sweep.derive",
-                                design=self.component.name,
-                                precision=precision, cached=True):
-                return self.base_result
-        got = self._derived.get(precision)
+        got = (self.base_result if precision == self.component.width
+               else self._derived.get(precision))
         if got is not None:
+            obs_metrics.inc(obs_metrics.NETLIST_MEMO_HITS)
             # Memo-served points still trace: a characterization sweep
             # over a warm base shows one (near-zero) span per point.
             with obs_trace.span("synth.sweep.derive",
@@ -322,27 +305,16 @@ class SweepSynthesis:
                 [u for u, st in vmap.items()
                  if u in bmap and bmap[u] != st],
                 [u for u in vmap if u not in bmap])
-            if self._do_sizing:
-                goal = 0.0 if self.target_ps is None else self.target_ps
-                __, __, delay = upsize_fast(netlist, library, goal, prog)
-            else:
-                delay = critical_path(prog, propagate_full(prog))
-            result = SynthesisResult(
-                netlist=netlist, delay_ps=delay,
-                area_um2=netlist.area(library),
-                leakage_nw=netlist.leakage(library),
-                source_gates=len(self._raw.gates),
-                final_gates=netlist.num_gates)
+            result = finish(netlist, library, prog, self.effort,
+                            self.target_ps, len(self._raw.gates))
             if s is not None:
                 s.attrs["final_gates"] = result.final_gates
                 s.attrs["cone_gates"] = len(cone)
-        obs_metrics.inc(obs_metrics.SYNTH_RUNS)
-        obs_metrics.observe(obs_metrics.SYNTH_DELAY_PS, delay)
-        obs_metrics.observe(obs_metrics.SYNTH_AREA_UM2, result.area_um2)
         obs_metrics.inc(obs_metrics.SYNTH_SWEEP_DERIVES)
         obs_metrics.observe(obs_metrics.SYNTH_SWEEP_CONE_GATES, len(cone))
         _log.debug("sweep derived %s: %d gates, %.1f ps, cone=%d",
-                   netlist.name, result.final_gates, delay, len(cone))
+                   netlist.name, result.final_gates, result.delay_ps,
+                   len(cone))
         return result
 
     def _replay(self, tied, cone):
@@ -825,27 +797,35 @@ _SWEEP_MEMO_LIMIT = 4
 _sweep_memo = {}
 
 
+def _sweep_key(component, library, effort, target_ps):
+    from ..core.cache import component_fingerprint, library_fingerprint
+
+    return (component_fingerprint(component), effort, repr(target_ps),
+            library_fingerprint(library))
+
+
 def sweep_for(component, library, effort="ultra", target_ps=None):
     """Shared :class:`SweepSynthesis` for *component*'s family sweep.
 
     Memoized per process on the full-precision component content, so
     every precision point of a sweep (and repeated sweeps over the same
-    component) reuses one base synthesis and journal.
+    component) reuses one base synthesis and journal. This is the
+    process's one in-memory synthesis memo; when full, the least
+    recently used sweep is evicted (``synth.sweep.base_memo_evictions``).
     """
-    from ..core.cache import component_fingerprint, library_fingerprint
-
     base = (component if component.precision == component.width
             else component.with_precision(component.width))
-    key = (component_fingerprint(base), effort, repr(target_ps),
-           library_fingerprint(library))
-    got = _sweep_memo.get(key)
+    key = _sweep_key(base, library, effort, target_ps)
+    got = _sweep_memo.pop(key, None)
     if got is not None:
         obs_metrics.inc(obs_metrics.SYNTH_SWEEP_BASE_MEMO_HITS)
-        return got
-    if len(_sweep_memo) >= _SWEEP_MEMO_LIMIT:
-        _sweep_memo.clear()
-    got = SweepSynthesis(base, library, effort=effort, target_ps=target_ps)
-    _sweep_memo[key] = got
+    else:
+        if len(_sweep_memo) >= _SWEEP_MEMO_LIMIT:
+            _sweep_memo.pop(next(iter(_sweep_memo)))
+            obs_metrics.inc(obs_metrics.SYNTH_SWEEP_BASE_MEMO_EVICTIONS)
+        got = SweepSynthesis(base, library, effort=effort,
+                             target_ps=target_ps)
+    _sweep_memo[key] = got      # most recently used last
     return got
 
 
@@ -864,3 +844,27 @@ def synthesize_variant(component, precision, library, effort="ultra",
     """
     return sweep_for(component, library, effort=effort,
                      target_ps=target_ps).derive(precision)
+
+
+def optimized(source, library, rounds):
+    """Post-optimize, pre-sizing ``(netlist, sizer program)`` of *source*.
+
+    A private copy the caller may size. When a memoized sweep base of a
+    full-precision RTL component ran the same *rounds*, its snapshot is
+    copied instead of optimizing again.
+    """
+    component = hasattr(source, "_build_core")
+    keys = [_sweep_key(source, library, effort, None)
+            for effort, (r, __) in EFFORTS.items() if r == rounds
+            and component and source.precision == source.width]
+    sweep = next((_sweep_memo[k] for k in keys if k in _sweep_memo), None)
+    if sweep is None:
+        netlist = (source.build() if component else source).copy()
+        optimize(netlist, library, max_rounds=rounds)
+        return netlist, compile_sizer(netlist, library)
+    netlist = sweep.base_result.netlist.copy()
+    for gate in netlist.gates:
+        gate.cell = sweep._bmap[gate.uid][0]
+    program = sweep._presize.clone()
+    program.netlist = netlist
+    return netlist, program

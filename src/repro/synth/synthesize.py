@@ -10,9 +10,10 @@ driven sizing pass polishes the critical path.
 from dataclasses import dataclass
 
 from ..obs import logs, metrics as obs_metrics, trace as obs_trace
-from ..sta.sta import critical_path_delay
+from ..sta.engine import seed_timing
+from .fastsize import (compile_sizer, critical_path, propagate_full,
+                       timing_program, upsize_fast)
 from .optimize import optimize
-from .sizing import upsize_critical_paths
 
 _log = logs.get_logger("synth")
 
@@ -64,42 +65,46 @@ def synthesize(source, library, effort="ultra", target_ps=None):
         One of ``"low" | "medium" | "high" | "ultra"``.
     target_ps:
         Optional timing target for the sizing pass at ``"ultra"``
-        effort; defaults to a 5% tightening of the post-optimization
-        critical path.
+        effort; by default it sizes for maximum performance.
     """
     if effort not in EFFORTS:
         raise ValueError("unknown effort %r (have %s)"
                          % (effort, sorted(EFFORTS)))
-    rounds, do_sizing = EFFORTS[effort]
     netlist = source.build() if hasattr(source, "_build_core") else source
     netlist = netlist.copy()
     source_gates = netlist.num_gates
     with obs_trace.span("synth.synthesize", design=netlist.name,
                         effort=effort, source_gates=source_gates) as s:
-        optimize(netlist, library, max_rounds=rounds)
-        if do_sizing:
-            # "ultra" sizes for maximum performance by default, mirroring
-            # the paper's Synopsys "ultra compile" setting.
-            goal = 0.0 if target_ps is None else target_ps
-            upsize_critical_paths(netlist, library, goal)
+        optimize(netlist, library, max_rounds=EFFORTS[effort][0])
         netlist.validate()
-        result = SynthesisResult(
-            netlist=netlist,
-            delay_ps=critical_path_delay(netlist, library),
-            area_um2=netlist.area(library),
-            leakage_nw=netlist.leakage(library),
-            source_gates=source_gates,
-            final_gates=netlist.num_gates,
-        )
+        result = finish(netlist, library, compile_sizer(netlist, library),
+                        effort, target_ps, source_gates)
         if s is not None:
             s.attrs["final_gates"] = result.final_gates
-    obs_metrics.inc(obs_metrics.SYNTH_RUNS)
-    obs_metrics.observe(obs_metrics.SYNTH_DELAY_PS, result.delay_ps)
-    obs_metrics.observe(obs_metrics.SYNTH_AREA_UM2, result.area_um2)
     _log.debug("synthesized %s: %d -> %d gates, %.1f ps, %.1f um^2 "
                "(effort=%s)", netlist.name, source_gates,
                result.final_gates, result.delay_ps, result.area_um2,
                effort)
+    return result
+
+
+def finish(netlist, library, program, effort, target_ps, source_gates):
+    """Size an optimized netlist (at "ultra", on its pre-sizing sizer
+    *program*) and seed its timing program, lowered from the sizer, into
+    :func:`repro.sta.engine.compile_timing`'s memo."""
+    if EFFORTS[effort][1]:
+        goal = 0.0 if target_ps is None else target_ps
+        __, __, delay = upsize_fast(netlist, library, goal, program)
+    else:
+        delay = critical_path(program, propagate_full(program))
+    seed_timing(netlist, library, timing_program(program))
+    result = SynthesisResult(
+        netlist=netlist, delay_ps=delay, area_um2=netlist.area(library),
+        leakage_nw=netlist.leakage(library), source_gates=source_gates,
+        final_gates=netlist.num_gates)
+    obs_metrics.inc(obs_metrics.SYNTH_RUNS)
+    obs_metrics.observe(obs_metrics.SYNTH_DELAY_PS, delay)
+    obs_metrics.observe(obs_metrics.SYNTH_AREA_UM2, result.area_um2)
     return result
 
 

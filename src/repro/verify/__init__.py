@@ -15,6 +15,9 @@ Section-V slack rule. This package makes those equivalences executable:
     Cross-engine oracles running one netlist through the functional
     bytes, packed 64-way, event-driven and timed engines and diffing
     the outputs bit-exactly, with minimized counterexample reporting.
+``sizing``
+    The dict-based sizing loop, oracle of the production array sizer,
+    and scratch synthesis sized by it.
 ``shrink``
     Greedy netlist shrinker that reduces a failing netlist to a minimal
     reproducer (typically a handful of gates).
@@ -45,6 +48,7 @@ from .oracles import (ENGINES, Counterexample, EngineMismatch, OracleReport,
                       cross_engine_check, diff_engines, engine_outputs,
                       minimize_counterexample)
 from .shrink import shrink_netlist
+from .sizing import reference_synthesize, upsize_critical_paths
 from .verify import VerificationReport, verify_component
 
 __all__ = [
@@ -57,6 +61,6 @@ __all__ = [
     "cross_engine_check", "diff_engines", "engine_outputs", "fuzz_engines",
     "golden_model", "load_corpus", "minimize_counterexample",
     "netlist_from_dict", "netlist_to_dict", "random_netlist",
-    "replay_corpus", "save_corpus_entry", "shrink_netlist",
-    "verify_component",
+    "reference_synthesize", "replay_corpus", "save_corpus_entry",
+    "shrink_netlist", "upsize_critical_paths", "verify_component",
 ]

@@ -321,15 +321,17 @@ def check_synth_sweep(component, library, efforts=("medium", "ultra"),
     results, no epsilon. For every (effort, precision) pair this check
     derives the truncated variant from the full-precision base by
     cone-restricted replay and compares it against an independent
-    ``synthesize()`` of the explicitly truncated component —
-    content-fingerprint equality of the netlists plus float-equal
-    delay/area/leakage — and requires that no derivation fell back to
-    the from-scratch path.
+    scratch synthesis of the explicitly truncated component, sized by
+    the dict-sizer oracle (:func:`repro.verify.sizing.
+    reference_synthesize`, so the check does not rest on
+    :mod:`repro.synth.fastsize`) — content-fingerprint equality of the
+    netlists plus float-equal delay/area/leakage — and requires that no
+    derivation fell back to the from-scratch path.
     """
     from ..core.cache import netlist_fingerprint
     from ..obs import metrics as obs_metrics
     from ..synth.sweep import SweepSynthesis
-    from ..synth.synthesize import synthesize
+    from .sizing import reference_synthesize
 
     width = component.width
     if precisions is None:
@@ -346,9 +348,9 @@ def check_synth_sweep(component, library, efforts=("medium", "ultra"),
                                    target_ps=target_ps)
             for precision in precisions:
                 derived = sweep.derive(precision)
-                scratch = synthesize(component.with_precision(precision),
-                                     library, effort=effort,
-                                     target_ps=target_ps)
+                scratch = reference_synthesize(
+                    component.with_precision(precision), library,
+                    effort=effort, target_ps=target_ps)
                 points += 1
                 if (netlist_fingerprint(derived.netlist)
                         != netlist_fingerprint(scratch.netlist)

@@ -167,7 +167,7 @@ class TestObservabilityFlags:
         timed = [e for e in payload["traceEvents"] if e["ph"] == "X"]
         names = {e["name"] for e in timed}
         assert "cli.flow" in names
-        assert "sta.analyze" in names
+        assert "sta.analyze_batch" in names
         # Point synthesis traces as the one-time base synthesis plus
         # sweep derivations; a warm per-process base memo (inherited by
         # forked pool workers) can elide the former.
@@ -185,7 +185,7 @@ class TestObservabilityFlags:
         # must leave a metrics footprint.
         assert (counters.get("synth.runs", 0) > 0
                 or counters.get("synth.sweep.base_memo_hits", 0) > 0)
-        assert counters["sta.runs"] > 0
+        assert counters["sta.batch.runs"] > 0
         if counters.get("synth.runs", 0) > 0:
             assert snap["histograms"]["synth.delay_ps"]["count"] > 0
 

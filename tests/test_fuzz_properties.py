@@ -14,7 +14,7 @@ from repro.cells import default_library
 from repro.netlist import CONST0, CONST1, NetlistBuilder
 from repro.sim import TimedSimulator, compile_netlist, evaluate
 from repro.sta import analyze
-from repro.synth import optimize, upsize_critical_paths
+from repro.synth import optimize, upsize_fast
 
 LIB = default_library()
 
@@ -67,7 +67,7 @@ def test_sizing_preserves_function_and_improves_delay(netlist):
     optimized = optimize(netlist.copy(), LIB)
     before = truth_vector(optimized)
     cp_before = analyze(optimized, LIB).critical_path_ps
-    upsize_critical_paths(optimized, LIB, target_ps=0.0, max_rounds=6)
+    upsize_fast(optimized, LIB, target_ps=0.0, max_rounds=6)
     assert np.array_equal(truth_vector(optimized), before)
     assert analyze(optimized, LIB).critical_path_ps <= cp_before + 1e-9
 

@@ -180,16 +180,6 @@ class TestInstrumentation:
         for entry in summary["stages"].values():
             assert entry["seconds"] > 0
 
-    def test_scalar_sta_stages_per_corner(self, lib):
-        with instrument.collect() as instr:
-            characterize(Adder(8), lib,
-                         scenarios=[worst_case(1), worst_case(10)],
-                         precisions=[8, 7], effort="high", cache=None,
-                         sta="scalar")
-        summary = instr.summary()
-        # Scalar STA: one pass per (precision, corner) grid point.
-        assert summary["stages"][instrument.STAGE_STA]["calls"] == 4
-
     def test_cache_counters_surface(self, lib, tmp_path):
         cache = CharacterizationCache(tmp_path)
         with instrument.collect() as instr:

@@ -21,6 +21,7 @@ from repro.rtl import Adder, Multiplier
 from repro.serve import CharacterizationServer, ServeClient, http_request
 from repro.serve.client import ServeError
 from repro.serve.protocol import ProtocolError, parse_query
+from repro.synth import clear_sweep_memo
 
 QUERY = {"component": "adder8", "precisions": [8, 7, 6],
          "scenarios": ["worst10y", "fresh"], "effort": "high"}
@@ -558,6 +559,9 @@ class TestDrainShutdown:
         """Shutdown must complete in-flight work: a cold characterize
         issued just before stop() still gets its full answer."""
         async def scenario():
+            # Cold for real: no synthesis memoized by earlier tests in
+            # this process (or inherited by a forked worker).
+            clear_sweep_memo()
             server = await start_server(tmp_path, workers=1,
                                         drain_grace_s=30.0)
             client = ServeClient(server.host, server.port)

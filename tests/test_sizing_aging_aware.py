@@ -5,8 +5,8 @@ import pytest
 from repro.aging import worst_case
 from repro.rtl import Adder, Multiplier
 from repro.sta import critical_path_delay
-from repro.synth import (aging_aware_synthesize, optimize,
-                         upsize_critical_paths)
+from repro.synth import aging_aware_synthesize, optimize
+from repro.verify import upsize_critical_paths
 
 
 def optimized_netlist(component, lib):

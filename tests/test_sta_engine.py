@@ -101,7 +101,8 @@ class TestBatchBitExact:
 
 class TestProgramMemo:
     def test_batches_share_one_program(self, lib):
-        netlist = synthesize_netlist(Adder(4), lib, effort="low")
+        # A copy carries none of the program synthesis seeded.
+        netlist = synthesize_netlist(Adder(4), lib, effort="low").copy()
         with obs_metrics.scoped() as reg:
             first = analyze_batch(netlist, lib, [None])
             second = analyze_batch(netlist, lib, [worst_case(10.0)])
@@ -241,18 +242,19 @@ class TestTruncationScreen:
 
 class TestCharacterizeEngines:
     def test_batched_equals_scalar_tables(self, lib):
-        kwargs = dict(scenarios=[worst_case(1.0), worst_case(10.0)],
-                      precisions=range(6, 3, -1), effort="low",
-                      cache=None)
-        batched = characterize(Adder(6), lib, sta="batched", **kwargs)
-        scalar = characterize(Adder(6), lib, sta="scalar", **kwargs)
-        assert batched.fresh_ps == scalar.fresh_ps
-        assert batched.aged_ps == scalar.aged_ps
-
-    def test_bad_sta_choice_rejected(self, lib):
-        with pytest.raises(ValueError, match="sta must be"):
-            characterize(Adder(6), lib, scenarios=[worst_case(1.0)],
-                         sta="magic")
+        scenarios = [worst_case(1.0), worst_case(10.0)]
+        batched = characterize(Adder(6), lib, scenarios=scenarios,
+                               precisions=range(6, 3, -1), effort="low",
+                               cache=None)
+        for precision in range(6, 3, -1):
+            netlist = synthesize_netlist(Adder(6, precision=precision),
+                                         lib, effort="low")
+            assert batched.fresh_ps[precision] \
+                == analyze(netlist, lib).critical_path_ps
+            for scenario in scenarios:
+                assert batched.aged_ps[(precision, scenario.label)] \
+                    == analyze(netlist, lib,
+                               scenario=scenario).critical_path_ps
 
 
 class TestMultiplierMemo:

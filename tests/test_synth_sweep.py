@@ -20,10 +20,10 @@ from repro.core.cache import netlist_fingerprint
 from repro.core.specs import parse_component
 from repro.obs import metrics as obs_metrics
 from repro.synth import (SweepSynthesis, clear_sweep_memo, sweep_for,
-                         synthesize, synthesize_variant,
-                         upsize_critical_paths)
+                         synthesize, synthesize_variant, upsize_fast)
 from repro.synth.sweep import SweepFallback
-from repro.verify import check_synth_sweep
+from repro.verify import (check_synth_sweep, reference_synthesize,
+                          upsize_critical_paths)
 
 
 @pytest.fixture(scope="module")
@@ -140,11 +140,13 @@ class TestSizingCanonicalOrder:
         second.gates = list(reversed(second.gates))
         second._topo_cache = None
 
-        upsize_critical_paths(first, lib, target_ps=0.0, max_rounds=6)
-        upsize_critical_paths(second, lib, target_ps=0.0, max_rounds=6)
-        cells_first = {g.uid: g.cell for g in first.gates}
-        cells_second = {g.uid: g.cell for g in second.gates}
-        assert cells_first == cells_second
+        for sizer in (upsize_fast, upsize_critical_paths):
+            one, other = first.copy(), second.copy()
+            sizer(one, lib, target_ps=0.0, max_rounds=6)
+            sizer(other, lib, target_ps=0.0, max_rounds=6)
+            cells_one = {g.uid: g.cell for g in one.gates}
+            assert cells_one == {g.uid: g.cell for g in other.gates}
+            assert cells_one != {g.uid: g.cell for g in first.gates}
 
 
 class TestMetrics:
@@ -183,6 +185,25 @@ class TestProcessMemo:
         assert counters.get(obs_metrics.SYNTH_SWEEP_BASE_MEMO_HITS) == 1
         assert sweep_for(component, lib, effort="ultra") is not first
 
+    def test_fifth_family_evicts_only_oldest(self, lib):
+        from repro.synth import sweep as sweep_mod
+        specs = ["adder4", "adder5", "adder6", "mult4", "mult5"]
+        with obs_metrics.scoped() as registry:
+            first = [sweep_for(parse_component(spec), lib, effort="low")
+                     for spec in specs[:4]]
+            # Touching the oldest makes adder5 the least recently used.
+            assert sweep_for(parse_component("adder4"), lib,
+                             effort="low") is first[0]
+            fifth = sweep_for(parse_component(specs[4]), lib, effort="low")
+            evictions = registry.value(
+                obs_metrics.SYNTH_SWEEP_BASE_MEMO_EVICTIONS)
+        held = list(sweep_mod._sweep_memo.values())
+        assert evictions == 1
+        assert len(held) == sweep_mod._SWEEP_MEMO_LIMIT
+        assert first[1] not in held
+        assert all(s in held for s in (first[0], first[2], first[3], fifth))
+        assert held[-1] is fifth
+
     def test_synthesize_variant_drop_in(self, lib):
         component = parse_component("mult8")
         derived = synthesize_variant(component, 5, lib, effort="medium")
@@ -193,38 +214,29 @@ class TestProcessMemo:
 
 class TestCharacterizeWiring:
     def test_characterize_sweep_equals_scratch(self, lib):
+        """Every characterized point equals scratch synthesis sized by
+        the dict-sizer oracle, analyzed by a fresh timing compile."""
         from repro.aging import worst_case
+        from repro.sta.engine import analyze_batch, compile_timing
+        from repro.sta.paths import logic_depth
         component = parse_component("adder8")
-        scenarios = [worst_case(10.0)]
-        kwargs = dict(scenarios=scenarios, precisions=[8, 7, 6],
-                      effort="ultra", cache=None)
-        swept = characterize(component, lib, synth="sweep", **kwargs)
-        scratch = characterize(component, lib, synth="scratch", **kwargs)
-        assert swept.fresh_ps == scratch.fresh_ps
-        assert swept.aged_ps == scratch.aged_ps
-        assert swept.area_um2 == scratch.area_um2
-        assert swept.leakage_nw == scratch.leakage_nw
-        assert swept.gates == scratch.gates
-        assert swept.depth == scratch.depth
-
-    def test_characterize_rejects_unknown_synth(self, lib):
-        from repro.aging import worst_case
-        with pytest.raises(ValueError, match="synth"):
-            characterize(parse_component("adder8"), lib,
-                         scenarios=[worst_case(10.0)], synth="magic",
-                         cache=None)
-
-    def test_point_key_is_synth_independent(self, lib):
-        """Sweep and scratch share cache entries — the fingerprint must
-        not depend on the synthesis strategy."""
-        from repro.aging import worst_case
-        from repro.core.characterize import make_point_task, scenario_specs
-        component = parse_component("adder8")
-        specs = scenario_specs([worst_case(10.0)])
-        a = make_point_task(component, 6, lib, specs, synth="sweep")
-        b = make_point_task(component, 6, lib, specs, synth="scratch")
-        assert a["key"] == b["key"]
-        assert a["synth"] == "sweep" and b["synth"] == "scratch"
+        scenario = worst_case(10.0)
+        swept = characterize(component, lib, scenarios=[scenario],
+                             precisions=[8, 7, 6], effort="ultra",
+                             cache=None)
+        for precision in (8, 7, 6):
+            ref = reference_synthesize(component.with_precision(precision),
+                                       lib, effort="ultra")
+            batch = analyze_batch(
+                ref.netlist, lib, [scenario],
+                program=compile_timing(ref.netlist, lib, memo=False))
+            assert swept.fresh_ps[precision] == ref.delay_ps
+            assert swept.aged_ps[(precision, scenario.label)] \
+                == batch.critical_paths_ps[0]
+            assert swept.area_um2[precision] == ref.area_um2
+            assert swept.leakage_nw[precision] == ref.leakage_nw
+            assert swept.gates[precision] == ref.final_gates
+            assert swept.depth[precision] == logic_depth(ref.netlist)
 
 
 class TestVerifyInvariant:
