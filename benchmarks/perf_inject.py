@@ -8,12 +8,16 @@ plus the packed 64-way XOR injector
 (:func:`repro.inject.inject_sim.evaluate_packed_injected`), against the
 scalar uint8 reference injector on a subsample. The acceptance target
 is >= 10^6 injected vectors per second end-to-end (masks + replay).
+It also times the packed-words path campaigns run: operands encoded
+straight into packed words, :func:`repro.sim.logic.evaluate_words`,
+outputs decoded straight to integers (``words_*`` rows).
 
 Correctness is gated before anything is timed:
 
 * the fresh corner at its own critical path derives an *empty*
   faultload (exactly zero injections);
-* packed and scalar injectors agree bit-for-bit on a subsample;
+* packed and scalar injectors agree bit-for-bit on a subsample, and
+  the packed-words path decodes the same integers there;
 * two campaign runs from the same spec + seed produce identical
   results (bit-reproducibility).
 
@@ -30,6 +34,8 @@ import contextlib
 import time
 import tracemalloc
 
+import numpy as np
+
 import bench_util
 from repro.cells import default_library
 from repro.core.specs import parse_scenario
@@ -43,8 +49,9 @@ from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.rtl import Multiplier
 from repro.sim import bitpack
-from repro.sim.activity import operand_stream_bits
-from repro.sim.logic import compile_netlist, evaluate_packed
+from repro.sim.activity import operand_stream_bits, operand_stream_words
+from repro.sim.logic import (bits_to_int, compile_netlist, evaluate_packed,
+                             evaluate_words)
 from repro.sim.stimuli import make_stimulus
 from repro.sta.engine import analyze_batch, compile_timing
 from repro.synth import synthesize_netlist
@@ -142,6 +149,7 @@ def _run(args):
 
     a, b = make_stimulus("normal", args.width, args.vectors, seed=args.seed)
     pi_bits = operand_stream_bits([a, b], component.operand_widths)
+    pi_words = operand_stream_words([a, b], component.operand_widths)
     words = bitpack.word_count(args.vectors)
 
     # -- correctness gates (never benchmark a wrong injector) -------------
@@ -166,6 +174,13 @@ def _run(args):
         compiled, ref_bits, unpack_op_masks(ref_masks, ref_n))
     if not (packed_sub == scalar_sub).all():
         raise SystemExit("packed injector disagrees with the scalar "
+                         "reference on a %d-vector subsample" % ref_n)
+    words_sub = bitpack.unpack_ints(
+        evaluate_words(compiled, pi_words[:, :ref_words], ref_masks), ref_n)
+    if not (np.array_equal(pi_words, bitpack.pack_bits(pi_bits))
+            and np.array_equal(words_sub,
+                               bits_to_int(scalar_sub, signed=True))):
+        raise SystemExit("packed-words path disagrees with the scalar "
                          "reference on a %d-vector subsample" % ref_n)
 
     spec = CampaignSpec(component="multiplier", width=args.width,
@@ -197,6 +212,17 @@ def _run(args):
         count_mask_bits(m, args.vectors)
         evaluate_packed_injected(compiled, pi_bits, m)
 
+    def words_clean_eval():
+        bitpack.unpack_ints(evaluate_words(compiled, pi_words), args.vectors)
+
+    def words_inject_point():
+        # The campaign's grid point: masks, count, replay on packed
+        # stimulus, decode straight to integers.
+        m = faultload.masks(args.seed, words)
+        count_mask_bits(m, args.vectors)
+        bitpack.unpack_ints(evaluate_words(compiled, pi_words, m),
+                            args.vectors)
+
     def scalar_reference():
         evaluate_bytes_injected(compiled, ref_bits,
                                 unpack_op_masks(ref_masks, ref_n))
@@ -207,6 +233,8 @@ def _run(args):
         ("mask_sampling", mask_sampling),
         ("injected_packed_eval", injected_eval),
         ("inject_point", inject_point),
+        ("words_clean_eval", words_clean_eval),
+        ("words_inject_point", words_inject_point),
         ("scalar_reference", scalar_reference),
     ]:
         with obs_trace.span("bench." + label, repeats=args.repeats):
@@ -224,9 +252,16 @@ def _run(args):
     packed_speedup = scalar_per_vector / packed_per_vector
     overhead_pct = 100.0 * (results["inject_point"]["seconds"]
                             / results["clean_packed_eval"]["seconds"] - 1.0)
+    words_vectors_per_sec = (args.vectors
+                             / results["words_inject_point"]["seconds"])
+    words_speedup = (results["inject_point"]["seconds"]
+                     / results["words_inject_point"]["seconds"])
     print("end-to-end injection: %.2fM vectors/s (target >= 1M), "
           "%.1fx over the scalar reference, +%.0f%% over clean packed eval"
           % (vectors_per_sec / 1e6, packed_speedup, overhead_pct))
+    print("packed-words grid point: %.2fM vectors/s, %.2fx over the "
+          "bit-matrix grid point" % (words_vectors_per_sec / 1e6,
+                                     words_speedup))
 
     report = {
         "benchmark": "inject",
@@ -246,6 +281,8 @@ def _run(args):
         "vectors_per_sec": vectors_per_sec,
         "target_vectors_per_sec": 1e6,
         "packed_speedup": packed_speedup,
+        "words_vectors_per_sec": words_vectors_per_sec,
+        "words_speedup": words_speedup,
         "injection_overhead_pct": overhead_pct,
     }
     n_runs = bench_util.append_run(args.out, report)

@@ -12,7 +12,9 @@ Run from the repo root::
     PYTHONPATH=src python benchmarks/perf_logic_sim.py --vectors 100000
 
 The script cross-checks that both engines are bit-identical on the
-benchmark workload before timing them, times each engine best-of-N,
+benchmark workload before timing them (the bytes activity path is the
+``repro.verify.simulate_activity_bytes`` oracle; production activity
+extraction is packed only), times each engine best-of-N,
 and measures peak traced memory (NumPy buffers register with
 ``tracemalloc``) in a separate pass so tracing overhead never pollutes
 the timings.
@@ -35,6 +37,7 @@ from repro.rtl import Multiplier
 from repro.sim import (compile_netlist, evaluate, evaluate_packed,
                        operand_stream_bits, simulate_activity)
 from repro.synth import synthesize_netlist
+from repro.verify import simulate_activity_bytes
 
 
 def best_time(fn, repeats):
@@ -122,8 +125,8 @@ def _run(args):
     if not np.array_equal(evaluate(compiled, sample),
                           evaluate_packed(compiled, sample)):
         raise SystemExit("packed/bytes engines disagree on outputs")
-    ref = simulate_activity(netlist, lib, sample, engine="bytes")
-    got = simulate_activity(netlist, lib, sample, engine="packed")
+    ref = simulate_activity_bytes(netlist, lib, sample)
+    got = simulate_activity(netlist, lib, sample)
     if (ref.signal_probability != got.signal_probability
             or ref.toggle_rate != got.toggle_rate):
         raise SystemExit("packed/bytes engines disagree on activity")
@@ -131,9 +134,9 @@ def _run(args):
     results = {}
     for label, fn in [
         ("activity_bytes",
-         lambda: simulate_activity(netlist, lib, bits, engine="bytes")),
+         lambda: simulate_activity_bytes(netlist, lib, bits)),
         ("activity_packed",
-         lambda: simulate_activity(netlist, lib, bits, engine="packed")),
+         lambda: simulate_activity(netlist, lib, bits)),
         ("evaluate_bytes", lambda: evaluate(compiled, bits)),
         ("evaluate_packed", lambda: evaluate_packed(compiled, bits)),
     ]:

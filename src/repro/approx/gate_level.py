@@ -15,7 +15,8 @@ approach then renders unnecessary.
 import numpy as np
 
 from ..aging.bti import DEFAULT_BTI
-from ..sim.logic import bits_to_int, int_to_bits
+from ..sim.activity import operand_stream_bits
+from ..sim.logic import bits_to_int
 from ..sim.timing import TimedSimulator
 from ..sta.sta import critical_path_delay
 from ..synth.synthesize import synthesize_netlist
@@ -56,11 +57,7 @@ class TimedComponentModel:
             glitch_model=glitch_model)
 
     def _encode(self, operands):
-        parts = []
-        for vals, width in zip(operands, self.component.operand_widths):
-            parts.append(int_to_bits(np.asarray(vals, dtype=np.int64)
-                                     .reshape(-1), width))
-        return np.concatenate(parts, axis=1)
+        return operand_stream_bits(operands, self.component.operand_widths)
 
     def apply(self, *operands):
         """Stream *operands* through the aged component; return results.

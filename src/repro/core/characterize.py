@@ -31,9 +31,8 @@ from ..aging.scenario import AgingScenario
 from ..obs import logs, metrics as obs_metrics, trace as obs_trace
 from ..sim.activity import extract_stress, operand_stream_bits
 from ..sta.engine import (analyze_batch, analyze_incremental,
-                          truncated_input_nets)
+                          compile_timing, truncated_input_nets)
 from ..synth.sweep import synthesize_variant
-from ..sta.paths import logic_depth
 from . import cache as cache_mod
 from . import instrument
 from .parallel import map_tasks, resolve_jobs
@@ -301,12 +300,15 @@ def _characterize_point_inner(task, point_span):
         result = synthesize_variant(component, precision, library,
                                     effort=effort)
     netlist = result.netlist
+    # Synthesis seeded the memo with this netlist's timing program, so
+    # its levels give the logic depth without another netlist walk.
+    program = compile_timing(netlist, library)
     metrics = {
         "delay_ps": result.delay_ps,
         "area_um2": result.area_um2,
         "leakage_nw": result.leakage_nw,
         "gates": result.final_gates,
-        "depth": logic_depth(netlist),
+        "depth": program.depth,
     }
     aged = []
     new_aged = {}
@@ -333,7 +335,8 @@ def _characterize_point_inner(task, point_span):
         with instr.stage(instrument.STAGE_STA):
             delays = analyze_batch(
                 netlist, library, [corner for __, __, __, corner in pending],
-                bti=bti, degradation=degradation).critical_paths_ps
+                bti=bti, degradation=degradation,
+                program=program).critical_paths_ps
         for (slot, label, fp, __), delay in zip(pending, delays):
             aged[slot] = (label, delay)
             new_aged[fp] = {"label": label, "delay_ps": delay}

@@ -9,7 +9,9 @@ the same diagnostics. Parsing errors raise :class:`SpecError` (a
 HTTP 400 (server).
 """
 
+import dataclasses
 import re
+from typing import Optional, Tuple
 
 from ..aging import balance_case, fresh, worst_case
 
@@ -118,3 +120,73 @@ def parse_effort(spec):
         raise SpecError("unknown effort %r (choose from %s)"
                         % (spec, ", ".join(EFFORTS)))
     return effort
+
+
+def _coerce(kind, value, sequence=tuple):
+    """*value* in the JSON-stable form of field annotation *kind*."""
+    if kind == Tuple[str, ...]:
+        return sequence(str(v) for v in value)
+    if kind == Tuple[float, ...]:
+        return sequence(float(v) for v in value)
+    if kind == Optional[int]:
+        return None if value is None else int(value)
+    return value if kind is str else kind(value)
+
+
+class GridSpec:
+    """Shared plumbing of the campaign and Monte Carlo grid specs.
+
+    Subclasses are frozen dataclasses with ``component``, ``scenarios``,
+    ``clock_scales``, ``seed``, ``effort`` and ``width`` fields; ``KIND``
+    names the spec in diagnostics, and the field annotations drive the
+    JSON coercions of :meth:`to_dict`, :meth:`from_dict` and
+    :meth:`key`.
+    """
+
+    KIND = "grid"
+
+    def validated(self):
+        """Check the shared fields (subclasses add theirs); raises
+        :class:`SpecError`."""
+        parse_component(self.component, width=self.width)
+        parse_effort(self.effort)
+        labels = [parse_scenario(s).label for s in self.scenarios]
+        if not labels:
+            raise SpecError("%s needs at least one scenario" % self.KIND)
+        if len(set(labels)) != len(labels):
+            raise SpecError("duplicate scenarios in %r" % (self.scenarios,))
+        if not self.clock_scales:
+            raise SpecError("%s needs at least one clock scale" % self.KIND)
+        if any(not (0.0 < float(s) <= 4.0) for s in self.clock_scales):
+            raise SpecError("clock scales must be in (0, 4], got %r"
+                            % (self.clock_scales,))
+        if int(self.seed) < 0:
+            raise SpecError("seed must be non-negative, got %r"
+                            % (self.seed,))
+        return self
+
+    def to_dict(self):
+        """JSON-serializable form (see :meth:`from_dict`)."""
+        return {f.name: _coerce(f.type, getattr(self, f.name), list)
+                for f in dataclasses.fields(self)}
+
+    @classmethod
+    def from_dict(cls, data):
+        """Inverse of :meth:`to_dict`; unknown fields are an error."""
+        if not isinstance(data, dict):
+            raise SpecError("%s must be an object, got %r"
+                            % (cls.KIND, type(data).__name__))
+        kinds = {f.name: f.type for f in dataclasses.fields(cls)}
+        unknown = sorted(set(data) - set(kinds))
+        if unknown:
+            raise SpecError("unknown %s fields: %s"
+                            % (cls.KIND, ", ".join(unknown)))
+        if "component" not in data:
+            raise SpecError("%s needs a component" % cls.KIND)
+        return cls(**{name: _coerce(kinds[name], value)
+                      for name, value in data.items()}).validated()
+
+    def key(self):
+        """Stable fingerprint for per-process prelude memoization."""
+        return tuple(_coerce(f.type, getattr(self, f.name))
+                     for f in dataclasses.fields(self))

@@ -7,8 +7,9 @@ approximation — and puts the answer next to the two alternatives:
 * **guardband-free + faults** — the error-rate ladder. Every grid
   point ``(scenario, clock scale)`` derives a faultload from batched
   STA arrivals (:mod:`repro.inject.faultload`), samples per-gate XOR
-  masks (:mod:`repro.inject.masks`) and replays the stimulus through
-  the packed injector (:mod:`repro.inject.inject_sim`).
+  masks (:mod:`repro.inject.masks`) and replays the packed stimulus
+  through the packed evaluator with those masks
+  (:func:`repro.sim.logic.evaluate_words`).
 * **guardband-free + aging-induced approximation** — the paper's
   answer: the deepest precision whose *aged* critical path still meets
   the same clock (found with cone-restricted incremental STA), with
@@ -44,26 +45,21 @@ import numpy as np
 from ..cells.library import default_library
 from ..core.cache import memoized_prelude, synthesize_netlist_memoized
 from ..core.parallel import map_tasks
-from ..core.specs import (SpecError, corner_grid, parse_component,
-                          parse_effort, parse_scenario)
+from ..core.specs import (GridSpec, SpecError, corner_grid,
+                          parse_component, parse_scenario)
 from ..obs import logs, metrics as obs_metrics, trace as obs_trace
 from ..quality.metrics import (error_rate, max_abs_error, mean_abs_error,
                                psnr_db)
-from ..sim.activity import operand_stream_bits
-from ..sim.logic import bits_to_int, compile_netlist, evaluate_packed
-from ..sim import bitpack
+from ..sim.activity import operand_stream_words
+from ..sim.bitpack import unpack_ints
+from ..sim.logic import compile_netlist, evaluate_words
 from ..sim.stimuli import STIMULUS_NAMES, make_stimulus
 from ..sta.engine import (analyze_batch, analyze_incremental, compile_timing,
                           corner_label, truncated_input_nets)
 from .faultload import DEFAULT_ACTIVITY, build_faultload
-from .inject_sim import (check_alignment, count_mask_bits,
-                         evaluate_packed_injected)
+from .inject_sim import check_alignment, count_mask_bits
 
 _log = logs.get_logger("inject.campaign")
-
-#: Spec fields accepted by :meth:`CampaignSpec.from_dict`.
-_SPEC_FIELDS = ("component", "scenarios", "clock_scales", "vectors", "seed",
-                "stimulus", "activity", "effort", "width")
 
 
 def component_spec(component):
@@ -78,7 +74,7 @@ def component_spec(component):
 
 
 @dataclass(frozen=True)
-class CampaignSpec:
+class CampaignSpec(GridSpec):
     """One reproducible campaign: everything a result depends on.
 
     ``scenarios`` are textual corner specs (``fresh``, ``worst10y``,
@@ -98,25 +94,13 @@ class CampaignSpec:
     effort: str = "high"
     width: Optional[int] = None
 
+    KIND = "campaign spec"
+
     def validated(self):
         """Parse/normalize every field; raises :class:`SpecError`."""
-        parse_component(self.component, width=self.width)
-        parse_effort(self.effort)
-        labels = [corner_label(parse_scenario(s)) for s in self.scenarios]
-        if not labels:
-            raise SpecError("campaign needs at least one scenario")
-        if len(set(labels)) != len(labels):
-            raise SpecError("duplicate scenarios in %r" % (self.scenarios,))
-        if not self.clock_scales:
-            raise SpecError("campaign needs at least one clock scale")
-        if any(not (0.0 < float(s) <= 4.0) for s in self.clock_scales):
-            raise SpecError("clock scales must be in (0, 4], got %r"
-                            % (self.clock_scales,))
+        super().validated()
         if int(self.vectors) < 1:
             raise SpecError("vectors must be >= 1, got %r" % (self.vectors,))
-        if int(self.seed) < 0:
-            raise SpecError("seed must be non-negative, got %r"
-                            % (self.seed,))
         if not (0.0 < float(self.activity) <= 1.0):
             raise SpecError("activity must be in (0, 1], got %r"
                             % (self.activity,))
@@ -124,52 +108,6 @@ class CampaignSpec:
             raise SpecError("unknown stimulus %r (choose from %s)"
                             % (self.stimulus, ", ".join(STIMULUS_NAMES)))
         return self
-
-    def to_dict(self):
-        """JSON-serializable form (see :meth:`from_dict`)."""
-        return {
-            "component": self.component,
-            "scenarios": list(self.scenarios),
-            "clock_scales": [float(s) for s in self.clock_scales],
-            "vectors": int(self.vectors),
-            "seed": int(self.seed),
-            "stimulus": self.stimulus,
-            "activity": float(self.activity),
-            "effort": self.effort,
-            "width": self.width,
-        }
-
-    @classmethod
-    def from_dict(cls, data):
-        """Inverse of :meth:`to_dict`; unknown fields are an error."""
-        if not isinstance(data, dict):
-            raise SpecError("campaign spec must be an object, got %r"
-                            % type(data).__name__)
-        unknown = sorted(set(data) - set(_SPEC_FIELDS))
-        if unknown:
-            raise SpecError("unknown campaign spec fields: %s"
-                            % ", ".join(unknown))
-        if "component" not in data:
-            raise SpecError("campaign spec needs a component")
-        kwargs = dict(data)
-        if "scenarios" in kwargs:
-            kwargs["scenarios"] = tuple(str(s) for s in kwargs["scenarios"])
-        if "clock_scales" in kwargs:
-            kwargs["clock_scales"] = tuple(
-                float(s) for s in kwargs["clock_scales"])
-        for key in ("vectors", "seed"):
-            if key in kwargs:
-                kwargs[key] = int(kwargs[key])
-        if kwargs.get("width") is not None:
-            kwargs["width"] = int(kwargs["width"])
-        return cls(**kwargs).validated()
-
-    def key(self):
-        """Stable fingerprint for per-process prelude memoization."""
-        return (self.component, tuple(self.scenarios),
-                tuple(float(s) for s in self.clock_scales),
-                int(self.vectors), int(self.seed), self.stimulus,
-                float(self.activity), self.effort, self.width)
 
 
 @dataclass
@@ -220,8 +158,7 @@ class _Prelude:
     labels: tuple
     batch: object
     fresh_clock_ps: float
-    pi_bits: np.ndarray
-    words: int
+    pi_words: np.ndarray
     clean_ints: np.ndarray
     peak: float
     library: object
@@ -257,15 +194,16 @@ def _build_prelude(spec, library):
     batch = analyze_batch(netlist, lib, corners, program=program)
     fresh_clock = float(batch.critical_path_ps[0])
     operands = _stimulus_operands(spec, component)
-    pi_bits = operand_stream_bits(operands, component.operand_widths)
-    words = bitpack.word_count(spec.vectors)
-    clean_bits = evaluate_packed(compiled, pi_bits)
-    clean_ints = bits_to_int(clean_bits, signed=True)
+    # Stimulus stays packed from operands to metrics: a (vectors, n_pi)
+    # byte matrix (and its transposes) would dominate peak memory.
+    pi_words = operand_stream_words(operands, component.operand_widths)
+    clean_ints = unpack_ints(evaluate_words(compiled, pi_words),
+                             spec.vectors)
     peak = float(2 ** (component.output_width - 1))
     return _Prelude(component=component, netlist=netlist, compiled=compiled,
                     program=program, corners=corners, labels=labels,
-                    batch=batch, fresh_clock_ps=fresh_clock, pi_bits=pi_bits,
-                    words=words, clean_ints=clean_ints, peak=peak,
+                    batch=batch, fresh_clock_ps=fresh_clock,
+                    pi_words=pi_words, clean_ints=clean_ints, peak=peak,
                     library=lib)
 
 
@@ -297,12 +235,12 @@ def _point_row(spec, prelude, scenario_label, clock_scale):
                                 scenario_label, clock_ps,
                                 activity=spec.activity)
     started = time.perf_counter()
-    masks = faultload.masks(spec.seed, prelude.words)
+    masks = faultload.masks(spec.seed, prelude.pi_words.shape[1])
     injected, faulted = count_mask_bits(masks, spec.vectors)
     if masks:
-        bits = evaluate_packed_injected(prelude.compiled, prelude.pi_bits,
-                                        masks)
-        observed = bits_to_int(bits, signed=True)
+        observed = unpack_ints(
+            evaluate_words(prelude.compiled, prelude.pi_words, masks),
+            spec.vectors)
     else:
         observed = prelude.clean_ints
     elapsed = time.perf_counter() - started
@@ -371,7 +309,7 @@ def _approximation_cp(prelude, precision):
 def _truncated_ints(prelude, precision):
     """Packed replay of the *precision*-truncated circuit.
 
-    Zeroing the tied PI columns is functionally identical to the
+    Zeroing the tied PI rows is functionally identical to the
     :func:`repro.sta.engine.tie_low` netlist transform (the gates only
     ever see constant 0 on those nets), so the full-precision compiled
     netlist can be reused.
@@ -380,12 +318,12 @@ def _truncated_ints(prelude, precision):
                                     precision))
     if not tied:
         return prelude.clean_ints
-    pi_bits = prelude.pi_bits.copy()
-    for col, net in enumerate(prelude.netlist.primary_inputs):
+    pi_words = prelude.pi_words.copy()
+    for row, net in enumerate(prelude.netlist.primary_inputs):
         if net in tied:
-            pi_bits[:, col] = 0
-    bits = evaluate_packed(prelude.compiled, pi_bits)
-    return bits_to_int(bits, signed=True)
+            pi_words[row] = 0
+    return unpack_ints(evaluate_words(prelude.compiled, pi_words),
+                       len(prelude.clean_ints))
 
 
 def _arms(spec, prelude):

@@ -3,10 +3,11 @@
 Injection is an XOR on a gate's freshly computed output before any
 reader consumes it: downstream gates then propagate (or logically mask)
 the corrupted value exactly as real silicon would. The packed variant
-flips 64 vectors per word per mask word — this is what makes campaign
-throughput of millions of injected vectors per second possible — while
-the scalar uint8 variant is the slow reference the property tests
-compare against bit-for-bit.
+(the *op_masks* argument of :func:`repro.sim.logic.evaluate_words`,
+the one packed evaluator) flips 64 vectors per word per mask word —
+this is what makes campaign throughput of millions of injected vectors
+per second possible — while the scalar uint8 variant is the slow
+reference the property tests compare against bit-for-bit.
 
 Masks address ops by *row*: the index into ``compiled.ops``, which is
 also the row in :class:`repro.sta.engine.TimingProgram` (both orders
@@ -17,6 +18,7 @@ come from ``netlist.topological_gates()``;
 import numpy as np
 
 from ..sim import bitpack
+from ..sim.logic import evaluate, evaluate_packed
 
 
 def check_alignment(compiled, program):
@@ -33,34 +35,12 @@ def evaluate_packed_injected(compiled, pi_bits, op_masks, release=True):
     """:func:`repro.sim.logic.evaluate_packed` with XOR fault masks.
 
     *op_masks* maps op row -> ``(words,)`` uint64 fault mask. With an
-    empty mapping this is bit-identical to the clean evaluator.
+    empty mapping this is bit-identical to the clean evaluator. A
+    bit-matrix wrapper of :func:`repro.sim.logic.evaluate_words`, which
+    campaigns call directly on packed stimulus.
     """
-    pi_bits = np.asarray(pi_bits, dtype=np.uint8)
-    if pi_bits.ndim != 2 or pi_bits.shape[1] != len(compiled.pi_slots):
-        raise ValueError(
-            "expected pi_bits of shape (batch, %d), got %r"
-            % (len(compiled.pi_slots), pi_bits.shape))
-    batch = pi_bits.shape[0]
-    packed_pi = bitpack.pack_bits(pi_bits)
-    words = packed_pi.shape[1]
-    values = [None] * compiled.slots
-    values[0] = np.zeros(words, dtype=np.uint64)
-    values[1] = np.full(words, bitpack.ALL_ONES, dtype=np.uint64)
-    for col, slot in enumerate(compiled.pi_slots):
-        values[slot] = packed_pi[col]
-    for idx, (__func, ins, out, __uid) in enumerate(compiled.ops):
-        value = compiled.packed_funcs[idx](*[values[s] for s in ins])
-        mask = op_masks.get(idx)
-        if mask is not None:
-            value = value ^ mask
-        values[out] = value
-        if release:
-            for slot in compiled.last_use[idx]:
-                values[slot] = None
-    outs = np.empty((len(compiled.po_slots), words), dtype=np.uint64)
-    for row, slot in enumerate(compiled.po_slots):
-        outs[row] = values[slot]
-    return bitpack.unpack_bits(outs, batch)
+    return evaluate_packed(compiled, pi_bits, release=release,
+                           op_masks=op_masks)
 
 
 def evaluate_bytes_injected(compiled, pi_bits, op_mask_bits):
@@ -68,38 +48,17 @@ def evaluate_bytes_injected(compiled, pi_bits, op_mask_bits):
 
     *op_mask_bits* maps op row -> ``(batch,)`` uint8 0/1 flip flags —
     the unpacked form of the packed masks (:func:`unpack_op_masks`).
-    Exists purely as the independent oracle for the packed injector.
+    Exists purely as the independent oracle for the packed injector:
+    the byte engine (:func:`repro.sim.logic.evaluate`) with flips.
     """
-    pi_bits = np.asarray(pi_bits, dtype=np.uint8)
-    if pi_bits.ndim != 2 or pi_bits.shape[1] != len(compiled.pi_slots):
-        raise ValueError(
-            "expected pi_bits of shape (batch, %d), got %r"
-            % (len(compiled.pi_slots), pi_bits.shape))
-    batch = pi_bits.shape[0]
-    values = [None] * compiled.slots
-    values[0] = np.zeros(batch, dtype=np.uint8)
-    values[1] = np.ones(batch, dtype=np.uint8)
-    for col, slot in enumerate(compiled.pi_slots):
-        values[slot] = np.ascontiguousarray(pi_bits[:, col])
-    for idx, (func, ins, out, __uid) in enumerate(compiled.ops):
-        value = func(*[values[s] for s in ins])
-        flips = op_mask_bits.get(idx)
-        if flips is not None:
-            value = value ^ flips
-        values[out] = value
-    outs = np.empty((batch, len(compiled.po_slots)), dtype=np.uint8)
-    for col, slot in enumerate(compiled.po_slots):
-        outs[:, col] = values[slot]
-    return outs
+    return evaluate(compiled, pi_bits, op_mask_bits=op_mask_bits)
 
 
 def unpack_op_masks(op_masks, batch):
     """Unpack ``{row: packed words}`` masks to ``{row: (batch,) uint8}``."""
-    out = {}
-    for row, mask in op_masks.items():
-        out[row] = bitpack.unpack_bits(
-            np.asarray(mask, dtype=np.uint64)[None, :], batch)[:, 0]
-    return out
+    return {row: bitpack.unpack_bits(
+        np.asarray(mask, dtype=np.uint64)[None, :], batch)[:, 0]
+        for row, mask in op_masks.items()}
 
 
 def count_mask_bits(op_masks, batch):

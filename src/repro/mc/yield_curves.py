@@ -40,8 +40,8 @@ from ..aging.bti import SECONDS_PER_YEAR
 from ..cells.library import default_library
 from ..core.cache import memoized_prelude, synthesize_netlist_memoized
 from ..core.parallel import map_tasks
-from ..core.specs import (SpecError, corner_grid, parse_component,
-                          parse_effort, parse_scenario)
+from ..core.specs import (GridSpec, SpecError, corner_grid,
+                          parse_component, parse_scenario)
 from ..obs import logs, metrics as obs_metrics, trace as obs_trace
 from ..sta.engine import (_critical_paths, _propagate, analyze_batch,
                           compile_timing, cone_plan, corner_delays,
@@ -53,11 +53,6 @@ from .variation import VariationModel
 
 _log = logs.get_logger("mc.yield")
 
-#: Spec fields accepted by :meth:`MCSpec.from_dict`.
-_SPEC_FIELDS = ("component", "scenarios", "clock_scales", "sigma_mv",
-                "samples", "seed", "sweep_bits", "min_yield", "effort",
-                "width", "block", "surrogate")
-
 #: Surrogate feature/target vocabularies (see :func:`_features`).
 _FEATURES = ("det_cp_ps", "alive_gates", "stress_mean", "stress_rms",
              "age_factor", "sigma_v")
@@ -65,7 +60,7 @@ _TARGETS = ("q_ps", "p50_ps")
 
 
 @dataclass(frozen=True)
-class MCSpec:
+class MCSpec(GridSpec):
     """One reproducible Monte Carlo yield analysis.
 
     ``scenarios`` are textual corner specs (``fresh``, ``worst10y``,
@@ -88,29 +83,17 @@ class MCSpec:
     block: int = DEFAULT_BLOCK
     surrogate: str = "off"
 
+    KIND = "mc spec"
+
     def validated(self):
         """Parse/normalize every field; raises :class:`SpecError`."""
-        parse_component(self.component, width=self.width)
-        parse_effort(self.effort)
-        labels = [corner_label(parse_scenario(s)) for s in self.scenarios]
-        if not labels:
-            raise SpecError("mc spec needs at least one scenario")
-        if len(set(labels)) != len(labels):
-            raise SpecError("duplicate scenarios in %r" % (self.scenarios,))
-        if not self.clock_scales:
-            raise SpecError("mc spec needs at least one clock scale")
-        if any(not (0.0 < float(s) <= 4.0) for s in self.clock_scales):
-            raise SpecError("clock scales must be in (0, 4], got %r"
-                            % (self.clock_scales,))
+        super().validated()
         if not (0.0 <= float(self.sigma_mv) <= 50.0):
             raise SpecError("sigma_mv must be in [0, 50] mV, got %r"
                             % (self.sigma_mv,))
         if int(self.samples) < 1:
             raise SpecError("samples must be >= 1, got %r"
                             % (self.samples,))
-        if int(self.seed) < 0:
-            raise SpecError("seed must be non-negative, got %r"
-                            % (self.seed,))
         if int(self.sweep_bits) < 0:
             raise SpecError("sweep_bits must be >= 0, got %r"
                             % (self.sweep_bits,))
@@ -123,59 +106,6 @@ class MCSpec:
             raise SpecError("surrogate must be 'off' or 'screen', got %r"
                             % (self.surrogate,))
         return self
-
-    def to_dict(self):
-        """JSON-serializable form (see :meth:`from_dict`)."""
-        return {
-            "component": self.component,
-            "scenarios": list(self.scenarios),
-            "clock_scales": [float(s) for s in self.clock_scales],
-            "sigma_mv": float(self.sigma_mv),
-            "samples": int(self.samples),
-            "seed": int(self.seed),
-            "sweep_bits": int(self.sweep_bits),
-            "min_yield": float(self.min_yield),
-            "effort": self.effort,
-            "width": self.width,
-            "block": int(self.block),
-            "surrogate": self.surrogate,
-        }
-
-    @classmethod
-    def from_dict(cls, data):
-        """Inverse of :meth:`to_dict`; unknown fields are an error."""
-        if not isinstance(data, dict):
-            raise SpecError("mc spec must be an object, got %r"
-                            % type(data).__name__)
-        unknown = sorted(set(data) - set(_SPEC_FIELDS))
-        if unknown:
-            raise SpecError("unknown mc spec fields: %s"
-                            % ", ".join(unknown))
-        if "component" not in data:
-            raise SpecError("mc spec needs a component")
-        kwargs = dict(data)
-        if "scenarios" in kwargs:
-            kwargs["scenarios"] = tuple(str(s) for s in kwargs["scenarios"])
-        if "clock_scales" in kwargs:
-            kwargs["clock_scales"] = tuple(
-                float(s) for s in kwargs["clock_scales"])
-        for key in ("samples", "seed", "sweep_bits", "block"):
-            if key in kwargs:
-                kwargs[key] = int(kwargs[key])
-        for key in ("sigma_mv", "min_yield"):
-            if key in kwargs:
-                kwargs[key] = float(kwargs[key])
-        if kwargs.get("width") is not None:
-            kwargs["width"] = int(kwargs["width"])
-        return cls(**kwargs).validated()
-
-    def key(self):
-        """Stable fingerprint for per-process prelude memoization."""
-        return (self.component, tuple(self.scenarios),
-                tuple(float(s) for s in self.clock_scales),
-                float(self.sigma_mv), int(self.samples), int(self.seed),
-                int(self.sweep_bits), float(self.min_yield), self.effort,
-                self.width, int(self.block), self.surrogate)
 
     def variation(self):
         """The :class:`VariationModel` this spec draws from."""

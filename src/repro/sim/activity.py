@@ -19,15 +19,10 @@ import numpy as np
 from ..aging.stress import ActualStress
 from ..obs import logs, metrics as obs_metrics, trace as obs_trace
 from . import bitpack
-from .logic import (all_net_values, all_net_values_packed, compile_netlist,
+from .logic import (all_net_values_packed, check_pi_bits, compile_netlist,
                     int_to_bits)
 
 _log = logs.get_logger("sim.activity")
-
-#: Functional-simulation engines: ``"packed"`` (64 vectors per uint64
-#: word, popcount statistics — the default) and ``"bytes"`` (one bit
-#: per uint8 byte — the reference implementation).
-ENGINES = ("packed", "bytes")
 
 
 @dataclass
@@ -48,21 +43,19 @@ class ActivityReport:
     toggle_rate: Dict[int, float]
     vectors: int
 
+    @classmethod
+    def from_slots(cls, compiled, p1, toggles, vectors):
+        """Report of per-slot statistics, keyed by *compiled*'s net ids."""
+        return cls(signal_probability={net: float(p1[slot]) for net, slot
+                                       in compiled.slot_of.items()},
+                   toggle_rate={net: float(toggles[slot]) for net, slot
+                                in compiled.slot_of.items()},
+                   vectors=int(vectors))
+
     def gate_output_toggle(self, netlist):
         """Toggle rate of each gate's output net, keyed by gate uid."""
         return {g.uid: self.toggle_rate.get(g.output, 0.0)
                 for g in netlist.gates}
-
-
-def _byte_statistics(compiled, pi_bits):
-    """Reference statistics: materialize the full ``uint8`` net matrix."""
-    values = all_net_values(compiled, pi_bits)
-    p1 = values.mean(axis=0)
-    if values.shape[0] > 1:
-        toggles = (values[1:] != values[:-1]).mean(axis=0)
-    else:
-        toggles = np.zeros(values.shape[1])
-    return p1, toggles
 
 
 def _packed_statistics(compiled, pi_bits):
@@ -109,7 +102,7 @@ def _packed_statistics(compiled, pi_bits):
     return p1, toggles
 
 
-def simulate_activity(netlist, library, pi_bits, engine="packed"):
+def simulate_activity(netlist, library, pi_bits):
     """Measure signal probabilities and toggle rates under *pi_bits*.
 
     Parameters
@@ -119,30 +112,20 @@ def simulate_activity(netlist, library, pi_bits, engine="packed"):
     pi_bits:
         ``(vectors, n_pi)`` bit array; rows are applied as a time
         sequence, so toggle rates reflect consecutive-vector transitions.
-    engine:
-        ``"packed"`` (default) runs the 64-way bit-parallel engine and
-        reduces by popcount; ``"bytes"`` runs the ``uint8`` reference
-        engine. Both produce bit-identical statistics.
+
+    Runs the 64-way bit-parallel engine and reduces by popcount; the
+    ``uint8`` byte engine is the :func:`repro.verify.simulate_activity_bytes`
+    oracle, bit-identical by test.
     """
-    if engine not in ENGINES:
-        raise ValueError("engine must be one of %r, got %r"
-                         % (ENGINES, engine))
     compiled = compile_netlist(netlist, library)
-    pi_bits = np.asarray(pi_bits, dtype=np.uint8)
-    if pi_bits.ndim != 2 or pi_bits.shape[1] != len(compiled.pi_slots):
-        raise ValueError(
-            "expected pi_bits of shape (vectors, %d), got %r"
-            % (len(compiled.pi_slots), pi_bits.shape))
+    pi_bits = check_pi_bits(compiled, pi_bits)
     vectors = int(pi_bits.shape[0])
     start = time.perf_counter()
     with obs_trace.span("sim.activity", design=netlist.name,
-                        engine=engine, vectors=vectors,
-                        nets=compiled.slots):
+                        vectors=vectors, nets=compiled.slots):
         if vectors == 0:
             p1 = np.zeros(compiled.slots)
             toggles = np.zeros(compiled.slots)
-        elif engine == "bytes":
-            p1, toggles = _byte_statistics(compiled, pi_bits)
         else:
             p1, toggles = _packed_statistics(compiled, pi_bits)
     elapsed = time.perf_counter() - start
@@ -151,16 +134,9 @@ def simulate_activity(netlist, library, pi_bits, engine="packed"):
     if elapsed > 0 and vectors:
         obs_metrics.set_gauge(obs_metrics.SIM_VECTORS_PER_SEC,
                               vectors / elapsed)
-    _log.debug("simulated %d vectors over %d nets (%s engine, %.1f ms)",
-               vectors, compiled.slots, engine, elapsed * 1e3)
-    signal_probability = {}
-    toggle_rate = {}
-    for net, slot in compiled.slot_of.items():
-        signal_probability[net] = float(p1[slot])
-        toggle_rate[net] = float(toggles[slot])
-    return ActivityReport(signal_probability=signal_probability,
-                          toggle_rate=toggle_rate,
-                          vectors=int(pi_bits.shape[0]))
+    _log.debug("simulated %d vectors over %d nets (%.1f ms)",
+               vectors, compiled.slots, elapsed * 1e3)
+    return ActivityReport.from_slots(compiled, p1, toggles, vectors)
 
 
 def extract_stress(netlist, library, pi_bits, label="actual"):
@@ -191,3 +167,16 @@ def operand_stream_bits(operands, widths):
     parts = [int_to_bits(np.asarray(vals), width)
              for vals, width in zip(operands, widths)]
     return np.concatenate(parts, axis=1)
+
+
+def operand_stream_words(operands, widths):
+    """Packed twin of :func:`operand_stream_bits`: ``(n_pi, words)``.
+
+    Each operand is encoded straight into packed rows
+    (:func:`repro.sim.bitpack.pack_ints`), in the same PI order, ready
+    for :func:`repro.sim.logic.evaluate_words`.
+    """
+    if len(operands) != len(widths):
+        raise ValueError("need one width per operand")
+    return np.concatenate([bitpack.pack_ints(vals, width)
+                           for vals, width in zip(operands, widths)])

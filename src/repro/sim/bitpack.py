@@ -15,6 +15,10 @@ provides the packed representation and the packed cell kernels:
   XOR with all-ones, i.e. ``~``). Unknown kinds fall back to a kernel
   synthesized from the byte function's truth table, so any future cell
   kind packs automatically.
+* **Integer codecs** — :func:`pack_ints` / :func:`unpack_ints` encode
+  integer streams straight into packed rows (one per bit) and decode
+  packed output rows straight back to integers, so a ``(batch, width)``
+  byte matrix never exists between stimulus and metrics.
 * **Popcount** — :func:`popcount` reduces packed words straight to
   statistics (signal probabilities, toggle counts) without unpacking.
 
@@ -85,18 +89,65 @@ def unpack_bits(packed, batch):
 
     Tail bits at positions ``>= batch`` are discarded.
     """
+    rows = _byte_rows(packed, batch)
+    bits = np.unpackbits(rows, axis=1, bitorder="little")
+    return np.ascontiguousarray(bits[:, :int(batch)].T)
+
+
+def _byte_rows(packed, batch):
+    """Validated little-endian ``uint8`` view of ``(rows, words)`` words."""
     packed = np.ascontiguousarray(packed, dtype=np.uint64)
     if packed.ndim != 2:
         raise ValueError("expected a (signals, words) packed array, got %r"
                          % (packed.shape,))
-    batch = int(batch)
-    if batch > packed.shape[1] * WORD_BITS:
+    if int(batch) > packed.shape[1] * WORD_BITS:
         raise ValueError("batch %d exceeds packed capacity %d"
-                         % (batch, packed.shape[1] * WORD_BITS))
+                         % (int(batch), packed.shape[1] * WORD_BITS))
     if sys.byteorder == "big":  # pragma: no cover
         packed = packed.byteswap()
-    bits = np.unpackbits(packed.view(np.uint8), axis=1, bitorder="little")
-    return np.ascontiguousarray(bits[:, :batch].T)
+    return packed.view(np.uint8)
+
+
+def pack_ints(values, width):
+    """Encode integers straight into packed words: ``(width, words)``.
+
+    Row ``i`` holds bit ``i`` (LSB first, two's complement, so values
+    are taken modulo ``2 ** width``) of every value, in the
+    :func:`pack_bits` layout; equal to
+    ``pack_bits(int_to_bits(values, width))`` without its ``(batch,
+    width)`` byte matrix and transpose.
+    """
+    values = np.asarray(values, dtype=np.int64).ravel()
+    packed = np.zeros((int(width), word_count(values.shape[0])),
+                      dtype=np.uint64)
+    rows = packed.view(np.uint8)
+    for bit in range(int(width)):
+        row = np.packbits(((values >> bit) & 1).astype(np.uint8),
+                          bitorder="little")
+        rows[bit, :row.shape[0]] = row
+    if sys.byteorder == "big":  # pragma: no cover - x86/ARM are little
+        packed = packed.byteswap()
+    return packed
+
+
+def unpack_ints(packed, batch, signed=True):
+    """Decode ``(width, words)`` packed rows into ``(batch,)`` integers.
+
+    Row ``i`` is bit ``i`` (LSB first); with *signed* the MSB row is a
+    two's-complement sign bit. Equal to
+    ``bits_to_int(unpack_bits(packed, batch), signed)``; tail bits at
+    positions ``>= batch`` are ignored.
+    """
+    rows = _byte_rows(packed, batch)
+    out = np.zeros(int(batch), dtype=np.int64)
+    for bit in range(rows.shape[0]):
+        term = np.left_shift(np.unpackbits(rows[bit], count=int(batch),
+                                           bitorder="little"),
+                             bit, dtype=np.int64)
+        out |= term
+    if signed and 0 < rows.shape[0] < 64:
+        out -= term << 1  # the MSB's weight is -2 ** (width - 1)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -11,11 +11,12 @@ Two engines share the compiled program:
 * the **bytes** engine (:func:`evaluate` / :func:`all_net_values`)
   stores one simulated bit per ``uint8`` byte — the simple reference
   implementation;
-* the **packed** engine (:func:`evaluate_packed` /
-  :func:`all_net_values_packed`) packs 64 vectors per ``uint64`` word
+* the **packed** engine packs 64 vectors per ``uint64`` word
   (:mod:`repro.sim.bitpack`) and pushes each batch through full-word
   bitwise kernels — 64 vectors per gate-op, an 8th of the memory
-  traffic.
+  traffic. Its core :func:`evaluate_words` takes packed PI words (and
+  optional XOR fault masks) and returns packed PO words;
+  :func:`evaluate_packed` wraps it for byte-matrix callers.
 """
 
 import weakref
@@ -155,7 +156,17 @@ def _compile_netlist(netlist, library):
                            packed_funcs=packed_funcs)
 
 
-def evaluate(compiled, pi_bits, release=True):
+def check_pi_bits(compiled, pi_bits):
+    """*pi_bits* as ``uint8``, checked to be ``(batch, n_pi)``."""
+    pi_bits = np.asarray(pi_bits, dtype=np.uint8)
+    if pi_bits.ndim != 2 or pi_bits.shape[1] != len(compiled.pi_slots):
+        raise ValueError(
+            "expected pi_bits of shape (batch, %d), got %r"
+            % (len(compiled.pi_slots), pi_bits.shape))
+    return pi_bits
+
+
+def evaluate(compiled, pi_bits, release=True, op_mask_bits=None):
     """Evaluate a compiled netlist on a batch of input vectors.
 
     Parameters
@@ -167,25 +178,28 @@ def evaluate(compiled, pi_bits, release=True):
         one bit per input, in the netlist's PI order.
     release:
         Free dead intermediate arrays eagerly (bounds peak memory).
+    op_mask_bits:
+        Optional op row -> ``(batch,)`` ``uint8`` 0/1 flip flags (the
+        scalar reference of fault injection).
 
     Returns
     -------
     numpy.ndarray
         ``uint8`` array of shape ``(batch, n_primary_outputs)``.
     """
-    pi_bits = np.asarray(pi_bits, dtype=np.uint8)
-    if pi_bits.ndim != 2 or pi_bits.shape[1] != len(compiled.pi_slots):
-        raise ValueError(
-            "expected pi_bits of shape (batch, %d), got %r"
-            % (len(compiled.pi_slots), pi_bits.shape))
+    pi_bits = check_pi_bits(compiled, pi_bits)
     batch = pi_bits.shape[0]
     values = [None] * compiled.slots
     values[0] = np.zeros(batch, dtype=np.uint8)
     values[1] = np.ones(batch, dtype=np.uint8)
     for col, slot in enumerate(compiled.pi_slots):
         values[slot] = np.ascontiguousarray(pi_bits[:, col])
+    # The reference keeps its own loop, apart from the packed engine's
+    # _run_ops, so a fault there cannot hide in both engines at once.
+    flips = op_mask_bits or {}
     for idx, (func, ins, out, __uid) in enumerate(compiled.ops):
-        values[out] = func(*[values[s] for s in ins])
+        value = func(*[values[s] for s in ins])
+        values[out] = value ^ flips[idx] if idx in flips else value
         if release:
             for slot in compiled.last_use[idx]:
                 values[slot] = None
@@ -198,55 +212,65 @@ def evaluate(compiled, pi_bits, release=True):
 def all_net_values(compiled, pi_bits):
     """Evaluate and return the values of *every* net.
 
-    Returns a ``(batch, slots)`` uint8 array plus the slot map; used by
-    activity extraction, which needs internal nets.
+    Returns a ``(batch, slots)`` uint8 array (column ``s`` is slot
+    ``s``); used by activity extraction's reference, which needs
+    internal nets.
     """
-    pi_bits = np.asarray(pi_bits, dtype=np.uint8)
-    batch = pi_bits.shape[0]
-    values = np.zeros((batch, compiled.slots), dtype=np.uint8)
-    values[:, 1] = 1
-    for col, slot in enumerate(compiled.pi_slots):
-        values[:, slot] = pi_bits[:, col]
+    pi_bits = check_pi_bits(compiled, pi_bits)
+    values = np.zeros((compiled.slots, pi_bits.shape[0]), dtype=np.uint8)
+    values[1] = 1
+    values[compiled.pi_slots] = pi_bits.T
     for func, ins, out, __uid in compiled.ops:
-        values[:, out] = func(*[values[:, s] for s in ins])
-    return values
+        values[out] = func(*[values[s] for s in ins])
+    return values.T
 
 
 # ---------------------------------------------------------------------------
 # packed (64-way) engine
 # ---------------------------------------------------------------------------
 
-def evaluate_packed(compiled, pi_bits, release=True):
-    """Bit-parallel twin of :func:`evaluate` (64 vectors per word).
+def evaluate_words(compiled, pi_words, op_masks=None, release=True):
+    """The packed evaluator core: packed PI words in, packed PO words out.
 
-    Takes and returns the same byte-wide arrays as :func:`evaluate`
-    (``(batch, n_pi)`` in, ``(batch, n_po)`` out) and is bit-identical
-    to it; only the internal representation differs — each net's batch
-    is packed into ``uint64`` words (:mod:`repro.sim.bitpack`) and each
-    gate applies its full-word kernel once per 64 vectors.
+    *pi_words* is ``(n_pi, words)`` ``uint64`` in the
+    :mod:`repro.sim.bitpack` layout (e.g. from
+    :func:`repro.sim.bitpack.pack_ints`); the result is ``(n_po,
+    words)``, decoded with :func:`repro.sim.bitpack.unpack_ints` or
+    :func:`repro.sim.bitpack.unpack_bits`. *op_masks* optionally maps
+    op row -> ``(words,)`` ``uint64`` XOR fault mask applied to that
+    gate's output before any reader consumes it (see
+    :mod:`repro.inject.inject_sim`); without masks this is the clean
+    evaluation.
     """
-    pi_bits = np.asarray(pi_bits, dtype=np.uint8)
-    if pi_bits.ndim != 2 or pi_bits.shape[1] != len(compiled.pi_slots):
+    pi_words = np.asarray(pi_words, dtype=np.uint64)
+    if pi_words.ndim != 2 or pi_words.shape[0] != len(compiled.pi_slots):
         raise ValueError(
-            "expected pi_bits of shape (batch, %d), got %r"
-            % (len(compiled.pi_slots), pi_bits.shape))
-    batch = pi_bits.shape[0]
-    packed_pi = bitpack.pack_bits(pi_bits)
-    words = packed_pi.shape[1]
+            "expected pi_words of shape (%d, words), got %r"
+            % (len(compiled.pi_slots), pi_words.shape))
+    words = pi_words.shape[1]
     values = [None] * compiled.slots
     values[0] = np.zeros(words, dtype=np.uint64)
     values[1] = np.full(words, bitpack.ALL_ONES, dtype=np.uint64)
-    for col, slot in enumerate(compiled.pi_slots):
-        values[slot] = packed_pi[col]
-    for idx, (func, ins, out, __uid) in enumerate(compiled.ops):
-        values[out] = compiled.packed_funcs[idx](*[values[s] for s in ins])
-        if release:
-            for slot in compiled.last_use[idx]:
-                values[slot] = None
+    for row, slot in enumerate(compiled.pi_slots):
+        values[slot] = pi_words[row]
+    _run_ops(compiled, values, op_masks, release)
     outs = np.empty((len(compiled.po_slots), words), dtype=np.uint64)
     for row, slot in enumerate(compiled.po_slots):
         outs[row] = values[slot]
-    return bitpack.unpack_bits(outs, batch)
+    return outs
+
+
+def evaluate_packed(compiled, pi_bits, release=True, op_masks=None):
+    """Bit-matrix wrapper of :func:`evaluate_words` (64 vectors per word).
+
+    Takes and returns the same byte-wide arrays as :func:`evaluate`
+    (``(batch, n_pi)`` in, ``(batch, n_po)`` out) and is bit-identical
+    to it; internally it packs, runs the packed core and unpacks.
+    """
+    pi_bits = check_pi_bits(compiled, pi_bits)
+    outs = evaluate_words(compiled, bitpack.pack_bits(pi_bits), op_masks,
+                          release)
+    return bitpack.unpack_bits(outs, pi_bits.shape[0])
 
 
 def all_net_values_packed(compiled, pi_bits):
@@ -258,17 +282,31 @@ def all_net_values_packed(compiled, pi_bits):
     unspecified (the constant-1 row carries ones there) — mask with
     :func:`repro.sim.bitpack.tail_mask` before counting.
     """
-    pi_bits = np.asarray(pi_bits, dtype=np.uint8)
-    batch = pi_bits.shape[0]
-    packed_pi = bitpack.pack_bits(pi_bits)
-    words = packed_pi.shape[1]
-    values = np.zeros((compiled.slots, words), dtype=np.uint64)
+    packed_pi = bitpack.pack_bits(check_pi_bits(compiled, pi_bits))
+    values = np.zeros((compiled.slots, packed_pi.shape[1]), dtype=np.uint64)
     values[1] = bitpack.ALL_ONES
-    for col, slot in enumerate(compiled.pi_slots):
-        values[slot] = packed_pi[col]
-    for idx, (__func, ins, out, __uid) in enumerate(compiled.ops):
-        values[out] = compiled.packed_funcs[idx](*[values[s] for s in ins])
+    values[compiled.pi_slots] = packed_pi
+    _run_ops(compiled, values)
     return values
+
+
+def _run_ops(compiled, values, masks=None, release=False):
+    """The packed engine's one op loop: apply every op's full-word
+    kernel, in topological order, to *values* (by slot).
+
+    *values* is a list of per-slot word arrays or a ``(slots, words)``
+    matrix (rows assigned in place; *release* needs the list form).
+    *masks* maps op row -> XOR mask applied to that op's output before
+    any reader consumes it (fault injection).
+    """
+    for idx, (__func, ins, out, __uid) in enumerate(compiled.ops):
+        value = compiled.packed_funcs[idx](*[values[s] for s in ins])
+        if masks and idx in masks:
+            value = value ^ masks[idx]
+        values[out] = value
+        if release:
+            for slot in compiled.last_use[idx]:
+                values[slot] = None
 
 
 # ---------------------------------------------------------------------------

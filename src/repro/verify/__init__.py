@@ -14,7 +14,8 @@ Section-V slack rule. This package makes those equivalences executable:
 ``oracles``
     Cross-engine oracles running one netlist through the functional
     bytes, packed 64-way, event-driven and timed engines and diffing
-    the outputs bit-exactly, with minimized counterexample reporting.
+    the outputs bit-exactly, with minimized counterexample reporting;
+    also the byte-engine oracle of activity extraction.
 ``sizing``
     The dict-based sizing loop, oracle of the production array sizer,
     and scratch synthesis sized by it.
@@ -46,7 +47,7 @@ from .invariants import (InvariantResult, check_characterization,
                          check_sta_engine, check_synth_sweep)
 from .oracles import (ENGINES, Counterexample, EngineMismatch, OracleReport,
                       cross_engine_check, diff_engines, engine_outputs,
-                      minimize_counterexample)
+                      minimize_counterexample, simulate_activity_bytes)
 from .shrink import shrink_netlist
 from .sizing import reference_synthesize, upsize_critical_paths
 from .verify import VerificationReport, verify_component
@@ -62,5 +63,6 @@ __all__ = [
     "golden_model", "load_corpus", "minimize_counterexample",
     "netlist_from_dict", "netlist_to_dict", "random_netlist",
     "reference_synthesize", "replay_corpus", "save_corpus_entry",
-    "shrink_netlist", "upsize_critical_paths", "verify_component",
+    "shrink_netlist", "simulate_activity_bytes", "upsize_critical_paths",
+    "verify_component",
 ]

@@ -458,16 +458,17 @@ def check_injection(component, library, years=(1.0, 10.0),
       non-decreasing in lifetime at fixed clock, and in clock
       aggressiveness at fixed lifetime (the masks are nested — see
       :mod:`repro.inject.masks`);
-    * the packed XOR injector agrees bit-for-bit with the scalar uint8
-      reference injector on the most aggressive grid point.
+    * the packed XOR injector, fed the prelude's packed stimulus,
+      agrees bit-for-bit with the scalar uint8 reference injector on
+      the most aggressive grid point, and the prelude's clean integers
+      equal the byte engine's decoded outputs.
     """
     from ..inject import CampaignSpec, run_campaign
     from ..inject.campaign import _prelude, component_spec
     from ..inject.faultload import build_faultload
-    from ..inject.inject_sim import (evaluate_bytes_injected,
-                                     evaluate_packed_injected,
-                                     unpack_op_masks)
-    from ..sim.logic import evaluate
+    from ..inject.inject_sim import evaluate_bytes_injected, unpack_op_masks
+    from ..sim.bitpack import unpack_bits
+    from ..sim.logic import bits_to_int, evaluate, evaluate_words
     from ..core.specs import parse_scenario
     from ..sta.engine import corner_label
 
@@ -532,16 +533,16 @@ def check_injection(component, library, years=(1.0, 10.0),
     clock = prelude.fresh_clock_ps * scales[-1]
     faultload = build_faultload(prelude.program, prelude.batch, label,
                                 clock, activity=spec.activity)
-    masks = faultload.masks(spec.seed, prelude.words)
-    packed = evaluate_packed_injected(prelude.compiled, prelude.pi_bits,
-                                      masks)
+    masks = faultload.masks(spec.seed, prelude.pi_words.shape[1])
+    pi_bits = unpack_bits(prelude.pi_words, spec.vectors)
+    packed = unpack_bits(
+        evaluate_words(prelude.compiled, prelude.pi_words, masks),
+        spec.vectors)
     reference = evaluate_bytes_injected(
-        prelude.compiled, prelude.pi_bits,
-        unpack_op_masks(masks, spec.vectors))
+        prelude.compiled, pi_bits, unpack_op_masks(masks, spec.vectors))
     agree = bool((packed == reference).all())
-    clean_agree = bool(
-        (evaluate_packed_injected(prelude.compiled, prelude.pi_bits, {})
-         == evaluate(prelude.compiled, prelude.pi_bits)).all())
+    clean_agree = bool((prelude.clean_ints == bits_to_int(
+        evaluate(prelude.compiled, pi_bits), signed=True)).all())
     results.append(_result(
         "inject_packed_matches_reference", agree and clean_agree,
         "packed XOR injection bit-exact vs scalar reference (%d masked "

@@ -33,8 +33,10 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ..sim.activity import ActivityReport
 from ..sim.event import EventSimulator
-from ..sim.logic import compile_netlist, evaluate, evaluate_packed
+from ..sim.logic import (all_net_values, compile_netlist, evaluate,
+                         evaluate_packed)
 from ..sim.timing import TimedSimulator
 
 #: Engine names, in reporting order; ``bytes`` is the reference.
@@ -45,6 +47,24 @@ RELAXED_CLOCK_PS = 1e9
 
 #: Default cap on vectors pushed through the scalar event engine.
 EVENT_VECTOR_CAP = 64
+
+
+def simulate_activity_bytes(netlist, library, pi_bits):
+    """Byte-engine oracle of :func:`repro.sim.activity.simulate_activity`.
+
+    Materializes the full ``(vectors, slots)`` ``uint8`` net matrix and
+    reduces it by mean and consecutive-row comparison; the production
+    packed popcount reduction must match it bit for bit.
+    """
+    compiled = compile_netlist(netlist, library, memo=False)
+    values = all_net_values(compiled, pi_bits)
+    vectors = values.shape[0]
+    p1 = values.mean(axis=0) if vectors else np.zeros(compiled.slots)
+    if vectors > 1:
+        toggles = (values[1:] != values[:-1]).mean(axis=0)
+    else:
+        toggles = np.zeros(compiled.slots)
+    return ActivityReport.from_slots(compiled, p1, toggles, vectors)
 
 
 def exhaustive_bits(n_inputs):

@@ -1,7 +1,8 @@
 """Tests for the bit-packed 64-way simulation engine.
 
 The packed engine must be *bit-identical* to the ``uint8`` reference
-engine — outputs, signal probabilities, and toggle rates — on the full
+engine (activity statistics: the ``repro.verify.simulate_activity_bytes``
+oracle) — outputs, signal probabilities, and toggle rates — on the full
 component library, on random netlists under random stimuli, and across
 awkward batch sizes (non-multiples of 64, single vectors, empty).
 """
@@ -13,9 +14,12 @@ from hypothesis import given, strategies as st
 from repro.cells import default_library
 from repro.cells.cell import CELL_KINDS
 from repro.netlist import CONST0, CONST1, NetlistBuilder
-from repro.sim import (compile_netlist, evaluate, evaluate_packed,
-                       pack_bits, popcount, simulate_activity, unpack_bits)
+from repro.sim import (bits_to_int, compile_netlist, evaluate,
+                       evaluate_packed, evaluate_words, int_to_bits,
+                       pack_bits, pack_ints, popcount, simulate_activity,
+                       unpack_bits, unpack_ints)
 from repro.sim import bitpack
+from repro.verify import load_corpus, simulate_activity_bytes
 
 LIB = default_library()
 
@@ -53,6 +57,46 @@ class TestPackUnpack:
     def test_unpack_capacity_check(self):
         with pytest.raises(ValueError):
             unpack_bits(np.zeros((1, 1), dtype=np.uint64), 65)
+
+
+class TestIntCodecs:
+    """``pack_ints``/``unpack_ints`` equal the bit-matrix codecs."""
+
+    @given(data=st.data(), width=st.integers(1, 63),
+           batch=st.integers(0, 200), signed=st.booleans())
+    def test_pack_ints_matches_bit_matrix(self, data, width, batch, signed):
+        # Any int64, negative included: both codecs take values modulo
+        # 2 ** width.
+        values = np.asarray(data.draw(st.lists(
+            st.integers(-2**63, 2**63 - 1), min_size=batch,
+            max_size=batch)), dtype=np.int64)
+        packed = pack_ints(values, width)
+        assert packed.dtype == np.uint64
+        assert np.array_equal(packed, pack_bits(int_to_bits(values, width)))
+        assert np.array_equal(
+            unpack_ints(packed, batch, signed=signed),
+            bits_to_int(int_to_bits(values, width), signed=signed))
+
+    @given(seed=st.integers(0, 2**31 - 1), width=st.integers(1, 63),
+           batch=st.integers(0, 200), signed=st.booleans())
+    def test_unpack_ints_ignores_tail_bits(self, seed, width, batch, signed):
+        # Random words, tail bits (positions >= batch) set at random.
+        rng = np.random.default_rng(seed)
+        words = rng.integers(0, 2**64, (width, bitpack.word_count(batch)),
+                             dtype=np.uint64)
+        want = bits_to_int(unpack_bits(words, batch), signed=signed)
+        assert np.array_equal(unpack_ints(words, batch, signed=signed), want)
+
+    def test_signed_decode_of_extremes(self):
+        values = np.array([-8, -1, 0, 7, 8, 15], dtype=np.int64)
+        packed = pack_ints(values, 4)
+        assert unpack_ints(packed, 6).tolist() == [-8, -1, 0, 7, -8, -1]
+        assert unpack_ints(packed, 6, signed=False).tolist() \
+            == [8, 15, 0, 7, 8, 15]
+
+    def test_unpack_capacity_check(self):
+        with pytest.raises(ValueError):
+            unpack_ints(np.zeros((3, 1), dtype=np.uint64), 65)
 
 
 class TestPopcount:
@@ -129,26 +173,11 @@ class TestEngineEquivalence:
         for netlist in (adder8, mult6, mac4):
             n_pi = len(netlist.primary_inputs)
             bits = rng.integers(0, 2, (batch, n_pi)).astype(np.uint8)
-            ref = simulate_activity(netlist, lib, bits, engine="bytes")
-            got = simulate_activity(netlist, lib, bits, engine="packed")
+            ref = simulate_activity_bytes(netlist, lib, bits)
+            got = simulate_activity(netlist, lib, bits)
             assert got.vectors == ref.vectors
             assert got.signal_probability == ref.signal_probability
             assert got.toggle_rate == ref.toggle_rate
-
-    def test_default_engine_is_packed(self, lib, adder8, rng):
-        bits = rng.integers(
-            0, 2, (70, len(adder8.primary_inputs))).astype(np.uint8)
-        default = simulate_activity(adder8, lib, bits)
-        packed = simulate_activity(adder8, lib, bits, engine="packed")
-        assert default.signal_probability == packed.signal_probability
-        assert default.toggle_rate == packed.toggle_rate
-
-    def test_unknown_engine_rejected(self, lib, adder8):
-        with pytest.raises(ValueError, match="engine"):
-            simulate_activity(
-                adder8, lib,
-                np.zeros((2, len(adder8.primary_inputs)), dtype=np.uint8),
-                engine="simd")
 
     def test_release_flag_equivalence(self, lib, mult6, rng):
         compiled = compile_netlist(mult6, lib)
@@ -162,6 +191,29 @@ class TestEngineEquivalence:
         compiled = compile_netlist(adder8, lib)
         with pytest.raises(ValueError, match="shape"):
             evaluate_packed(compiled, np.zeros((4, 3), dtype=np.uint8))
+        with pytest.raises(ValueError, match="shape"):
+            evaluate_words(compiled, np.zeros((3, 1), dtype=np.uint64))
+
+
+class TestPackedCore:
+    """The packed-in/packed-out core behind every packed evaluation."""
+
+    @pytest.mark.parametrize("batch", (1, 64, 130))
+    def test_empty_masks_equal_evaluate_packed_on_corpus(
+            self, lib, corpus_dir, batch, rng):
+        corpus = load_corpus(corpus_dir)
+        assert corpus
+        for path, netlist in corpus:
+            compiled = compile_netlist(netlist, lib, memo=False)
+            bits = rng.integers(
+                0, 2, (batch, len(compiled.pi_slots))).astype(np.uint8)
+            got = evaluate_words(compiled, pack_bits(bits), {})
+            assert got.shape == (len(compiled.po_slots),
+                                 bitpack.word_count(batch)), path
+            assert np.array_equal(unpack_bits(got, batch),
+                                  evaluate_packed(compiled, bits)), path
+            assert np.array_equal(
+                got, evaluate_words(compiled, pack_bits(bits))), path
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +254,7 @@ def test_engines_agree_on_random_netlists(netlist, batch, seed):
     compiled = compile_netlist(netlist, LIB)
     assert np.array_equal(evaluate_packed(compiled, bits),
                           evaluate(compiled, bits))
-    ref = simulate_activity(netlist, LIB, bits, engine="bytes")
-    got = simulate_activity(netlist, LIB, bits, engine="packed")
+    ref = simulate_activity_bytes(netlist, LIB, bits)
+    got = simulate_activity(netlist, LIB, bits)
     assert got.signal_probability == ref.signal_probability
     assert got.toggle_rate == ref.toggle_rate

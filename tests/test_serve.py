@@ -21,7 +21,6 @@ from repro.rtl import Adder, Multiplier
 from repro.serve import CharacterizationServer, ServeClient, http_request
 from repro.serve.client import ServeError
 from repro.serve.protocol import ProtocolError, parse_query
-from repro.synth import clear_sweep_memo
 
 QUERY = {"component": "adder8", "precisions": [8, 7, 6],
          "scenarios": ["worst10y", "fresh"], "effort": "high"}
@@ -556,23 +555,30 @@ class TestDrainShutdown:
         assert rows[-1]["counters"]["serve.requests"] == 2
 
     def test_stop_drains_inflight_request(self, tmp_path):
-        """Shutdown must complete in-flight work: a cold characterize
-        issued just before stop() still gets its full answer."""
+        """Shutdown must complete in-flight work: a characterize whose
+        handler has started before stop() still gets its full answer."""
         async def scenario():
-            # Cold for real: no synthesis memoized by earlier tests in
-            # this process (or inherited by a forked worker).
-            clear_sweep_memo()
             server = await start_server(tmp_path, workers=1,
                                         drain_grace_s=30.0)
+            started, release = asyncio.Event(), asyncio.Event()
+            handle = server._handle
+
+            async def held_handle(request, writer):
+                # In flight from here on; held until stop() has begun.
+                started.set()
+                await release.wait()
+                return await handle(request, writer)
+
+            server._handle = held_handle
             client = ServeClient(server.host, server.port)
             inflight = asyncio.ensure_future(
                 client.characterize(dict(QUERY, precisions=[8])))
-            # Wait until the request is actually on the wire/busy.
-            deadline = asyncio.get_event_loop().time() + 5.0
-            while not server._busy:
-                assert asyncio.get_event_loop().time() < deadline
-                await asyncio.sleep(0.005)
-            await server.stop()
+            await asyncio.wait_for(started.wait(), timeout=10.0)
+            stopping = asyncio.ensure_future(server.stop())
+            await asyncio.sleep(0)  # stop() runs up to its first await
+            assert server._draining
+            release.set()
+            await asyncio.wait_for(stopping, timeout=60.0)
             reply = await inflight
             await client.close()
             return reply
