@@ -18,7 +18,7 @@ from ..aging.bti import DEFAULT_BTI
 from ..sim.activity import operand_stream_bits
 from ..sim.logic import bits_to_int
 from ..sim.timing import TimedSimulator
-from ..sta.sta import critical_path_delay
+from ..sta.engine import analyze_batch
 from ..synth.synthesize import synthesize_netlist
 from .arith import ArithmeticModel
 
@@ -47,7 +47,8 @@ class TimedComponentModel:
         self.component = component
         self.library = library
         self.netlist = synthesize_netlist(component, library, effort=effort)
-        self.fresh_delay_ps = critical_path_delay(self.netlist, library)
+        self.fresh_delay_ps = analyze_batch(
+            self.netlist, library, [None]).critical_paths_ps[0]
         self.t_clock_ps = (float(t_clock_ps) if t_clock_ps is not None
                            else self.fresh_delay_ps)
         self.scenario = scenario

@@ -34,7 +34,6 @@ from .aging import balance_case, worst_case
 from .cells import default_library
 from .core import AgingApproximationLibrary, characterize, remove_guardband
 from .core import cache as cache_mod
-from .core import instrument
 from .core import specs as specs_mod
 from .core.adaptive import plan_graceful_degradation
 from .core.parallel import resolve_jobs
@@ -46,10 +45,10 @@ from .obs import slo as obs_slo
 from .obs import trace as obs_trace
 from .netlist.netlist import NetlistError
 from .report import (characterization_report, flow_report_text,
-                     inject_report_text, instrumentation_report_text,
-                     mc_report_text, metrics_report_text,
-                     schedule_report_text, screen_report,
-                     timing_report_text, verify_report_text)
+                     inject_report_text, mc_report_text,
+                     metrics_report_text, schedule_report_text,
+                     screen_report, timing_report_text, timings_report_text,
+                     verify_report_text)
 from .rtl import (fir_microarchitecture, dct_microarchitecture,
                   idct_microarchitecture)
 
@@ -88,6 +87,18 @@ def _component(args):
         raise SystemExit(str(exc))
 
 
+def _sweep(args, component):
+    """Precisions ``--sweep-bits`` below *component*'s full width, down
+    to at most precision 1; None (the engine default) when it is 0."""
+    if args.sweep_bits < 0:
+        raise SystemExit("--sweep-bits must be >= 0, got %d"
+                         % args.sweep_bits)
+    if not args.sweep_bits:
+        return None
+    lo = max(component.width - args.sweep_bits, 1)
+    return range(component.width, lo - 1, -1)
+
+
 def _parse_scenario(spec):
     """One scenario spec: ``fresh``, ``worst10y``/``balance1y`` or the
     characterization-label spelling ``10y_worst``."""
@@ -120,11 +131,11 @@ def _manifest_config(args):
 def _engine(args):
     """Observability + cache scope shared by every subcommand.
 
-    Applies ``--cache-dir`` and ``--log-level``, collects per-stage
-    timings (``--timings``), captures a span tree when ``--trace`` or
-    a manifest is requested, scopes a fresh metrics registry, and on
-    exit writes the ``--trace`` / ``--metrics`` / ``--manifest``
-    artifacts.
+    Applies ``--cache-dir`` and ``--log-level``, captures a span tree
+    when ``--timings``, ``--trace`` or a manifest is requested, scopes a
+    fresh metrics registry, and on exit prints the ``--timings`` report
+    (per-span totals of that tree) and writes the ``--trace`` /
+    ``--metrics`` / ``--manifest`` artifacts.
     """
     try:
         resolve_jobs(getattr(args, "jobs", None))
@@ -140,7 +151,8 @@ def _engine(args):
         # A trace/metrics request implies provenance: derive a path.
         manifest_path = obs_manifest.default_manifest_path(metrics_path,
                                                            trace_path)
-    tracing = trace_path is not None or manifest_path is not None
+    timings = getattr(args, "timings", False)
+    tracing = timings or trace_path is not None or manifest_path is not None
     cache_dir = getattr(args, "cache_dir", None)
     if cache_dir and not os.path.isdir(cache_dir):
         raise SystemExit("cache directory %r does not exist "
@@ -165,22 +177,21 @@ def _engine(args):
             with capture:
                 with obs_trace.span("cli." + args.command,
                                     command=args.command):
-                    with instrument.collect() as instr:
-                        if profile_path:
-                            from .obs.profile import SamplingProfiler
-                            profiler = SamplingProfiler(registry=registry)
-                            profiler.start()
-                        try:
-                            yield
-                        finally:
-                            if profiler is not None:
-                                profiler.stop()
+                    if profile_path:
+                        from .obs.profile import SamplingProfiler
+                        profiler = SamplingProfiler(registry=registry)
+                        profiler.start()
+                    try:
+                        yield
+                    finally:
+                        if profiler is not None:
+                            profiler.stop()
             duration = time.perf_counter() - start
             snapshot = registry.snapshot()
-        if getattr(args, "timings", False):
+        if timings:
             print()
-            print(instrumentation_report_text(
-                instr, cache.stats if cache is not None else None))
+            print(timings_report_text(tracer.totals(),
+                                      snapshot["counters"]))
             print()
             print(metrics_report_text(snapshot))
         if trace_path:
@@ -207,7 +218,7 @@ def _engine(args):
                 "repro-aging " + args.command,
                 config=_manifest_config(args),
                 library=default_library(),
-                stages=instr.summary()["stages"],
+                stages=tracer.totals(),
                 metrics=snapshot,
                 duration_s=duration,
                 extra={"cache_stats": cache.stats.as_dict()
@@ -219,9 +230,7 @@ def _engine(args):
 def cmd_characterize(args):
     lib = default_library()
     component = _component(args)
-    sweep = None
-    if args.sweep_bits:
-        sweep = range(args.width, args.width - args.sweep_bits - 1, -1)
+    sweep = _sweep(args, component)
     with _engine(args):
         scenarios = _scenarios(args.years, args.stress)
         entry = characterize(component, lib, scenarios=scenarios,
@@ -251,12 +260,12 @@ def cmd_timing(args):
     lib = default_library()
     component = _component(args)
     with _engine(args):
-        with instrument.current().stage(instrument.STAGE_SYNTHESIZE):
+        with obs_trace.span("synthesize"):
             netlist = synthesize(component, lib,
                                  effort=args.effort).netlist
         scenarios = [(worst_case if args.stress == "worst"
                       else balance_case)(years) for years in args.years]
-        with instrument.current().stage(instrument.STAGE_STA):
+        with obs_trace.span("sta"):
             batch = analyze_batch(netlist, lib, [None] + scenarios)
         fresh = batch.report(0)
         print(timing_report_text(netlist, lib, fresh))
@@ -308,7 +317,7 @@ def cmd_export(args):
     if not (args.verilog or args.sdf):
         raise SystemExit("nothing to export: pass --verilog and/or --sdf")
     with _engine(args):
-        with instrument.current().stage(instrument.STAGE_SYNTHESIZE):
+        with obs_trace.span("synthesize"):
             netlist = synthesize_netlist(component, lib,
                                          effort=args.effort)
         wrote = []
@@ -332,10 +341,7 @@ def cmd_verify(args):
     lib = default_library()
     component = _component(args)
     scenarios = _verify_scenarios(args.scenario)
-    sweep = None
-    if args.sweep_bits:
-        lo = max(component.width - args.sweep_bits, 1)
-        sweep = range(component.width, lo - 1, -1)
+    sweep = _sweep(args, component)
     with _engine(args):
         report = verify_component(
             component, lib, scenarios, vectors=args.vectors,

@@ -15,7 +15,6 @@ from .flow import (BaselineComparison, GuardbandRemovalReport,
                    microarchitecture_power, remove_guardband)
 from .adaptive import PrecisionSchedule, plan_graceful_degradation
 from .sensitivity import SensitivityReport, precision_sensitivity
-from . import instrument
 from .cache import (CharacterizationCache, CacheStats, cache_enabled,
                     get_cache, set_cache, synthesize_netlist_memoized)
 from .parallel import WorkerPool, resolve_jobs
@@ -35,5 +34,5 @@ __all__ = [
     "SensitivityReport", "precision_sensitivity",
     "CharacterizationCache", "CacheStats", "cache_enabled", "get_cache",
     "set_cache", "synthesize_netlist_memoized", "WorkerPool",
-    "resolve_jobs", "instrument",
+    "resolve_jobs",
 ]

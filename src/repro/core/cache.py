@@ -44,8 +44,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from ..obs import logs, metrics as obs_metrics
-from . import instrument
+from ..obs import logs, metrics as obs_metrics, trace as obs_trace
 
 _log = logs.get_logger("core.cache")
 
@@ -571,7 +570,7 @@ def synthesize_netlist_memoized(component, library, effort="ultra"):
     """
     from ..synth.sweep import sweep_for
 
-    with instrument.current().stage(instrument.STAGE_SYNTHESIZE):
+    with obs_trace.span("synthesize"):
         return sweep_for(component, library, effort=effort).derive(
             component.precision).netlist
 

@@ -19,12 +19,13 @@ annotations.
 The sweep itself runs through the characterization engine: every
 ``(precision, scenarios)`` point is an independent task that consults
 the content-addressed result cache (:mod:`repro.core.cache`), records
-per-stage timings (:mod:`repro.core.instrument`), and can fan out over
-a process pool (:mod:`repro.core.parallel`, ``jobs=1`` serial default).
+its stages as :mod:`repro.obs.trace` spans (``synthesize``,
+``stress_extraction``, ``sta``), and can fan out over a process pool
+(:mod:`repro.core.parallel`, ``jobs=1`` serial default).
 """
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Tuple
 
 from ..aging.bti import DEFAULT_BTI
 from ..aging.scenario import AgingScenario
@@ -34,7 +35,6 @@ from ..sta.engine import (analyze_batch, analyze_incremental,
                           compile_timing, truncated_input_nets)
 from ..synth.sweep import synthesize_variant
 from . import cache as cache_mod
-from . import instrument
 from .parallel import map_tasks, resolve_jobs
 
 _log = logs.get_logger("core.characterize")
@@ -231,26 +231,18 @@ def _characterize_point(task):
 
     Module-level so the process-pool path can pickle it; ``jobs=1`` runs
     it inline. Consults the on-disk cache when a root is given and
-    reports its own stage timings, cache accounting, span tree and
-    metric snapshot back to the parent (workers cannot share the
-    parent's ambient collectors): the returned ``"trace"`` /
-    ``"metrics"`` entries are re-parented / merged by
-    :func:`characterize`. A ``"trace"`` propagation context in the task
-    (stamped by :mod:`repro.core.parallel` or the serve layer) stitches
-    this worker's spans into the submitting trace by identity.
+    reports its cache accounting back to the parent, which merges it
+    into the caller's :class:`~repro.core.cache.CacheStats` (spans and
+    metrics travel through :func:`repro.core.parallel.traced`).
     """
-    with obs_trace.capture() as tracer, obs_metrics.scoped() as registry:
-        with obs_trace.propagated(task.get("trace")), obs_trace.span(
-                "characterize.point",
-                component=task["component"].family,
-                width=task["component"].width,
-                precision=task["precision"],
-                scenarios=[label for __s, label, __fp
-                           in task["scenarios"]]) as point_span:
-            result = _characterize_point_inner(task, point_span)
-    result["trace"] = tracer.to_dicts()
-    result["obs_metrics"] = registry.snapshot()
-    return result
+    with obs_trace.span(
+            "characterize.point",
+            component=task["component"].family,
+            width=task["component"].width,
+            precision=task["precision"],
+            scenarios=[label for __s, label, __fp
+                       in task["scenarios"]]) as point_span:
+        return _characterize_point_inner(task, point_span)
 
 
 def _characterize_point_inner(task, point_span):
@@ -264,7 +256,7 @@ def _characterize_point_inner(task, point_span):
     key = task["key"]
     cache_root = task["cache_root"]
 
-    instr = instrument.Instrumentation()
+    attrs = point_span.attrs if point_span is not None else {}
     store = (cache_mod.CharacterizationCache(
         cache_root, shards=task.get("cache_shards", 0))
         if cache_root else None)
@@ -272,13 +264,11 @@ def _characterize_point_inner(task, point_span):
     if entry is not None \
             and all(fp in entry["aged"] for __s, __l, fp in scenarios):
         # Full hit: every requested scenario already characterized.
-        instr.count(instrument.COUNT_CACHE_HITS)
-        point_span.attrs["cache"] = "hit"
+        attrs["cache"] = "hit"
         metrics = entry["metrics"]
         aged = [(label, entry["aged"][fp]["delay_ps"])
                 for __spec, label, fp in scenarios]
         return {"precision": precision, "metrics": metrics, "aged": aged,
-                "instr": instr.summary(),
                 "cache_stats": store.stats.as_dict()}
 
     if store is not None:
@@ -289,11 +279,10 @@ def _characterize_point_inner(task, point_span):
             store.stats.misses += 1
             obs_metrics.inc(obs_metrics.CACHE_HITS, -1)
             obs_metrics.inc(obs_metrics.CACHE_MISSES)
-        instr.count(instrument.COUNT_CACHE_MISSES)
-    point_span.attrs["cache"] = "miss" if store is not None else "off"
+    attrs["cache"] = "miss" if store is not None else "off"
 
     variant = component.with_precision(precision)
-    with instr.stage(instrument.STAGE_SYNTHESIZE):
+    with obs_trace.span("synthesize"):
         # One base synthesis per worker process (memoized on the
         # full-precision content), every truncated point derived by
         # cone-restricted replay — bit-identical to from-scratch.
@@ -318,7 +307,7 @@ def _characterize_point_inner(task, point_span):
             aged.append((label, entry["aged"][fp]["delay_ps"]))
             continue
         if isinstance(spec, ActualCaseSpec):
-            with instr.stage(instrument.STAGE_STRESS):
+            with obs_trace.span("stress_extraction"):
                 bits = operand_stream_bits(spec.operands,
                                            variant.operand_widths)
                 annotation = extract_stress(netlist, library, bits,
@@ -332,7 +321,7 @@ def _characterize_point_inner(task, point_span):
         # All corners of this grid point share one compiled timing
         # program (seeded by synthesis); the batched engine is
         # bit-identical to per-corner scalar analyze.
-        with instr.stage(instrument.STAGE_STA):
+        with obs_trace.span("sta"):
             delays = analyze_batch(
                 netlist, library, [corner for __, __, __, corner in pending],
                 bti=bti, degradation=degradation,
@@ -345,7 +334,6 @@ def _characterize_point_inner(task, point_span):
                     meta={"component": variant.name,
                           "precision": precision, "effort": effort})
     return {"precision": precision, "metrics": metrics, "aged": aged,
-            "instr": instr.summary(),
             "cache_stats": store.stats.as_dict()
             if store is not None else None}
 
@@ -453,7 +441,6 @@ def characterize(component, library, scenarios, precisions=None,
               component_key(component), len(tasks), len(scenarios),
               effort, jobs, "on" if store is not None else "off")
 
-    instr = instrument.current()
     fresh_ps, area, leakage, gates, depth = {}, {}, {}, {}, {}
     aged_ps = {}
     labels = []
@@ -475,12 +462,8 @@ def characterize(component, library, scenarios, precisions=None,
                 if label not in labels:
                     labels.append(label)
                 aged_ps[(precision, label)] = delay
-            instr.merge(point["instr"])
             if store is not None and point["cache_stats"] is not None:
                 store.stats.merge(point["cache_stats"])
-            # Re-parent the worker's span tree and fold its metrics in.
-            obs_trace.adopt(point["trace"])
-            obs_metrics.registry().merge(point["obs_metrics"])
 
     return ComponentCharacterization(
         key=component_key(component), family=component.family, width=width,
@@ -591,15 +574,14 @@ def truncation_screen(component, library, scenarios, precisions=None,
             corners.append(spec)
     labels = ["fresh"] + [s.label for s in corners[1:]]
 
-    instr = instrument.current()
     with obs_trace.span("characterize.screen",
                         component=component_key(component),
                         precisions=len(precisions),
                         corners=len(corners)):
-        with instr.stage(instrument.STAGE_SYNTHESIZE):
+        with obs_trace.span("synthesize"):
             netlist = cache_mod.synthesize_netlist_memoized(
                 component, library, effort=effort)
-        with instr.stage(instrument.STAGE_STA):
+        with obs_trace.span("sta"):
             baseline = analyze_batch(netlist, library, corners, bti=bti,
                                      degradation=degradation)
         delays, cone, dropped = {}, {}, {}
@@ -611,7 +593,7 @@ def truncation_screen(component, library, scenarios, precisions=None,
                 cone[precision] = 0.0
                 dropped[precision] = 0
                 continue
-            with instr.stage(instrument.STAGE_STA):
+            with obs_trace.span("sta"):
                 inc = analyze_incremental(netlist, library, tied,
                                           baseline=baseline, bti=bti,
                                           degradation=degradation)

@@ -12,11 +12,18 @@ order on collection, so both produce byte-for-byte identical results.
 Job-count resolution: an explicit ``jobs=`` argument wins; otherwise
 the ``REPRO_JOBS`` environment variable; otherwise 1 (serial).
 ``jobs=0`` / ``REPRO_JOBS=0`` means "one worker per CPU".
+
+Telemetry: a pool worker cannot record into the parent's ambient
+tracer and metrics registry, so every pool task runs under
+:func:`traced` (its own capture, registry and propagated trace
+context) and the parent folds what comes back in with :func:`absorb`.
+Serial tasks run inline and record into the caller's scope directly.
 """
 
+import functools
 import os
 
-from ..obs import logs, trace as obs_trace
+from ..obs import logs, metrics as obs_metrics, trace as obs_trace
 
 #: Environment variable overriding the default worker count.
 JOBS_ENV = "REPRO_JOBS"
@@ -47,6 +54,34 @@ def resolve_jobs(jobs=None):
     return jobs
 
 
+def traced(worker, task):
+    """Run ``worker(task)`` as a pool task: ``(result, spans, metrics)``.
+
+    The worker records into a tracer and metrics registry of its own,
+    entered under the task's ``"trace"`` propagation context (stamped
+    by :func:`map_tasks` or the serve layer), so its root spans chain
+    to the submitting span by identity. Module-level, hence picklable.
+    """
+    context = task.get("trace") if isinstance(task, dict) else None
+    with obs_trace.capture() as tracer, obs_metrics.scoped() as registry:
+        with obs_trace.propagated(context):
+            result = worker(task)
+    return result, tracer.to_dicts(), registry.snapshot()
+
+
+def absorb(outcome, registry=None):
+    """Fold a :func:`traced` outcome into the caller; returns the result.
+
+    The spans are re-parented under the current span, the metrics
+    merged into *registry* (the ambient one by default).
+    """
+    result, spans, metrics = outcome
+    obs_trace.adopt(spans)
+    (registry if registry is not None
+     else obs_metrics.registry()).merge(metrics)
+    return result
+
+
 #: Sentinel distinguishing "jobs not passed" from an explicit value, so
 #: the pool/jobs conflict warning only fires on a real caller mistake.
 _JOBS_UNSET = object()
@@ -73,8 +108,9 @@ def _stamp_trace(tasks):
 def map_tasks(worker, tasks, jobs=_JOBS_UNSET, pool=None):
     """Apply *worker* to every task, serially or over a process pool.
 
-    Results come back in task order either way. *worker* must be a
-    module-level function and *tasks* picklable when ``jobs > 1``.
+    Results come back in task order either way, with pool workers'
+    spans and metrics absorbed into the caller's scope. *worker* must
+    be a module-level function and *tasks* picklable when ``jobs > 1``.
     Passing a :class:`WorkerPool` as *pool* reuses its persistent
     workers instead of spawning (and tearing down) a pool for this
     call; the pool's worker count wins, and an explicit *jobs* that
@@ -102,7 +138,8 @@ def map_tasks(worker, tasks, jobs=_JOBS_UNSET, pool=None):
     with obs_trace.span("parallel.map", tasks=len(tasks),
                         workers=workers):
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(worker, _stamp_trace(tasks)))
+            return [absorb(outcome) for outcome in pool.map(
+                functools.partial(traced, worker), _stamp_trace(tasks))]
 
 
 class WorkerPool:
@@ -117,10 +154,10 @@ class WorkerPool:
     ``pool=`` so repeated sweeps amortize pool startup.
 
     The executor is created lazily on first use; :meth:`submit` returns
-    a :class:`concurrent.futures.Future` (the asyncio server bridges it
-    with ``wrap_future``), :meth:`map` preserves task order like
-    :func:`map_tasks`. Use as a context manager or call
-    :meth:`shutdown` to reap the workers.
+    a :class:`concurrent.futures.Future` (the asyncio server runs
+    :func:`traced` jobs on :attr:`executor` and absorbs their results),
+    :meth:`map` preserves task order like :func:`map_tasks`. Use as a
+    context manager or call :meth:`shutdown` to reap the workers.
     """
 
     def __init__(self, jobs=None):
@@ -142,13 +179,15 @@ class WorkerPool:
         return self.executor.submit(worker, task)
 
     def map(self, worker, tasks):
-        """Apply *worker* to every task, preserving task order."""
+        """Apply *worker* to every task, preserving task order and
+        absorbing each task's telemetry (see :func:`traced`)."""
         tasks = list(tasks)
         if not tasks:
             return []
         with obs_trace.span("parallel.map", tasks=len(tasks),
                             workers=self.jobs, persistent=True):
-            return list(self.executor.map(worker, _stamp_trace(tasks)))
+            return [absorb(outcome) for outcome in self.executor.map(
+                functools.partial(traced, worker), _stamp_trace(tasks))]
 
     def shutdown(self, wait=True):
         """Reap the worker processes (idempotent)."""

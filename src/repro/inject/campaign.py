@@ -273,22 +273,14 @@ def _point_row(spec, prelude, scenario_label, clock_scale):
 
 
 def _inject_point(task):
-    """Module-level grid-point worker (shared by every execution path).
-
-    Returns the ladder row plus, when run inside a pool worker, the
-    spans and metrics it produced (``map_tasks`` workers run in their
-    own processes; the parent adopts/merges what comes back).
-    """
+    """Module-level grid-point worker (shared by every execution path):
+    the ladder row of one ``(scenario, clock scale)`` point."""
     spec = CampaignSpec.from_dict(task["spec"])
-    with obs_trace.capture() as tracer, obs_metrics.scoped() as registry:
-        with obs_trace.propagated(task.get("trace")), obs_trace.span(
-                "inject.point", scenario=task["scenario"],
-                clock_scale=task["clock_scale"]):
-            prelude = _prelude(spec, library=task.get("library"))
-            row = _point_row(spec, prelude, task["scenario"],
-                             task["clock_scale"])
-    return {"row": row, "trace": tracer.to_dicts(),
-            "obs_metrics": registry.snapshot()}
+    with obs_trace.span("inject.point", scenario=task["scenario"],
+                        clock_scale=task["clock_scale"]):
+        prelude = _prelude(spec, library=task.get("library"))
+        return _point_row(spec, prelude, task["scenario"],
+                          task["clock_scale"])
 
 
 # ---------------------------------------------------------------------------
@@ -390,13 +382,12 @@ def _arms(spec, prelude):
 
 def make_point_tasks(spec, library=None):
     """The campaign's task list (scenario major, clock scale minor)."""
-    ctx = obs_trace.propagation_context()
     ladder_labels = [corner_label(parse_scenario(s)) for s in spec.scenarios]
     tasks = []
     for label in ladder_labels:
         for scale in spec.clock_scales:
             tasks.append({"spec": spec.to_dict(), "scenario": label,
-                          "clock_scale": float(scale), "trace": ctx,
+                          "clock_scale": float(scale),
                           "library": library})
     return tasks
 
@@ -414,12 +405,7 @@ def run_campaign(spec, library=None, jobs=None, pool=None):
                         vectors=spec.vectors):
         started = time.perf_counter()
         tasks = make_point_tasks(spec, library=library)
-        outcomes = map_tasks(_inject_point, tasks, jobs=jobs, pool=pool)
-        rows = []
-        for outcome in outcomes:
-            obs_trace.adopt(outcome["trace"])
-            obs_metrics.registry().merge(outcome["obs_metrics"])
-            rows.append(outcome["row"])
+        rows = map_tasks(_inject_point, tasks, jobs=jobs, pool=pool)
         prelude = _prelude(spec, library=library)
         with obs_trace.span("inject.arms", component=spec.component):
             approximation, guardbanded = _arms(spec, prelude)
@@ -434,18 +420,3 @@ def run_campaign(spec, library=None, jobs=None, pool=None):
             gates=prelude.program.n_gates, vectors=int(spec.vectors),
             fresh_clock_ps=prelude.fresh_clock_ps, labels=prelude.labels,
             rows=rows, approximation=approximation, guardbanded=guardbanded)
-
-
-def _inject_campaign(task):
-    """Module-level whole-campaign worker for the served path.
-
-    Mirrors :func:`repro.core.characterize._characterize_point`'s
-    shipping contract: runs under its own tracer/registry and returns
-    them alongside the result for the event loop to adopt/merge.
-    """
-    with obs_trace.capture() as tracer, obs_metrics.scoped() as registry:
-        with obs_trace.propagated(task.get("trace")):
-            spec = CampaignSpec.from_dict(task["spec"])
-            result = run_campaign(spec, jobs=1)
-    return {"campaign": result.to_dict(), "trace": tracer.to_dicts(),
-            "obs_metrics": registry.snapshot()}

@@ -23,7 +23,7 @@ from typing import Tuple
 import numpy as np
 
 from ..sim.timing import TimedSimulator
-from ..sta.sta import analyze
+from ..sta.engine import analyze_batch
 from ..verify.oracles import default_stimulus
 from ..verify.shrink import shrink_netlist
 
@@ -94,14 +94,14 @@ def crosscheck_violations(netlist, library, clock_ps=None, scenario=None,
     * consequently every dynamically-violating PO is statically
       violating too.
     """
-    fresh_report = analyze(netlist, library)
+    corners = ([None] if scenario is None or scenario.is_fresh
+               else [None, scenario])
+    batch = analyze_batch(netlist, library, corners)
     if clock_ps is None:
-        clock_ps = fresh_report.critical_path_ps
+        clock_ps = batch.critical_paths_ps[0]
     clock_ps = float(clock_ps)
-    report = (fresh_report if scenario is None or scenario.is_fresh
-              else analyze(netlist, library, scenario=scenario))
-    static = np.array([report.arrivals[n] for n in netlist.primary_outputs],
-                      dtype=np.float64)
+    static = np.array([batch.arrival_ps(n, len(corners) - 1)
+                       for n in netlist.primary_outputs], dtype=np.float64)
     pi_bits = default_stimulus(netlist, vectors=vectors, rng=rng)
     sim = TimedSimulator(netlist, library, clock_ps, scenario=scenario,
                          glitch_model=glitch_model)

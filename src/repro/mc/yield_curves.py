@@ -231,30 +231,29 @@ def _mc_block(task):
     """Module-level sample-block worker (shared by every path).
 
     One propagation of the full tensor block plus one cone replay per
-    requested truncation depth; returns ``(C, count)`` critical paths
-    per precision, keyed by absolute block start for ordered assembly.
+    requested truncation depth; returns ``{precision: (C, count)
+    critical paths}`` (blocks come back in task order, which is
+    absolute sample order).
     """
     spec = MCSpec.from_dict(task["spec"])
-    with obs_trace.capture() as tracer, obs_metrics.scoped() as registry:
-        with obs_trace.propagated(task.get("trace")), obs_trace.span(
-                "mc.block", start=task["start"], count=task["count"],
-                precisions=len(task["precisions"])):
-            prelude = _prelude(spec, library=task.get("library"))
-            program = prelude.program
-            dvth = spec.variation().gate_dvth(
-                program.gate_uids, task["start"], task["count"])
-            delays = corner_delays(program, prelude.corners, dvth=dvth)
-            arr = _propagate(program, delays)
-            cp = {}
-            for precision in task["precisions"]:
-                plan = prelude.plans[precision]
-                if plan is None:
-                    cp[int(precision)] = _critical_paths(program, arr)
-                else:
-                    arr_p = replay_cone(plan, arr, delays)
-                    cp[int(precision)] = _critical_paths(program, arr_p)
-    return {"start": task["start"], "cp": cp, "trace": tracer.to_dicts(),
-            "obs_metrics": registry.snapshot()}
+    with obs_trace.span("mc.block", start=task["start"],
+                        count=task["count"],
+                        precisions=len(task["precisions"])):
+        prelude = _prelude(spec, library=task.get("library"))
+        program = prelude.program
+        dvth = spec.variation().gate_dvth(
+            program.gate_uids, task["start"], task["count"])
+        delays = corner_delays(program, prelude.corners, dvth=dvth)
+        arr = _propagate(program, delays)
+        cp = {}
+        for precision in task["precisions"]:
+            plan = prelude.plans[precision]
+            if plan is None:
+                cp[int(precision)] = _critical_paths(program, arr)
+            else:
+                arr_p = replay_cone(plan, arr, delays)
+                cp[int(precision)] = _critical_paths(program, arr_p)
+    return cp
 
 
 def _exact_cp(spec, library, precisions, jobs, pool, prelude):
@@ -271,21 +270,15 @@ def _exact_cp(spec, library, precisions, jobs, pool, prelude):
     if spec.variation().is_zero:
         return {p: np.repeat(prelude.det_cp[p][:, None], spec.samples,
                              axis=1) for p in precisions}
-    ctx = obs_trace.propagation_context()
     tasks = [{"spec": spec.to_dict(), "start": start, "count": count,
-              "precisions": precisions, "trace": ctx, "library": library}
+              "precisions": precisions, "library": library}
              for start, count in sample_blocks(spec.samples, spec.block)]
-    outcomes = map_tasks(_mc_block, tasks, jobs=jobs, pool=pool)
-    parts = {p: [] for p in precisions}
-    for outcome in outcomes:
-        obs_trace.adopt(outcome["trace"])
-        obs_metrics.registry().merge(outcome["obs_metrics"])
-        for p in precisions:
-            parts[p].append(outcome["cp"][p])
+    blocks = map_tasks(_mc_block, tasks, jobs=jobs, pool=pool)
     obs_metrics.inc(obs_metrics.MC_SAMPLES,
                     int(spec.samples) * len(precisions))
     obs_metrics.inc(obs_metrics.MC_BLOCKS, len(tasks))
-    return {p: np.concatenate(parts[p], axis=1) for p in precisions}
+    return {p: np.concatenate([cp[p] for cp in blocks], axis=1)
+            for p in precisions}
 
 
 # ---------------------------------------------------------------------------
@@ -515,13 +508,3 @@ def run_mc(spec, library=None, jobs=None, pool=None):
             fresh_clock_ps=prelude.fresh_clock_ps, labels=prelude.labels,
             precisions=precisions, rows=rows, k_rows=k_rows,
             surrogate=surrogate_info)
-
-
-def _mc_job(task):
-    """Module-level whole-run worker for the served ``/v1/mc`` path."""
-    with obs_trace.capture() as tracer, obs_metrics.scoped() as registry:
-        with obs_trace.propagated(task.get("trace")):
-            spec = MCSpec.from_dict(task["spec"])
-            result = run_mc(spec, jobs=1)
-    return {"mc": result.to_dict(), "trace": tracer.to_dicts(),
-            "obs_metrics": registry.snapshot()}

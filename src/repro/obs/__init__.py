@@ -8,7 +8,7 @@ Three pillars, each usable on its own:
 * :mod:`repro.obs.metrics` — named counters, gauges and histograms
   with an associative snapshot/merge wire format;
 * :mod:`repro.obs.manifest` — one JSON run manifest per top-level run
-  (config fingerprints, library identity, stage totals, metric
+  (config fingerprints, library identity, span totals, metric
   snapshot, peak RSS);
 
 plus the live-telemetry layer:
@@ -21,9 +21,6 @@ plus the live-telemetry layer:
   with windowed burn rates;
 * :mod:`repro.obs.logs` — the ``repro.*`` :mod:`logging` hierarchy and
   per-request access-log lines.
-
-The legacy per-stage collector, :mod:`repro.core.instrument`, is a thin
-compatibility shim over this package.
 """
 
 from . import logs, metrics, profile, slo, timeseries, trace

@@ -2,7 +2,7 @@
 
 A manifest pins the identity of a top-level run — the command and its
 configuration (with a stable fingerprint reusing the cache's canonical
-digests), the cell-library contents, per-stage time totals, a metrics
+digests), the cell-library contents, per-span time totals, a metrics
 snapshot, peak RSS and host info — so any result file can be traced
 back to the inputs that produced it and compared across machines and
 revisions. The CLI writes one next to ``--trace``/``--metrics``
@@ -46,9 +46,8 @@ def build_manifest(command, config=None, library=None, stages=None,
         Optional cell library; recorded by name and content
         fingerprint (see :func:`repro.core.cache.library_fingerprint`).
     stages:
-        ``{stage: {"calls", "seconds"}}`` totals (an
-        :class:`~repro.core.instrument.Instrumentation` summary's
-        ``"stages"`` value or :meth:`~repro.obs.trace.Tracer.totals`).
+        Per-span-name totals, :meth:`repro.obs.trace.Tracer.totals`
+        (``{name: {"calls", "seconds", "self_seconds"}}``).
     metrics:
         A :meth:`~repro.obs.metrics.MetricsRegistry.snapshot` dict.
     duration_s:

@@ -33,8 +33,7 @@ METRICS_SCHEMA = 1
 #: Default histogram boundaries: one bucket per decade, 1e-6 .. 1e6.
 DEFAULT_BOUNDARIES = tuple(10.0 ** e for e in range(-6, 7))
 
-# Canonical metric names (the cache keeps its legacy ``cache_*`` counter
-# names as aliases — see repro.core.instrument.COUNTER_ALIASES).
+# Canonical metric names.
 CACHE_HITS = "cache.hits"
 CACHE_MISSES = "cache.misses"
 CACHE_STORES = "cache.stores"
@@ -176,21 +175,6 @@ class Histogram:
         self.sum += value
         self.min = value if self.min is None else min(self.min, value)
         self.max = value if self.max is None else max(self.max, value)
-
-    def add_aggregate(self, count, total):
-        """Fold *count* pre-aggregated observations summing to *total*.
-
-        Used when only aggregate data survives (legacy instrumentation
-        summaries); the bucket credit goes to the mean value.
-        """
-        if count <= 0:
-            return
-        mean = total / count
-        self.buckets[bisect.bisect_left(self.boundaries, mean)] += count
-        self.count += count
-        self.sum += total
-        self.min = mean if self.min is None else min(self.min, mean)
-        self.max = mean if self.max is None else max(self.max, mean)
 
     @property
     def mean(self):

@@ -14,10 +14,11 @@ a :func:`capture` scope activates a tracer — so instrumented hot paths
 cost nothing in normal library use.
 
 Process-pool workers cannot share the parent's context. The supported
-pattern (used by :mod:`repro.core.characterize`) is: the worker opens
-its own :func:`capture`, runs, and ships ``tracer.to_dicts()`` home in
-its result; the parent calls :func:`adopt` while its submitting span is
-still open, re-parenting the worker trees under it. Wall-clock starts
+pattern (:func:`repro.core.parallel.traced` / ``absorb``) is: the
+worker opens its own :func:`capture`, runs, and ships
+``tracer.to_dicts()`` home with its result; the parent calls
+:func:`adopt` while its submitting span is still open, re-parenting the
+worker trees under it. Wall-clock starts
 (``time.time``) make worker timestamps comparable across processes.
 
 Beyond process pools, spans carry **distributed trace identities**:
@@ -166,12 +167,22 @@ class Tracer:
         return spans
 
     def totals(self):
-        """Aggregate ``{span name: {"calls": int, "seconds": float}}``."""
+        """Aggregate ``{span name: {"calls", "seconds", "self_seconds"}}``.
+
+        ``seconds`` sums each span's duration; ``self_seconds`` sums its
+        duration minus its children's, so over all names the self times
+        add up to the root spans' wall time. Children that ran
+        concurrently (adopted pool workers) can outlast their parent;
+        self time is clamped at zero then.
+        """
         out = {}
         for span_, __depth, __parent in self.walk():
-            entry = out.setdefault(span_.name, {"calls": 0, "seconds": 0.0})
+            entry = out.setdefault(span_.name, {
+                "calls": 0, "seconds": 0.0, "self_seconds": 0.0})
             entry["calls"] += 1
             entry["seconds"] += span_.dur
+            entry["self_seconds"] += max(
+                0.0, span_.dur - sum(c.dur for c in span_.children))
         return out
 
     # -- Chrome trace format -----------------------------------------------

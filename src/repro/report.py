@@ -112,42 +112,31 @@ def flow_report_text(report):
     return "\n".join(lines)
 
 
-def instrumentation_report_text(instr, cache_stats=None):
-    """Per-stage timing and cache-effectiveness summary.
+def timings_report_text(totals, counters=None):
+    """Per-span timing table and cache-effectiveness line.
 
-    Parameters
-    ----------
-    instr:
-        An :class:`~repro.core.instrument.Instrumentation` collector or
-        the dict from its ``summary()``.
-    cache_stats:
-        Optional :class:`~repro.core.cache.CacheStats` (or its dict
-        form) from the result cache in use.
+    *totals* is :meth:`repro.obs.trace.Tracer.totals`; rows are span
+    names by descending self time, whose shares of the root spans' wall
+    time add up to 100%. *counters* is a metrics snapshot's
+    ``"counters"``; its ``cache.hits``/``cache.misses`` give the cache
+    line (omitted when neither was counted).
     """
-    summary = instr.summary() if hasattr(instr, "summary") else instr
-    stages = summary.get("stages", {})
-    counters = summary.get("counters", {})
     lines = ["per-stage timing:"]
-    if stages:
-        total = sum(entry["seconds"] for entry in stages.values())
+    if totals:
+        total = sum(entry["self_seconds"] for entry in totals.values())
         rows = [[name, entry["calls"], entry["seconds"] * 1e3,
-                 100.0 * entry["seconds"] / total if total else 0.0]
-                for name, entry in sorted(stages.items(),
-                                          key=lambda i: -i[1]["seconds"])]
-        lines.append(format_table(["stage", "calls", "ms", "share_%"],
-                                  rows))
-        lines.append("total instrumented: %.1f ms" % (total * 1e3))
+                 entry["self_seconds"] * 1e3,
+                 100.0 * entry["self_seconds"] / total if total else 0.0]
+                for name, entry in sorted(
+                    totals.items(), key=lambda i: -i[1]["self_seconds"])]
+        lines.append(format_table(
+            ["span", "calls", "ms", "self_ms", "self_%"], rows))
     else:
-        lines.append("  (no stages recorded)")
-    if cache_stats is not None and hasattr(cache_stats, "as_dict"):
-        cache_stats = cache_stats.as_dict()
-    if cache_stats is None:
-        cache_stats = {name[len("cache_"):]: count
-                       for name, count in counters.items()
-                       if name.startswith("cache_")}
-    if cache_stats:
-        hits = cache_stats.get("hits", 0)
-        misses = cache_stats.get("misses", 0)
+        lines.append("  (no spans recorded)")
+    counters = counters or {}
+    if "cache.hits" in counters or "cache.misses" in counters:
+        hits = counters.get("cache.hits", 0)
+        misses = counters.get("cache.misses", 0)
         looked = hits + misses
         lines.append("cache: %d hits / %d misses (%.0f%% hit rate)"
                      % (hits, misses, 100.0 * hits / looked if looked

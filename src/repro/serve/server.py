@@ -17,8 +17,8 @@ Request lifecycle of a characterization query:
    (:class:`~repro.core.parallel.WorkerPool`) via the same
    ``_characterize_point`` worker the library's ``characterize()``
    dispatches — results are bit-identical by construction, and the
-   worker's span tree / metric snapshot are re-parented into the
-   server's trace (:func:`repro.obs.trace.adopt`).
+   worker's span tree / metric snapshot are absorbed into the server's
+   trace and registry (:func:`repro.core.parallel.absorb`).
 
 Endpoints
 ---------
@@ -84,13 +84,30 @@ from collections import OrderedDict
 
 from ..core import cache as cache_mod
 from ..core.characterize import _characterize_point, component_key
-from ..core.parallel import WorkerPool
+from ..core.parallel import WorkerPool, absorb, traced
 from ..obs import (logs, metrics as obs_metrics, profile as obs_profile,
                    slo as obs_slo, timeseries as obs_timeseries,
                    trace as obs_trace)
 from . import protocol
 
 _log = logs.get_logger("serve.server")
+
+
+def _arm_of(kind):
+    """``(spec class, runner, response field)`` of a statistical arm."""
+    if kind == "inject":
+        from ..inject import CampaignSpec, run_campaign
+        return CampaignSpec, run_campaign, "campaign"
+    from ..mc import MCSpec, run_mc
+    return MCSpec, run_mc, "mc"
+
+
+def _stat_arm_job(task):
+    """Pool job of ``/v1/inject`` and ``/v1/mc``: one whole serial run
+    of the task's spec, as its JSON result."""
+    spec_cls, run, __ = _arm_of(task["kind"])
+    return run(spec_cls.from_dict(task["spec"]), jobs=1).to_dict()
+
 
 #: Per-request tier/dedup outcome counts, shared with the point
 #: resolution tasks a request fans out (they inherit the request
@@ -639,7 +656,7 @@ class CharacterizationServer:
                 self._count_source("dedup")
                 if span is not None:
                     span.attrs["source"] = "dedup"
-                result = await asyncio.shield(inflight)
+                result, __, __ = await asyncio.shield(inflight)
                 return protocol.record_from_result(task, result, "dedup")
 
             entry, tier = self.cache.load_with_source(key, require=fps)
@@ -660,7 +677,7 @@ class CharacterizationServer:
             worker_task = dict(task, trace=ctx) if ctx is not None \
                 else task
             loop = asyncio.get_running_loop()
-            future = loop.run_in_executor(self.pool.executor,
+            future = loop.run_in_executor(self.pool.executor, traced,
                                           _characterize_point,
                                           worker_task)
             if self.dedup:
@@ -676,13 +693,9 @@ class CharacterizationServer:
                     obs_metrics.SERVE_QUEUE_DEPTH).set(self._queue_depth)
 
             future.add_done_callback(_done)
-            result = await asyncio.shield(future)
+            result = absorb(await asyncio.shield(future), self._registry)
             self._registry.counter(obs_metrics.SERVE_COMPUTES).inc()
             self._count_source("computed")
-            # Re-parent the worker's span tree and fold its metrics and
-            # cache accounting into the server session.
-            obs_trace.adopt(result["trace"])
-            self._registry.merge(result["obs_metrics"])
             if result.get("cache_stats"):
                 self.cache.stats.merge(result["cache_stats"])
             # The worker stored the entry out of process: pull it into
@@ -695,24 +708,16 @@ class CharacterizationServer:
     async def _stat_arm(self, request, writer, keep, kind):
         """``/v1/inject`` and ``/v1/mc``: one statistical run per request.
 
-        The whole fault-injection campaign
-        (:func:`repro.inject.campaign._inject_campaign`) or Monte Carlo
-        yield analysis (:func:`repro.mc.yield_curves._mc_job`) runs in a
-        single pool worker. Its result is deterministic from the spec
-        (per-gate Philox streams indexed by absolute position), so the
-        served answer is bit-identical to an in-process
-        ``run_campaign`` / ``run_mc`` at any ``--jobs`` — the
-        determinism suites compare the two verbatim.
+        The whole fault-injection campaign or Monte Carlo yield analysis
+        runs in a single pool worker (:func:`_stat_arm_job`). Its result
+        is deterministic from the spec (per-gate Philox streams indexed
+        by absolute position), so the served answer is bit-identical to
+        an in-process ``run_campaign`` / ``run_mc`` at any ``--jobs`` —
+        the determinism suites compare the two verbatim.
         """
         from ..core.specs import SpecError
-        from ..inject import CampaignSpec
-        from ..inject.campaign import _inject_campaign
-        from ..mc import MCSpec
-        from ..mc.yield_curves import _mc_job
 
-        spec_cls, job, field = {
-            "inject": (CampaignSpec, _inject_campaign, "campaign"),
-            "mc": (MCSpec, _mc_job, "mc")}[kind]
+        spec_cls, __, field = _arm_of(kind)
         try:
             payload = json.loads(request.body.decode("utf-8"))
         except (UnicodeDecodeError, ValueError):
@@ -722,16 +727,14 @@ class CharacterizationServer:
             spec = spec_cls.from_dict(payload)
         except SpecError as exc:
             raise protocol.ProtocolError(str(exc))
-        ctx = obs_trace.propagation_context()
-        task = {"spec": spec.to_dict(), "trace": ctx}
+        task = {"kind": kind, "spec": spec.to_dict(),
+                "trace": obs_trace.propagation_context()}
         loop = asyncio.get_running_loop()
-        future = loop.run_in_executor(self.pool.executor, job, task)
-        result = await asyncio.shield(future)
-        obs_trace.adopt(result["trace"])
-        self._registry.merge(result["obs_metrics"])
+        future = loop.run_in_executor(self.pool.executor, traced,
+                                      _stat_arm_job, task)
+        result = absorb(await asyncio.shield(future), self._registry)
         self._respond(writer, 200, {
-            "protocol": protocol.PROTOCOL_VERSION,
-            field: result[field],
+            "protocol": protocol.PROTOCOL_VERSION, field: result,
         }, keep=keep)
         return keep
 

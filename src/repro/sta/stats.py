@@ -12,7 +12,7 @@ from typing import List
 import numpy as np
 
 from ..aging.bti import DEFAULT_BTI
-from .sta import analyze
+from .engine import analyze_batch
 from ..synth.sizing import gate_slacks
 
 
@@ -62,8 +62,8 @@ class TimingWallReport:
 def timing_wall(netlist, library, scenario=None, bti=DEFAULT_BTI,
                 degradation=None):
     """Build a :class:`TimingWallReport` for a netlist."""
-    report = analyze(netlist, library, scenario=scenario, bti=bti,
-                     degradation=degradation)
+    report = analyze_batch(netlist, library, [scenario], bti=bti,
+                           degradation=degradation).report(0)
     slacks = gate_slacks(netlist, report, report.critical_path_ps)
     finite = [s for s in slacks.values() if np.isfinite(s)]
     return TimingWallReport(critical_path_ps=report.critical_path_ps,
@@ -77,8 +77,8 @@ def output_arrival_spread(netlist, library, scenario=None,
     Returns a dict net id -> arrival / critical path; outputs close to
     1.0 are the ones a removed guardband endangers first.
     """
-    report = analyze(netlist, library, scenario=scenario, bti=bti,
-                     degradation=degradation)
+    report = analyze_batch(netlist, library, [scenario], bti=bti,
+                           degradation=degradation).report(0)
     cp = report.critical_path_ps or 1.0
     return {net: report.arrivals.get(net, 0.0) / cp
             for net in netlist.primary_outputs}

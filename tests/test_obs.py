@@ -3,8 +3,7 @@
 Covers the tentpole guarantees: span nesting and ambient propagation
 (threads, asyncio, process-pool re-parenting), Chrome-trace / JSONL
 export validity, associative metrics merging, cache-effectiveness
-metrics, the run manifest, the logging hierarchy, and the
-repro.core.instrument compatibility shim.
+metrics, the run manifest and the logging hierarchy.
 """
 
 import asyncio
@@ -14,8 +13,8 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
+from hypothesis import given, strategies as st
 
-from repro.core import instrument
 from repro.core.cache import CharacterizationCache
 from repro.obs import logs as obs_logs
 from repro.obs import manifest as obs_manifest
@@ -93,6 +92,58 @@ class TestSpanBasics:
         totals = tracer.totals()
         assert totals["stage"]["calls"] == 3
         assert totals["stage"]["seconds"] >= 0.0
+        assert totals["stage"]["self_seconds"] == totals["stage"]["seconds"]
+
+    def test_self_seconds_subtract_children(self):
+        tracer = obs_trace.Tracer()
+        tracer.add_root(obs_trace.Span("run", dur=5.0, children=[
+            obs_trace.Span("sta", dur=1.5),
+            obs_trace.Span("synthesize", dur=2.0, children=[
+                obs_trace.Span("sta", dur=0.5)])]))
+        totals = tracer.totals()
+        assert totals["run"] == {"calls": 1, "seconds": 5.0,
+                                 "self_seconds": 1.5}
+        assert totals["synthesize"]["self_seconds"] == 1.5
+        assert totals["sta"] == {"calls": 2, "seconds": 2.0,
+                                 "self_seconds": 2.0}
+
+    def test_concurrent_children_clamp_self_seconds(self):
+        # Two adopted pool workers ran side by side under a 1 s fan-out.
+        tracer = obs_trace.Tracer()
+        tracer.add_root(obs_trace.Span("parallel.map", dur=1.0, children=[
+            obs_trace.Span("characterize.point", dur=0.9),
+            obs_trace.Span("characterize.point", dur=0.8)]))
+        assert tracer.totals()["parallel.map"]["self_seconds"] == 0.0
+
+
+_SPAN_NAMES = st.sampled_from(["synthesize", "sta", "characterize.point",
+                               "stress_extraction"])
+_SPAN_TREES = st.recursive(
+    st.tuples(_SPAN_NAMES, st.floats(0.0, 1.0), st.just([])),
+    lambda children: st.tuples(_SPAN_NAMES, st.floats(0.0, 1.0),
+                               st.lists(children, max_size=3)),
+    max_leaves=20)
+
+
+def _span_tree(node):
+    """A span whose duration is its own time plus its children's."""
+    name, own, children = node
+    spans = [_span_tree(child) for child in children]
+    return obs_trace.Span(name, dur=own + sum(c.dur for c in spans),
+                          children=spans)
+
+
+@given(roots=st.lists(_SPAN_TREES, min_size=1, max_size=3))
+def test_totals_self_seconds_sum_to_root_wall(roots):
+    tracer = obs_trace.Tracer()
+    for root in roots:
+        tracer.add_root(_span_tree(root))
+    totals = tracer.totals()
+    wall = sum(root.dur for root in tracer.roots)
+    assert sum(entry["self_seconds"] for entry in totals.values()) \
+        == pytest.approx(wall, abs=1e-9)
+    for entry in totals.values():
+        assert 0.0 <= entry["self_seconds"] <= entry["seconds"] + 1e-9
 
 
 class TestAmbientPropagation:
@@ -324,14 +375,6 @@ class TestMetrics:
     def test_histogram_rejects_unsorted_boundaries(self):
         with pytest.raises(ValueError, match="strictly increasing"):
             obs_metrics.Histogram(boundaries=(2.0, 1.0))
-
-    def test_add_aggregate_credits_mean_bucket(self):
-        h = obs_metrics.Histogram(boundaries=(1.0, 10.0))
-        h.add_aggregate(4, 8.0)  # mean 2.0 -> middle bucket
-        assert h.buckets == [0, 4, 0]
-        assert h.count == 4 and h.sum == 8.0
-        h.add_aggregate(0, 123.0)  # ignored
-        assert h.count == 4
 
     def test_scoped_registry_isolation(self):
         obs_metrics.inc("test.outer")
@@ -659,50 +702,3 @@ class TestLogs:
     def test_configure_rejects_unknown_level(self):
         with pytest.raises(ValueError):
             obs_logs.configure("chatty")
-
-
-# ---------------------------------------------------------------------------
-# repro.core.instrument compatibility shim
-# ---------------------------------------------------------------------------
-
-class TestInstrumentShim:
-    def test_summary_wire_format_unchanged(self):
-        instr = instrument.Instrumentation()
-        with instr.stage(instrument.STAGE_SYNTHESIZE):
-            pass
-        instr.count(instrument.COUNT_CACHE_HITS, 2)
-        summary = instr.summary()
-        assert set(summary) == {"stages", "counters"}
-        stage = summary["stages"][instrument.STAGE_SYNTHESIZE]
-        assert stage["calls"] == 1 and stage["seconds"] >= 0.0
-        assert summary["counters"] == {instrument.COUNT_CACHE_HITS: 2}
-        json.dumps(summary)
-
-    def test_stage_also_records_trace_span(self):
-        instr = instrument.Instrumentation()
-        with obs_trace.capture() as tracer:
-            with instr.stage("sta"):
-                pass
-        assert [r.name for r in tracer.roots] == ["sta"]
-        assert instr.stage_calls("sta") == 1
-
-    def test_collect_isolated_across_threads(self):
-        # The old module-level _STACK list interleaved pushes/pops across
-        # threads; the contextvars stack must not.
-        def work(i):
-            with instrument.collect() as instr:
-                assert instrument.current() is instr
-                instr.count("worker", i)
-                return instrument.current().counter("worker")
-
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            results = sorted(pool.map(work, range(8)))
-        assert results == list(range(8))
-        assert instrument.current().counter("worker") == 0
-
-    def test_counter_aliases_point_at_canonical_names(self):
-        assert (instrument.COUNTER_ALIASES[instrument.COUNT_CACHE_HITS]
-                == obs_metrics.CACHE_HITS)
-        assert (instrument.COUNTER_ALIASES[
-                instrument.COUNT_NETLIST_MEMO_HITS]
-                == obs_metrics.NETLIST_MEMO_HITS)

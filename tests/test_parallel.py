@@ -1,13 +1,16 @@
-"""Tests for the parallel characterization engine and its instrumentation."""
+"""Tests for the parallel characterization engine and its telemetry."""
 
 import pytest
 
 from repro.aging import worst_case
 from repro.core import (ActualCaseSpec, CharacterizationCache, WorkerPool,
-                        characterize, cache_enabled, instrument,
-                        resolve_jobs)
+                        characterize, resolve_jobs)
 from repro.core.parallel import JOBS_ENV, map_tasks
-from repro.report import instrumentation_report_text
+from repro.inject import CampaignSpec, run_campaign
+from repro.mc import MCSpec, run_mc
+from repro.obs import metrics as obs_metrics
+from repro.obs import trace as obs_trace
+from repro.report import timings_report_text
 from repro.rtl import Adder, Multiplier
 
 
@@ -163,65 +166,111 @@ class TestParallelEquivalence:
         assert rerun.aged_ps == serial.aged_ps
 
 
+def _observed(run):
+    """Run *run* under a fresh tracer and registry; ``(totals, counters)``."""
+    with obs_trace.capture() as tracer, obs_metrics.scoped() as registry:
+        run()
+    return tracer.totals(), registry.snapshot()["counters"]
+
+
 class TestInstrumentation:
     def test_stages_recorded(self, lib, rng):
         component = Adder(8)
         a, b = component.random_operands(64, rng=rng)
-        with instrument.collect() as instr:
-            characterize(component, lib,
-                         scenarios=[worst_case(10),
-                                    ActualCaseSpec(10, "nd", (a, b))],
-                         precisions=[8, 7], effort="high", cache=None)
-        summary = instr.summary()
-        assert summary["stages"][instrument.STAGE_SYNTHESIZE]["calls"] == 2
+        totals, __ = _observed(lambda: characterize(
+            component, lib,
+            scenarios=[worst_case(10), ActualCaseSpec(10, "nd", (a, b))],
+            precisions=[8, 7], effort="high", cache=None))
+        assert totals["synthesize"]["calls"] == 2
         # Batched STA: one corner-grid pass per precision point.
-        assert summary["stages"][instrument.STAGE_STA]["calls"] == 2
-        assert summary["stages"][instrument.STAGE_STRESS]["calls"] == 2
-        for entry in summary["stages"].values():
-            assert entry["seconds"] > 0
+        assert totals["sta"]["calls"] == 2
+        assert totals["stress_extraction"]["calls"] == 2
+        for name in ("synthesize", "sta", "stress_extraction"):
+            assert totals[name]["seconds"] > 0
 
     def test_cache_counters_surface(self, lib, tmp_path):
-        cache = CharacterizationCache(tmp_path)
-        with instrument.collect() as instr:
-            characterize(Adder(8), lib, scenarios=[worst_case(10)],
-                         precisions=[8, 7], effort="high", cache=cache)
-        assert instr.counter(instrument.COUNT_CACHE_MISSES) == 2
-        with instrument.collect() as instr:
-            characterize(Adder(8), lib, scenarios=[worst_case(10)],
-                         precisions=[8, 7], effort="high",
-                         cache=CharacterizationCache(tmp_path))
-        assert instr.counter(instrument.COUNT_CACHE_HITS) == 2
+        __, counters = _observed(lambda: characterize(
+            Adder(8), lib, scenarios=[worst_case(10)], precisions=[8, 7],
+            effort="high", cache=CharacterizationCache(tmp_path)))
+        assert counters["cache.misses"] == 2
+        assert counters.get("cache.hits", 0) == 0
+        __, counters = _observed(lambda: characterize(
+            Adder(8), lib, scenarios=[worst_case(10)], precisions=[8, 7],
+            effort="high", cache=CharacterizationCache(tmp_path)))
+        assert counters["cache.hits"] == 2
+        assert counters.get("cache.misses", 0) == 0
 
     def test_worker_timings_merged_from_parallel_run(self, lib):
-        with instrument.collect() as instr:
-            characterize(Adder(8), lib, scenarios=[worst_case(10)],
-                         precisions=[8, 7, 6], effort="high",
-                         jobs=3, cache=None)
-        summary = instr.summary()
-        assert summary["stages"][instrument.STAGE_SYNTHESIZE]["calls"] == 3
-
-    def test_merge_and_reset(self):
-        a = instrument.Instrumentation()
-        with a.stage("synthesize"):
-            pass
-        a.count("cache_hits", 2)
-        b = instrument.Instrumentation()
-        b.merge(a.summary())
-        b.merge(a.summary())
-        assert b.stage_calls("synthesize") == 2
-        assert b.counter("cache_hits") == 4
-        b.reset()
-        assert b.summary() == {"stages": {}, "counters": {}}
+        totals, __ = _observed(lambda: characterize(
+            Adder(8), lib, scenarios=[worst_case(10)],
+            precisions=[8, 7, 6], effort="high", jobs=3, cache=None))
+        assert totals["synthesize"]["calls"] == 3
+        assert totals["characterize.point"]["calls"] == 3
 
     def test_report_text(self, lib, tmp_path):
-        cache = CharacterizationCache(tmp_path)
-        with instrument.collect() as instr:
-            characterize(Adder(8), lib, scenarios=[worst_case(10)],
-                         precisions=[8, 7], effort="high", cache=cache)
-        text = instrumentation_report_text(instr, cache.stats)
+        totals, counters = _observed(lambda: characterize(
+            Adder(8), lib, scenarios=[worst_case(10)], precisions=[8, 7],
+            effort="high", cache=CharacterizationCache(tmp_path)))
+        text = timings_report_text(totals, counters)
         assert "per-stage timing" in text
         assert "synthesize" in text
         assert "cache: 0 hits / 2 misses" in text
+
+
+def _telemetry_run(kind, lib, jobs):
+    """One small run of *kind* at *jobs*: its span names and counters.
+
+    An untraced run first warms this process's synthesis and prelude
+    memos, which forked pool workers inherit, so serial and pooled runs
+    do the same memo-dependent work.
+    """
+    component = Adder(5)
+    operands = component.random_operands(64, rng=5)
+    runs = {
+        "characterize": lambda: characterize(
+            component, lib,
+            scenarios=[worst_case(10), ActualCaseSpec(10, "nd", operands)],
+            precisions=[5, 4], effort="high", jobs=jobs, cache=None),
+        "inject": lambda: run_campaign(CampaignSpec(
+            component="adder5", scenarios=("fresh", "worst10y"),
+            clock_scales=(1.0, 0.95), vectors=256, seed=3), jobs=jobs),
+        "mc": lambda: run_mc(MCSpec(
+            component="adder5", scenarios=("worst10y",),
+            clock_scales=(1.0,), samples=64, block=16, sweep_bits=1,
+            seed=3), jobs=jobs),
+    }
+    with obs_metrics.scoped():
+        runs[kind]()
+    with obs_trace.capture() as tracer, obs_metrics.scoped() as registry:
+        runs[kind]()
+    names = sorted(s.name for s, __d, __p in tracer.walk()
+                   if s.name != "parallel.map")
+    return names, registry.snapshot()["counters"]
+
+
+class TestSharedWorkerTelemetry:
+    """Serial and pooled runs report the same telemetry: a worker's
+    spans and counters are neither dropped nor absorbed twice."""
+
+    COUNTERS = ("synth.runs", "sim.vectors", "stress.extractions",
+                "sta.batch.runs", "sta.incremental.runs", "inject.vectors",
+                "inject.faults", "mc.samples", "mc.blocks")
+
+    #: kind -> (its worker span, a counter its workers must report)
+    WORKER = {"characterize": ("characterize.point", "sim.vectors"),
+              "inject": ("inject.point", "inject.vectors"),
+              "mc": ("mc.block", "mc.samples")}
+
+    @pytest.mark.parametrize("kind", ["characterize", "inject", "mc"])
+    def test_jobs1_and_jobs2_report_the_same(self, kind, lib):
+        serial_names, serial = _telemetry_run(kind, lib, jobs=1)
+        pooled_names, pooled = _telemetry_run(kind, lib, jobs=2)
+        assert serial_names == pooled_names
+        for name in self.COUNTERS:
+            assert serial.get(name, 0) == pooled.get(name, 0), name
+        point, counter = self.WORKER[kind]
+        assert serial_names.count(point) >= 2
+        assert serial[counter] > 0
 
 
 class TestCLI:
