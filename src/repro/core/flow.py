@@ -208,6 +208,12 @@ def compare_with_baseline(micro, outcome, library, scenario, effort="ultra",
     (bounded area budget) and must still clock at its aged critical path
     (its residual guardband). Our design clocks at the original fresh
     constraint with precision-reduced blocks.
+
+    Both sides' netlists are memo-served once synthesized: ours by the
+    sweep derivations, the hardened blocks by their sweep base
+    (:func:`~repro.synth.aging_aware.aging_aware_synthesize`). A repeat
+    comparison, for another *rng_seed*, synthesizes nothing and only
+    re-simulates the activity.
     """
     from ..power.power import savings
 

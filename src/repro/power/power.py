@@ -9,6 +9,8 @@ power over one clock period. These feed the Fig. 8(c) savings comparison
 
 from dataclasses import dataclass
 
+from ..sta.engine import compile_timing
+
 
 @dataclass
 class PowerReport:
@@ -62,11 +64,17 @@ def dynamic_power_uw(netlist, library, toggle_rates, clock_ps, vdd=None):
         Clock period.
     vdd:
         Supply voltage; defaults to the library's.
+
+    The per-gate loads come from the netlist's timing program
+    (:func:`~repro.sta.engine.compile_timing`, a memo hit for every
+    synthesized netlist), equal to :meth:`Netlist.load_caps`; the sum
+    runs in ``netlist.gates`` order.
     """
     if vdd is None:
         vdd = library.vdd
     freq_hz = 1e12 / clock_ps
-    loads = netlist.load_caps(library, wire_cap_ff=library.wire_cap_ff)
+    program = compile_timing(netlist, library)
+    loads = dict(zip(program.gate_uids.tolist(), program.loads.tolist()))
     watts = 0.0
     for gate in netlist.gates:
         alpha = toggle_rates.get(gate.output, 0.0)

@@ -86,6 +86,11 @@ class TimingProgram:
         Per-row gate uid (for reconstructing scalar reports).
     base_delay_ps:
         Per-row fresh delay, ``cell.delay_ps(load)`` — float64.
+    loads:
+        Per-row output load in fF, the float64 value of
+        :meth:`~repro.netlist.netlist.Netlist.load_caps` (fan-out input
+        caps, wire caps and primary-output loads); dynamic power reads
+        it instead of walking the netlist.
     cells / cell_index:
         Distinct cells and the per-row index into them (aging scales
         delays per cell under uniform stress).
@@ -101,6 +106,7 @@ class TimingProgram:
     gates: Tuple
     gate_uids: np.ndarray
     base_delay_ps: np.ndarray
+    loads: np.ndarray
     cells: List
     cell_index: np.ndarray
     levels: List[_Level]
@@ -186,9 +192,10 @@ def _compile_timing(netlist, library):
                 "primary output %d is undriven (not a PI, constant or "
                 "gate output)" % net)
 
-    loads = netlist.load_caps(library, wire_cap_ff=library.wire_cap_ff)
+    load_of = netlist.load_caps(library, wire_cap_ff=library.wire_cap_ff)
     n = len(order)
     base = np.empty(n, dtype=np.float64)
+    loads = np.empty(n, dtype=np.float64)
     uids = np.empty(n, dtype=np.int64)
     cell_index = np.empty(n, dtype=np.int64)
     cells = []
@@ -202,7 +209,8 @@ def _compile_timing(netlist, library):
             idx = cell_row[gate.cell] = len(cells)
             cells.append(cell)
         cell_index[row] = idx
-        base[row] = cell.delay_ps(loads[gate.uid])
+        loads[row] = load = load_of[gate.uid]
+        base[row] = cell.delay_ps(load)
         uids[row] = gate.uid
         level = 0
         for net in gate.inputs:
@@ -236,7 +244,8 @@ def _compile_timing(netlist, library):
                           dtype=np.int64)
     return TimingProgram(netlist=netlist, slots=len(slot_of),
                          slot_of=slot_of, gates=tuple(order),
-                         gate_uids=uids, base_delay_ps=base, cells=cells,
+                         gate_uids=uids, base_delay_ps=base, loads=loads,
+                         cells=cells,
                          cell_index=cell_index, levels=levels,
                          pi_slots=pi_slots, po_slots=po_slots)
 

@@ -11,9 +11,12 @@ axis of the paper's Fig. 8(c) comparison.
 from dataclasses import dataclass
 
 from ..aging.bti import DEFAULT_BTI
-from .fastsize import critical_path, propagate_full, upsize_fast
+from ..sta.engine import seed_timing
+from .fastsize import (compile_sizer, critical_path, propagate_full,
+                       timing_program, upsize_fast)
+from .optimize import optimize
 from .sizing import SizingReport
-from .sweep import optimized
+from .sweep import memoized_base
 
 
 @dataclass
@@ -63,8 +66,39 @@ def aging_aware_synthesize(source, library, scenario, target_ps=None,
         plain netlist (aging-aware synthesis trades bounded area/power
         for resilience; any delay it cannot close within the budget
         remains as a — reduced — guardband, as in [4]).
+
+    When a memoized sweep base of the full-precision component ran the
+    same *effort_rounds* (:func:`repro.synth.sweep.sweep_for`), the
+    result is memoized on that base, keyed on the scenario, target,
+    rounds, area budget, BTI model and degradation library, and evicted
+    with it: a repeat call returns the same object, whose netlist is
+    shared and must be treated as read-only. Other sources (a raw
+    netlist, or no such base) are optimized and hardened afresh. The
+    hardened netlist arrives with its timing program seeded.
     """
-    netlist, program = optimized(source, library, effort_rounds)
+    sweep = memoized_base(source, library, effort_rounds)
+    if sweep is None:
+        netlist = (source.build() if hasattr(source, "_build_core")
+                   else source).copy()
+        optimize(netlist, library, max_rounds=effort_rounds)
+        return _harden(netlist, compile_sizer(netlist, library), library,
+                       scenario, target_ps, bti, degradation,
+                       area_budget_ratio)
+    from ..core.cache import (bti_fingerprint, degradation_fingerprint,
+                              scenario_fingerprint)
+
+    key = (None if scenario is None else scenario_fingerprint(scenario),
+           repr(target_ps), effort_rounds, repr(area_budget_ratio),
+           bti_fingerprint(bti), degradation_fingerprint(degradation))
+    return sweep.hardened(key, lambda: _harden(
+        *sweep.presized_copy(), library, scenario, target_ps, bti,
+        degradation, area_budget_ratio))
+
+
+def _harden(netlist, program, library, scenario, target_ps, bti,
+            degradation, area_budget_ratio):
+    """Size the optimized *netlist* (on its pre-sizing *program*) against
+    aged timing and seed its timing program."""
     if target_ps is None:
         target_ps = critical_path(program, propagate_full(program))
     area_budget = None
@@ -74,6 +108,7 @@ def aging_aware_synthesize(source, library, scenario, target_ps=None,
                                    scenario=scenario, bti=bti,
                                    degradation=degradation,
                                    max_area_um2=area_budget)
+    seed_timing(netlist, library, timing_program(program))
     return AgingAwareResult(
         netlist=netlist,
         fresh_delay_ps=critical_path(program, propagate_full(program)),

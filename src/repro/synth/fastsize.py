@@ -415,6 +415,7 @@ def timing_program(program):
         netlist=netlist, slots=len(slot_of), slot_of=slot_of,
         gates=tuple(netlist.topological_gates()),
         gate_uids=program.uids.copy(), base_delay_ps=program.delay.copy(),
+        loads=program.loads.copy(),
         cells=[program.library[name] for name in cell_row],
         cell_index=cell_index, levels=levels,
         pi_slots=np.asarray([slot_of[net]

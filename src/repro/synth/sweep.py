@@ -171,8 +171,10 @@ class SweepSynthesis:
     Synthesizes *component* at full precision on construction (recording
     the optimization journal and the pre-sizing sizer program), then
     :meth:`derive` produces each truncated variant by cone-restricted
-    replay. Derived results are memoized per precision; netlists must be
-    treated as read-only by callers (same contract as
+    replay. Derived results are memoized per precision, and the
+    aging-aware baselines hardened from the base's snapshot by content
+    key (:meth:`hardened`); netlists must be treated as read-only by
+    callers (same contract as
     :func:`~repro.core.cache.synthesize_netlist_memoized`).
     """
 
@@ -226,6 +228,7 @@ class SweepSynthesis:
         self._journal = journal
         self._idx = {}
         self._derived = {}
+        self._hardened = {}
         # Pure-step memos shared across rounds and derives: a constprop
         # decision / hash key is a function of (cell, resolved inputs)
         # and the fixed library only.
@@ -272,6 +275,35 @@ class SweepSynthesis:
     def clear_derived(self):
         """Drop memoized derivations (benchmarks re-time the replay)."""
         self._derived.clear()
+
+    def presized_copy(self):
+        """Private copy of the base's post-optimize, pre-sizing netlist
+        and its sizer program, for a caller that sizes it."""
+        netlist = self.base_result.netlist.copy()
+        for gate in netlist.gates:
+            gate.cell = self._bmap[gate.uid][0]
+        program = self._presize.clone()
+        program.netlist = netlist
+        return netlist, program
+
+    def hardened(self, key, build):
+        """Aging-aware baseline of this base under content *key*.
+
+        Computed by ``build()`` on a miss and kept with the base (so it
+        is evicted with it); of :data:`_HARDENED_LIMIT` entries the
+        least recently used goes first. Hits count as
+        ``cache.netlist_memo_hits``; the result is shared and read-only
+        (see :func:`repro.synth.aging_aware.aging_aware_synthesize`).
+        """
+        got = self._hardened.pop(key, None)
+        if got is not None:
+            obs_metrics.inc(obs_metrics.NETLIST_MEMO_HITS)
+        else:
+            if len(self._hardened) >= _HARDENED_LIMIT:
+                self._hardened.pop(next(iter(self._hardened)))
+            got = build()
+        self._hardened[key] = got      # most recently used last
+        return got
 
     def _scratch(self, precision):
         return synthesize(self.component.with_precision(precision),
@@ -796,6 +828,10 @@ class SweepSynthesis:
 _SWEEP_MEMO_LIMIT = 4
 _sweep_memo = {}
 
+#: Hardened baselines kept per base (a flow hardens each block for one
+#: scenario, target and area budget).
+_HARDENED_LIMIT = 4
+
 
 def _sweep_key(component, library, effort, target_ps):
     from ..core.cache import component_fingerprint, library_fingerprint
@@ -846,25 +882,16 @@ def synthesize_variant(component, precision, library, effort="ultra",
                      target_ps=target_ps).derive(precision)
 
 
-def optimized(source, library, rounds):
-    """Post-optimize, pre-sizing ``(netlist, sizer program)`` of *source*.
-
-    A private copy the caller may size. When a memoized sweep base of a
-    full-precision RTL component ran the same *rounds*, its snapshot is
-    copied instead of optimizing again.
-    """
-    component = hasattr(source, "_build_core")
-    keys = [_sweep_key(source, library, effort, None)
-            for effort, (r, __) in EFFORTS.items() if r == rounds
-            and component and source.precision == source.width]
-    sweep = next((_sweep_memo[k] for k in keys if k in _sweep_memo), None)
-    if sweep is None:
-        netlist = (source.build() if component else source).copy()
-        optimize(netlist, library, max_rounds=rounds)
-        return netlist, compile_sizer(netlist, library)
-    netlist = sweep.base_result.netlist.copy()
-    for gate in netlist.gates:
-        gate.cell = sweep._bmap[gate.uid][0]
-    program = sweep._presize.clone()
-    program.netlist = netlist
-    return netlist, program
+def memoized_base(source, library, rounds):
+    """The memoized sweep base whose optimization of *source* ran
+    *rounds* rounds, or None: *source* is a raw netlist or a truncated
+    component, or no such base is in the memo."""
+    if not (hasattr(source, "_build_core")
+            and source.precision == source.width):
+        return None
+    for effort, (r, __) in EFFORTS.items():
+        if r == rounds:
+            got = _sweep_memo.get(_sweep_key(source, library, effort, None))
+            if got is not None:
+                return got
+    return None

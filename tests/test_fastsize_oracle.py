@@ -24,6 +24,7 @@ from repro.sta.engine import analyze_batch, compile_timing
 from repro.synth import (aging_aware_synthesize, clear_sweep_memo, optimize,
                          sweep_for, synthesize, upsize_fast)
 from repro.synth.fastsize import compile_sizer, timing_program
+from repro.synth.synthesize import EFFORTS
 from repro.verify import random_netlist, upsize_critical_paths
 
 LIB = default_library()
@@ -69,8 +70,8 @@ def assert_programs_equal(lowered, compiled):
     assert lowered.slot_of == compiled.slot_of
     assert [g.uid for g in lowered.gates] == [g.uid for g in compiled.gates]
     assert all(a is b for a, b in zip(lowered.gates, compiled.gates))
-    for name in ("gate_uids", "base_delay_ps", "cell_index", "pi_slots",
-                 "po_slots"):
+    for name in ("gate_uids", "base_delay_ps", "loads", "cell_index",
+                 "pi_slots", "po_slots"):
         mine, theirs = getattr(lowered, name), getattr(compiled, name)
         assert mine.dtype == theirs.dtype, name
         assert np.array_equal(mine, theirs), name
@@ -136,6 +137,9 @@ def test_synthesis_seeds_lowered_program(spec, effort):
     sweep = sweep_for(component, LIB, effort=effort)
     results += [sweep.derive(p) for p in (component.width,
                                           component.width - 2, 3)]
+    # The hardened baseline, memoized on the same base.
+    results.append(aging_aware_synthesize(
+        component, LIB, worst_case(10.0), effort_rounds=EFFORTS[effort][0]))
     for result in results:
         netlist = result.netlist
         memo = netlist._timing_memo

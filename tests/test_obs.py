@@ -217,11 +217,32 @@ class TestAmbientPropagation:
 
 
 class TestProcessPoolReparenting:
-    def test_characterize_jobs2_reparents_worker_spans(self, lib):
+    def test_warm_serial_characterize_synthesizes_nothing(self, lib):
+        """Also warms Adder(6)/high in this process's sweep memo ahead of
+        the jobs=2 test below, whose forked workers inherit the memo."""
         from repro.aging import worst_case
         from repro.core import characterize
         from repro.rtl import Adder
 
+        def run():
+            return characterize(Adder(6), lib, scenarios=[worst_case(10)],
+                                precisions=[6, 5], effort="high", jobs=1)
+
+        first = run()
+        with obs_metrics.scoped() as reg:
+            again = run()
+        assert reg.value(obs_metrics.SYNTH_RUNS) == 0
+        assert again == first
+
+    def test_characterize_jobs2_reparents_worker_spans(self, lib):
+        from repro.aging import worst_case
+        from repro.core import characterize
+        from repro.rtl import Adder
+        from repro.synth import clear_sweep_memo
+
+        # Forked workers inherit the sweep memo: start cold so that
+        # they synthesize.
+        clear_sweep_memo()
         with obs_trace.capture() as tracer, obs_metrics.scoped() as reg:
             characterize(Adder(6), lib, scenarios=[worst_case(10)],
                          precisions=[6, 5], effort="high", jobs=2)
