@@ -6,7 +6,7 @@ multiplier over a six-corner aging grid: per-gate Vth draws
 (:mod:`repro.mc.variation`) feeding the vectorized
 ``(gates, corners, samples)`` delay-tensor path of
 :func:`repro.mc.analyze_mc`, against the per-sample scalar-loop
-baseline :func:`repro.mc.analyze_mc_reference` (one scalar BTI-model
+baseline :func:`repro.verify.analyze_mc_reference` (one scalar BTI-model
 call per (gate, corner, sample), one propagation per sample) timed on
 a subsample and extrapolated per sample. The acceptance floor is a
 >= 20x speedup (``min_mc_speedup``, regression-gated by
@@ -37,14 +37,14 @@ import tracemalloc
 import bench_util
 from repro.cells import default_library
 from repro.core.specs import parse_scenario
-from repro.mc import MCSpec, VariationModel, analyze_mc, \
-    analyze_mc_reference, run_mc
+from repro.mc import MCSpec, VariationModel, analyze_mc, run_mc
 from repro.obs import manifest as obs_manifest
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.rtl import Multiplier
 from repro.sta.engine import analyze_batch, compile_timing
 from repro.synth import synthesize_netlist
+from repro.verify import analyze_mc_reference
 
 SCENARIOS = ("fresh", "worst1y", "worst5y", "worst10y", "balance5y",
              "balance10y")

@@ -155,7 +155,9 @@ class BTIModel:
             raise ValueError(
                 "dVth %.3f V exceeds the gate overdrive %.3f V; the device "
                 "no longer switches" % (float(bad), self.overdrive))
-        return (self.overdrive / headroom) ** self.alpha
+        np.divide(self.overdrive, headroom, out=headroom)
+        headroom **= self.alpha
+        return headroom
 
     def transistor_multiplier(self, stress, years):
         """Delay multiplier of one transistor network under *stress*."""

@@ -14,7 +14,9 @@ stream::
     Generator(Philox(SeedSequence([campaign_seed, gate_uid, chunk])))
 
 where ``chunk`` indexes :data:`CHUNK_WORDS`-word slices of the packed
-vector stream. Three properties follow, and the determinism and
+vector stream (:func:`repro.core.streams.philox_stream` with no domain
+tag; the Monte Carlo variation draws use the same streams under their
+own tag). Three properties follow, and the determinism and
 monotonicity guarantees of :mod:`repro.inject` rest on them:
 
 * **Partition independence** — a stream is a pure function of
@@ -41,6 +43,7 @@ import math
 
 import numpy as np
 
+from ..core.streams import philox_stream as gate_stream
 from ..sim import bitpack
 
 #: Fixed-point resolution of flip probabilities: thresholds live in
@@ -69,12 +72,6 @@ def flip_threshold(probability):
     if probability >= 1.0:
         return PROB_ONE
     return min(PROB_ONE, int(math.ceil(probability * PROB_ONE)))
-
-
-def gate_stream(seed, gate_uid, chunk):
-    """The Philox stream owned by ``(seed, gate_uid, chunk)``."""
-    key = np.random.SeedSequence([int(seed), int(gate_uid), int(chunk)])
-    return np.random.Generator(np.random.Philox(key))
 
 
 def _chunk_mask(seed, gate_uid, chunk, threshold, n_words):

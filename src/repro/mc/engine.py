@@ -29,10 +29,13 @@ and broadcasts its arrivals across the sample axis, so every value is
 bit-identical (``==``, no epsilon) to the deterministic report. This is
 also the benchmark's correctness gate.
 
-:func:`analyze_mc_reference` is the per-sample scalar-loop oracle — the
-"today's approach" baseline `benchmarks/perf_mc.py` measures against:
-one scalar BTI-model call per (gate, corner, sample), one propagation
-per sample.
+Block kernel
+------------
+:func:`mc_block` runs every sample block, for :func:`analyze_mc` and
+for the :mod:`repro.mc.yield_curves` workers alike: draws, delays from
+a per-run :func:`~repro.sta.engine.sampled_delays` function, one
+propagation, one critical-path reduction per requested cone plan. Its
+scalar-loop oracle is :func:`repro.verify.analyze_mc_reference`.
 """
 
 import time
@@ -43,9 +46,9 @@ import numpy as np
 
 from ..aging.bti import DEFAULT_BTI
 from ..obs import metrics as obs_metrics, trace as obs_trace
-from ..sta.engine import (_critical_paths, _propagate, analyze_batch,
-                          compile_timing, corner_delays, corner_label,
-                          corner_stress)
+from ..sta.engine import (CornerLabels, _critical_paths, _propagate,
+                          analyze_batch, compile_timing, corner_label,
+                          replay_cone, sampled_delays)
 from .variation import VariationModel
 
 #: Samples propagated per block; bounds peak arrival-tensor memory.
@@ -64,8 +67,25 @@ def sample_blocks(samples, block=DEFAULT_BLOCK):
             for start in range(0, samples, block)]
 
 
+def mc_block(program, delays_of, variation, start, count, plans=(None,)):
+    """One sample block: ``(arrivals, [critical paths per plan])``.
+
+    Draws samples ``start .. start+count`` of every gate, turns them
+    into ``(n_gates, C, count)`` delays with *delays_of* (a
+    :func:`~repro.sta.engine.sampled_delays` function), propagates
+    them once and reduces ``(C, count)`` critical paths per entry of
+    *plans*: ``None`` reads the full propagation, a
+    :class:`~repro.sta.engine.ConePlan` replays its cone against it.
+    """
+    delays = delays_of(variation.gate_dvth(program.gate_uids, start, count))
+    arr = _propagate(program, delays)
+    return arr, [_critical_paths(program, arr if plan is None
+                                 else replay_cone(plan, arr, delays))
+                 for plan in plans]
+
+
 @dataclass
-class MCReport:
+class MCReport(CornerLabels):
     """Sampled critical paths of one netlist under a corner grid.
 
     ``critical_path_ps`` is ``(C, S)``; ``arrivals`` (``(slots, C, S)``)
@@ -80,17 +100,6 @@ class MCReport:
     samples: int
     critical_path_ps: np.ndarray
     arrivals: Optional[np.ndarray] = None
-
-    def corner_index(self, label):
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise KeyError("corner %r not analyzed (have %s)"
-                           % (label, list(self.labels)))
-
-    def _corner(self, corner):
-        return self.corner_index(corner) if isinstance(corner, str) \
-            else corner
 
     def quantile_ps(self, q, corner=0):
         """Critical-path quantile (linear interpolation) of one corner."""
@@ -149,15 +158,13 @@ def analyze_mc(netlist, library, corners, variation, samples,
             arrivals = (np.repeat(batch.arrivals[:, :, None], samples,
                                   axis=2) if keep_arrivals else None)
         else:
-            uids = program.gate_uids
+            delays_of = sampled_delays(program, corners, bti)
             parts = []
             kept = []
             for start, count in blocks:
-                dvth = variation.gate_dvth(uids, start, count)
-                delays = corner_delays(program, corners, bti=bti,
-                                       dvth=dvth)
-                arr = _propagate(program, delays)
-                parts.append(_critical_paths(program, arr))
+                arr, (cp,) = mc_block(program, delays_of, variation, start,
+                                      count)
+                parts.append(cp)
                 if keep_arrivals:
                     kept.append(arr)
             cp = np.concatenate(parts, axis=1)
@@ -173,45 +180,3 @@ def analyze_mc(netlist, library, corners, variation, samples,
                     variation=variation, samples=int(samples),
                     critical_path_ps=cp, arrivals=arrivals)
 
-
-def analyze_mc_reference(netlist, library, corners, variation, samples,
-                         bti=DEFAULT_BTI, program=None):
-    """Per-sample scalar-loop oracle: ``(C, S)`` critical paths.
-
-    Computes every gate delay with one scalar
-    :meth:`~repro.aging.bti.BTIModel.delay_multiplier_from_dvth` /
-    :meth:`~repro.aging.bti.BTIModel.delta_vth` call per (gate, corner,
-    sample) and propagates one sample at a time — the pre-vectorization
-    approach. Draw-for-draw identical inputs to :func:`analyze_mc`
-    (same Philox streams), so the two agree to float tolerance; the
-    benchmark and the tier-1 suite compare them at ``rtol = 1e-12``.
-    """
-    corners = tuple(corners)
-    if program is None:
-        program = compile_timing(netlist, library)
-    sp, sn, years = corner_stress(program, corners)
-    wp = np.asarray([cell.wp for cell in program.cells],
-                    dtype=np.float64)[program.cell_index] \
-        if program.n_gates else np.zeros(0)
-    wn = np.asarray([cell.wn for cell in program.cells],
-                    dtype=np.float64)[program.cell_index] \
-        if program.n_gates else np.zeros(0)
-    dvth = variation.gate_dvth(program.gate_uids, 0, samples)
-    n, C = program.n_gates, len(corners)
-    cp = np.empty((C, samples), dtype=np.float64)
-    delays = np.empty((n, C), dtype=np.float64)
-    for s in range(samples):
-        for g in range(n):
-            dv = float(dvth[g, s])
-            for c in range(C):
-                mp = bti.delay_multiplier_from_dvth(
-                    bti.delta_vth(float(sp[g, c]), float(years[c])) + dv,
-                    allow_speedup=True)
-                mn = bti.delay_multiplier_from_dvth(
-                    bti.delta_vth(float(sn[g, c]), float(years[c])) + dv,
-                    allow_speedup=True)
-                mult = (1.0 + wp[g] * (mp - 1.0) + wn[g] * (mn - 1.0))
-                delays[g, c] = program.base_delay_ps[g] * mult
-        arr = _propagate(program, delays)
-        cp[:, s] = _critical_paths(program, arr)
-    return cp

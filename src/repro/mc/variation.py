@@ -8,12 +8,17 @@ as gate-length and oxide-thickness deviations), independent from gate
 to gate — truncated at ``clip_sigmas`` standard deviations so a draw
 can never consume the whole gate overdrive.
 
-Draw streams follow the :mod:`repro.inject.masks` recipe exactly: one
-counter-based Philox generator per ``(seed, gate uid, sample chunk)``
-key via ``SeedSequence``, plus a domain tag so variation draws and
-fault masks derived from the same campaign seed are independent.
-The properties that make Monte Carlo results bit-reproducible across
-``--jobs N``, worker pools and the served path:
+Draw streams are the fault masks' Philox streams
+(:mod:`repro.core.streams`) under a domain tag, so variation draws and
+fault masks derived from one campaign seed are independent: one stream
+per ``(seed, gate uid, sample chunk)``, keyed by
+``SeedSequence([seed, uid, chunk, domain]).generate_state(2,
+np.uint64)``. :meth:`VariationModel.gate_dvth` derives the keys of all
+gates of a chunk at once (the same numbers ``SeedSequence`` returns)
+and re-keys one ``Philox`` generator per gate, so every draw equals the
+per-gate ``Philox(SeedSequence(...))`` stream's. The properties that
+make Monte Carlo results bit-reproducible across ``--jobs N``, worker
+pools and the served path:
 
 * **partition independence** — the draw for sample ``s`` of gate ``g``
   depends only on ``(seed, g.uid, s)``, never on which process asks or
@@ -33,6 +38,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..core.streams import philox_stream, rekey, stream_keys
+
 #: Standard-normal draws generated per (seed, gate, chunk) stream.
 #: Absolute-indexed: sample ``s`` lives in chunk ``s // SAMPLE_CHUNK``
 #: at offset ``s % SAMPLE_CHUNK`` regardless of propagation block size.
@@ -48,9 +55,38 @@ _MC_DOMAIN = 0x6D63  # "mc"
 
 def gate_stream(seed, gate_uid, chunk):
     """The Philox generator of one ``(seed, gate, chunk)`` draw stream."""
-    key = np.random.SeedSequence(
-        [int(seed), int(gate_uid), int(chunk), _MC_DOMAIN])
-    return np.random.Generator(np.random.Philox(key))
+    return philox_stream(seed, gate_uid, chunk, _MC_DOMAIN)
+
+
+def _normals(seed, gate_uids, start, count):
+    """Standard normals ``(len(gate_uids), count)``: row ``i`` holds
+    draws ``start .. start+count`` of gate ``gate_uids[i]``.
+
+    Per chunk, derives every gate's stream key at once and draws the
+    whole chunk of each gate from one re-keyed generator; absolute
+    chunk indexing makes any partition of the sample axis reproduce
+    the same values (see module doc).
+    """
+    if count < 0 or start < 0:
+        raise ValueError("draw range must be non-negative, got start=%r "
+                         "count=%r" % (start, count))
+    out = np.empty((len(gate_uids), count), dtype=np.float64)
+    if not count or not len(gate_uids):
+        return out
+    gen = np.random.Generator(np.random.Philox(0))  # re-keyed per stream
+    for chunk in range(start // SAMPLE_CHUNK,
+                       (start + count - 1) // SAMPLE_CHUNK + 1):
+        base = chunk * SAMPLE_CHUNK
+        lo, hi = max(start, base), min(start + count, base + SAMPLE_CHUNK)
+        keys = stream_keys(seed, gate_uids, chunk, _MC_DOMAIN)
+        whole = hi - lo == SAMPLE_CHUNK
+        dest = out[:, lo - start:hi - start] if whole \
+            else np.empty((len(keys), SAMPLE_CHUNK), dtype=np.float64)
+        for row, key in zip(dest, keys):
+            rekey(gen, key).standard_normal(out=row)
+        if not whole:
+            out[:, lo - start:hi - start] = dest[:, lo - base:hi - base]
+    return out
 
 
 def standard_draws(seed, gate_uid, start, count):
@@ -59,22 +95,7 @@ def standard_draws(seed, gate_uid, start, count):
     Slices absolute-indexed chunks, so any partition of the sample axis
     reproduces the same values (see module doc).
     """
-    if count < 0 or start < 0:
-        raise ValueError("draw range must be non-negative, got start=%r "
-                         "count=%r" % (start, count))
-    out = np.empty(count, dtype=np.float64)
-    if not count:
-        return out
-    pos = 0
-    for chunk in range(start // SAMPLE_CHUNK,
-                       (start + count - 1) // SAMPLE_CHUNK + 1):
-        z = gate_stream(seed, gate_uid, chunk).standard_normal(SAMPLE_CHUNK)
-        lo = max(start, chunk * SAMPLE_CHUNK)
-        hi = min(start + count, (chunk + 1) * SAMPLE_CHUNK)
-        out[pos:pos + hi - lo] = z[lo - chunk * SAMPLE_CHUNK:
-                                   hi - chunk * SAMPLE_CHUNK]
-        pos += hi - lo
-    return out
+    return _normals(seed, (gate_uid,), start, count)[0]
 
 
 @dataclass(frozen=True)
@@ -108,11 +129,9 @@ class VariationModel:
         ``sigma_v``. Deterministic in ``(seed, uid, sample index)``
         only.
         """
-        draws = np.empty((len(gate_uids), count), dtype=np.float64)
         if self.is_zero:
-            draws.fill(0.0)
-            return draws
-        for i, uid in enumerate(gate_uids):
-            draws[i] = standard_draws(self.seed, uid, start, count)
+            return np.zeros((len(gate_uids), count), dtype=np.float64)
+        draws = _normals(self.seed, gate_uids, start, count)
         np.clip(draws, -self.clip_sigmas, self.clip_sigmas, out=draws)
-        return draws * self.sigma_v
+        draws *= self.sigma_v
+        return draws

@@ -43,11 +43,10 @@ from ..core.parallel import map_tasks
 from ..core.specs import (GridSpec, SpecError, corner_grid,
                           parse_component, parse_scenario)
 from ..obs import logs, metrics as obs_metrics, trace as obs_trace
-from ..sta.engine import (_critical_paths, _propagate, analyze_batch,
-                          compile_timing, cone_plan, corner_delays,
-                          corner_label, corner_stress, replay_cone,
-                          truncated_input_nets)
-from .engine import DEFAULT_BLOCK, sample_blocks
+from ..sta.engine import (_critical_paths, analyze_batch, compile_timing,
+                          cone_plan, corner_label, corner_stress,
+                          replay_cone, sampled_delays, truncated_input_nets)
+from .engine import DEFAULT_BLOCK, mc_block, sample_blocks
 from .surrogate import cross_validate, fit_surrogate, pick_degree
 from .variation import VariationModel
 
@@ -172,6 +171,7 @@ class _Prelude:
     stress_rms: np.ndarray    # (C,) rms per-gate stress duty
     age_factor: np.ndarray    # (C,) lifetime feature t_sec**(1/6)
     library: object
+    delays_of: object         # sampled_delays(program, corners)
 
 
 _PRELUDE_MEMO = {}
@@ -214,7 +214,8 @@ def _build_prelude(spec, library):
                     fresh_clock_ps=fresh_clock, precisions=precisions,
                     plans=plans, det_cp=det_cp, alive=alive,
                     stress_mean=stress_mean, stress_rms=stress_rms,
-                    age_factor=age_factor, library=lib)
+                    age_factor=age_factor, library=lib,
+                    delays_of=sampled_delays(program, corners))
 
 
 def _prelude(spec, library=None):
@@ -230,30 +231,20 @@ def _prelude(spec, library=None):
 def _mc_block(task):
     """Module-level sample-block worker (shared by every path).
 
-    One propagation of the full tensor block plus one cone replay per
-    requested truncation depth; returns ``{precision: (C, count)
-    critical paths}`` (blocks come back in task order, which is
-    absolute sample order).
+    Runs :func:`~repro.mc.engine.mc_block` once, replaying every
+    requested truncation depth's cone plan against the block's
+    propagation; returns ``{precision: (C, count) critical paths}``
+    (blocks come back in task order, which is absolute sample order).
     """
     spec = MCSpec.from_dict(task["spec"])
     with obs_trace.span("mc.block", start=task["start"],
                         count=task["count"],
                         precisions=len(task["precisions"])):
         prelude = _prelude(spec, library=task.get("library"))
-        program = prelude.program
-        dvth = spec.variation().gate_dvth(
-            program.gate_uids, task["start"], task["count"])
-        delays = corner_delays(program, prelude.corners, dvth=dvth)
-        arr = _propagate(program, delays)
-        cp = {}
-        for precision in task["precisions"]:
-            plan = prelude.plans[precision]
-            if plan is None:
-                cp[int(precision)] = _critical_paths(program, arr)
-            else:
-                arr_p = replay_cone(plan, arr, delays)
-                cp[int(precision)] = _critical_paths(program, arr_p)
-    return cp
+        __, cps = mc_block(prelude.program, prelude.delays_of,
+                           spec.variation(), task["start"], task["count"],
+                           [prelude.plans[p] for p in task["precisions"]])
+    return {int(p): cp for p, cp in zip(task["precisions"], cps)}
 
 
 def _exact_cp(spec, library, precisions, jobs, pool, prelude):

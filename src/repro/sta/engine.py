@@ -287,37 +287,49 @@ def corner_stress(program, corners):
     return sp, sn, years
 
 
-def _sampled_corner_delays(program, corners, dvth, bti):
-    """Delay tensor ``(n_gates, C, S)`` for per-gate Vth draws *dvth*.
+def sampled_delays(program, corners, bti=DEFAULT_BTI):
+    """Sampled delay function ``delays(dvth) -> (n_gates, C, S)``.
 
     ``dvth`` is ``(n_gates, S)`` extra threshold shift per (gate,
-    sample), shared by the p- and n-networks (within-gate variation is
-    fully correlated; gate-to-gate draws are independent). The whole
-    tensor is a handful of broadcast NumPy ops over the ndarray-native
-    BTI model — it never touches the ``(cell, stress, lifetime)``
-    multiplier memo, which variation draws would otherwise flood with
-    per-sample keys (see :mod:`repro.aging.delay`).
+    sample), shared by the p- and n-networks. The per-run constants are
+    computed here once; each call runs in-place broadcast ops over the
+    ndarray-native BTI model in the operation order of ``base * (1 +
+    wp*(mp-1) + wn*(mn-1))``, computing the multiplier once when the p-
+    and n-network shifts are equal (uniform stress). It never touches
+    the multiplier memo, which per-sample keys would flood (see
+    :mod:`repro.aging.delay`).
     """
-    dvth = np.asarray(dvth, dtype=np.float64)
-    if dvth.ndim != 2 or dvth.shape[0] != program.n_gates:
-        raise ValueError(
-            "dvth must be (n_gates, samples) = (%d, S), got %r"
-            % (program.n_gates, dvth.shape))
     sp, sn, years = corner_stress(program, corners)
-    aged_p = bti.delta_vth(sp, years[None, :])     # (G, C)
-    aged_n = bti.delta_vth(sn, years[None, :])
-    var = dvth[:, None, :]                         # (G, 1, S)
-    mp = bti.delay_multiplier_from_dvth(aged_p[:, :, None] + var,
-                                        allow_speedup=True)
-    mn = bti.delay_multiplier_from_dvth(aged_n[:, :, None] + var,
-                                        allow_speedup=True)
+    aged_p = bti.delta_vth(sp, years[None, :])[:, :, None]     # (G, C, 1)
+    aged_n = bti.delta_vth(sn, years[None, :])[:, :, None]
+    shared = np.array_equal(aged_p, aged_n)
     wp = np.asarray([cell.wp for cell in program.cells],
-                    dtype=np.float64)[program.cell_index]
+                    dtype=np.float64)[program.cell_index][:, None, None]
     wn = np.asarray([cell.wn for cell in program.cells],
-                    dtype=np.float64)[program.cell_index]
-    mult = (1.0 + wp[:, None, None] * (mp - 1.0)
-            + wn[:, None, None] * (mn - 1.0))
-    return program.base_delay_ps[:, None, None] * mult
+                    dtype=np.float64)[program.cell_index][:, None, None]
+    base = program.base_delay_ps[:, None, None]
+
+    def delays(dvth):
+        dvth = np.asarray(dvth, dtype=np.float64)
+        if dvth.ndim != 2 or dvth.shape[0] != program.n_gates:
+            raise ValueError(
+                "dvth must be (n_gates, samples) = (%d, S), got %r"
+                % (program.n_gates, dvth.shape))
+        var = dvth[:, None, :]                                 # (G, 1, S)
+        m = bti.delay_multiplier_from_dvth(aged_p + var, allow_speedup=True)
+        m -= 1.0
+        out = wp * m
+        out += 1.0
+        if not shared:
+            m = bti.delay_multiplier_from_dvth(aged_n + var,
+                                               allow_speedup=True)
+            m -= 1.0
+        m *= wn
+        out += m
+        out *= base
+        return out
+
+    return delays
 
 
 def corner_delays(program, corners, bti=DEFAULT_BTI, degradation=None,
@@ -332,8 +344,8 @@ def corner_delays(program, corners, bti=DEFAULT_BTI, degradation=None,
 
     With *dvth* (per-gate Vth variation draws, ``(n_gates, S)``) the
     result instead carries a trailing sample axis — ``(n_gates, C, S)``
-    — computed by :func:`_sampled_corner_delays` on the vectorized BTI
-    model, bypassing the memo entirely. The ``dvth=None`` path is
+    — computed by :func:`sampled_delays` on the vectorized BTI model,
+    bypassing the memo entirely. The ``dvth=None`` path is
     bit-identical to previous releases. Sampling needs the closed-form
     model: degradation-aware tables have no per-gate Vth semantics.
     """
@@ -342,7 +354,7 @@ def corner_delays(program, corners, bti=DEFAULT_BTI, degradation=None,
             raise ValueError(
                 "sampled corner delays need the closed-form BTI model; "
                 "degradation-aware tables have no per-gate Vth semantics")
-        return _sampled_corner_delays(program, corners, dvth, bti)
+        return sampled_delays(program, corners, bti)(dvth)
     n = program.n_gates
     mult = np.ones((n, len(corners)), dtype=np.float64)
     for col, scenario in enumerate(corners):
@@ -390,8 +402,23 @@ def _critical_paths(program, arrivals):
     return np.maximum(arrivals[program.po_slots].max(axis=0), 0.0)
 
 
+class CornerLabels:
+    """Corner lookup by index or label over a report's ``labels``."""
+
+    def corner_index(self, label):
+        try:
+            return self.labels.index(label)
+        except ValueError:
+            raise KeyError("corner %r not analyzed (have %s)"
+                           % (label, list(self.labels)))
+
+    def _corner(self, corner):
+        return self.corner_index(corner) if isinstance(corner, str) \
+            else corner
+
+
 @dataclass
-class BatchTimingReport:
+class BatchTimingReport(CornerLabels):
     """Arrival times of one netlist under a whole corner grid.
 
     ``arrivals`` is ``(slots, C)`` and ``delays`` ``(n_gates, C)``;
@@ -415,23 +442,14 @@ class BatchTimingReport:
         """Critical-path delays as plain floats, in corner order."""
         return [float(v) for v in self.critical_path_ps]
 
-    def corner_index(self, label):
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise KeyError("corner %r not analyzed (have %s)"
-                           % (label, list(self.labels)))
-
     def arrival_ps(self, net, corner=0):
         """Arrival of one net under one corner (index or label)."""
-        if isinstance(corner, str):
-            corner = self.corner_index(corner)
+        corner = self._corner(corner)
         return float(self.arrivals[self.program.slot_of[net], corner])
 
     def report(self, corner=0):
         """Scalar :class:`~repro.sta.sta.TimingReport` of one corner."""
-        if isinstance(corner, str):
-            corner = self.corner_index(corner)
+        corner = self._corner(corner)
         arrivals = {net: float(self.arrivals[slot, corner])
                     for net, slot in self.program.slot_of.items()}
         gate_delays = {int(uid): float(self.delays[row, corner])
@@ -492,7 +510,7 @@ def analyze_batch(netlist, library, corners, bti=DEFAULT_BTI,
 # ---------------------------------------------------------------------------
 
 @dataclass
-class IncrementalTimingReport:
+class IncrementalTimingReport(CornerLabels):
     """Result of re-analyzing a truncation against cached arrivals.
 
     ``dropped`` marks gates whose inputs all became constant (they
@@ -521,13 +539,6 @@ class IncrementalTimingReport:
     def critical_paths_ps(self):
         return [float(v) for v in self.critical_path_ps]
 
-    def corner_index(self, label):
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise KeyError("corner %r not analyzed (have %s)"
-                           % (label, list(self.labels)))
-
     def report(self, corner=0):
         """Scalar :class:`~repro.sta.sta.TimingReport` of one corner.
 
@@ -537,8 +548,7 @@ class IncrementalTimingReport:
         the gate set of the :func:`tie_low` netlist, under the same
         uids.
         """
-        if isinstance(corner, str):
-            corner = self.corner_index(corner)
+        corner = self._corner(corner)
         arrivals = {net: float(self.arrivals[slot, corner])
                     for net, slot in self.program.slot_of.items()}
         gate_delays = {int(uid): float(self.baseline.delays[row, corner])
@@ -552,12 +562,11 @@ class IncrementalTimingReport:
 
 @dataclass
 class _ConeStep:
-    """One touched level of a cone plan (index arrays + const masks)."""
+    """One touched level of a cone plan (index arrays + drop mask)."""
 
     rows: np.ndarray       # touched gate rows
     ins: np.ndarray        # (g, pins) input slots of touched gates
     outs: np.ndarray       # (g,) output slots
-    in_const: np.ndarray   # (g, pins) bool: input constant after tie
     all_const: np.ndarray  # (g,) bool: gate drops (all inputs const)
 
 
@@ -635,13 +644,12 @@ def _build_cone_plan(program, tied):
         outs = level.out_slots[touched]
         rows = level.rows[touched]
         cone += len(rows)
-        in_const = const[ins]                  # (g, pins)
-        all_const = in_const.all(axis=1)
+        all_const = const[ins].all(axis=1)
         const[outs] = all_const
         dropped[rows] = all_const
         changed[outs] = True
         steps.append(_ConeStep(rows=rows, ins=ins, outs=outs,
-                               in_const=in_const, all_const=all_const))
+                               all_const=all_const))
     return ConePlan(tied=tied, steps=steps, dropped=dropped,
                     const_slots=const, cone_gates=cone)
 
@@ -651,18 +659,22 @@ def replay_cone(plan, baseline_arrivals, delays):
 
     *baseline_arrivals* is ``(slots, ...)`` and *delays*
     ``(n_gates, ...)`` with matching trailing dims — ``(C,)`` for
-    deterministic batches, ``(C, S)`` for sampled Monte Carlo tensors.
-    Returns a fresh arrival tensor; slots outside the cone keep their
-    baseline values, dropped gates arrive at 0.0. Bit-identical to
-    scalar STA on the :func:`tie_low` transform for the deterministic
-    shape (same gather/where/max/add, same order).
+    deterministic batches, ``(C, S)`` for sampled Monte Carlo tensors;
+    one replay serves both shapes. Returns a fresh arrival tensor;
+    slots outside the cone keep their baseline values, dropped gates
+    arrive at 0.0.
+
+    Constant inputs need no mask: every ``plan.const_slots`` slot reads
+    0.0 when a touched gate consumes it. Rails and tied primary inputs
+    are never written by :func:`_propagate`, and an all-constant gate is
+    zeroed at its own level, before any later level reads it. So the
+    plain gather/max/add is bit-identical to scalar STA on the
+    :func:`tie_low` transform.
     """
     arr = baseline_arrivals.copy()
-    tail = (1,) * (arr.ndim - 1)
     for step in plan.steps:
-        mask = step.in_const.reshape(step.in_const.shape + tail)
-        vals = np.where(mask, 0.0, arr[step.ins])
-        at = vals.max(axis=1) + delays[step.rows]  # (g, C[, S])
+        at = arr[step.ins].max(axis=1)         # (g, C[, S])
+        at += delays[step.rows]
         at[step.all_const] = 0.0
         arr[step.outs] = at
     return arr

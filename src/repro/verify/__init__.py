@@ -15,7 +15,8 @@ Section-V slack rule. This package makes those equivalences executable:
     Cross-engine oracles running one netlist through the functional
     bytes, packed 64-way, event-driven and timed engines and diffing
     the outputs bit-exactly, with minimized counterexample reporting;
-    also the byte-engine oracle of activity extraction.
+    also the byte-engine oracle of activity extraction and the
+    scalar-loop oracle of Monte Carlo STA.
 ``sizing``
     The dict-based sizing loop, oracle of the production array sizer,
     and scratch synthesis sized by it.
@@ -46,7 +47,8 @@ from .invariants import (InvariantResult, check_characterization,
                          check_psnr_endpoints, check_slack_rule,
                          check_sta_engine, check_synth_sweep)
 from .oracles import (ENGINES, Counterexample, EngineMismatch, OracleReport,
-                      cross_engine_check, diff_engines, engine_outputs,
+                      analyze_mc_reference, cross_engine_check,
+                      diff_engines, engine_outputs,
                       minimize_counterexample, simulate_activity_bytes)
 from .shrink import shrink_netlist
 from .sizing import reference_synthesize, upsize_critical_paths
@@ -55,7 +57,8 @@ from .verify import VerificationReport, verify_component
 __all__ = [
     "ENGINES", "Counterexample", "EngineMismatch", "FuzzReport",
     "GoldenMismatch", "InvariantResult", "OracleReport",
-    "VerificationReport", "check_characterization", "check_error_shape",
+    "VerificationReport", "analyze_mc_reference",
+    "check_characterization", "check_error_shape",
     "check_golden", "check_injection", "check_mc",
     "check_psnr_endpoints", "check_slack_rule",
     "check_sta_engine", "check_synth_sweep",

@@ -22,6 +22,9 @@ diffs the outputs bit-exactly. Disagreements become
 :mod:`repro.verify.shrink`), the stimulus bits, and the engine pair
 that disagrees — small enough to paste into a regression test.
 
+:func:`analyze_mc_reference` is the Monte Carlo engine's oracle: the
+per-sample scalar loop that :func:`repro.mc.analyze_mc` vectorizes.
+
 Netlists are always compiled with ``memo=False`` here so that an
 injected kernel fault (or any global-table mutation) is picked up
 instead of being masked by a previously cached program.
@@ -33,11 +36,14 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ..aging.bti import DEFAULT_BTI
 from ..sim.activity import ActivityReport
 from ..sim.event import EventSimulator
 from ..sim.logic import (all_net_values, compile_netlist, evaluate,
                          evaluate_packed)
 from ..sim.timing import TimedSimulator
+from ..sta.engine import (_critical_paths, _propagate, compile_timing,
+                          corner_stress)
 
 #: Engine names, in reporting order; ``bytes`` is the reference.
 ENGINES = ("bytes", "packed", "event", "timed")
@@ -348,3 +354,47 @@ def minimize_counterexample(netlist, library, pi_bits, mismatches,
         netlist_dict=netlist_to_dict(shrunk), engines=pair,
         inputs=witness, gates=shrunk.num_gates,
         original_design=netlist.name, original_gates=netlist.num_gates)
+
+
+def analyze_mc_reference(netlist, library, corners, variation, samples,
+                         bti=DEFAULT_BTI, program=None):
+    """Per-sample scalar-loop oracle: ``(C, S)`` critical paths.
+
+    Computes every gate delay with one scalar
+    :meth:`~repro.aging.bti.BTIModel.delay_multiplier_from_dvth` /
+    :meth:`~repro.aging.bti.BTIModel.delta_vth` call per (gate, corner,
+    sample) and propagates one sample at a time — the pre-vectorization
+    approach. Draw-for-draw identical inputs to
+    :func:`repro.mc.analyze_mc` (same Philox streams), so the two agree
+    to float tolerance; the benchmark and the tier-1 suite compare them
+    at ``rtol = 1e-12``.
+    """
+    corners = tuple(corners)
+    if program is None:
+        program = compile_timing(netlist, library)
+    sp, sn, years = corner_stress(program, corners)
+    wp = np.asarray([cell.wp for cell in program.cells],
+                    dtype=np.float64)[program.cell_index] \
+        if program.n_gates else np.zeros(0)
+    wn = np.asarray([cell.wn for cell in program.cells],
+                    dtype=np.float64)[program.cell_index] \
+        if program.n_gates else np.zeros(0)
+    dvth = variation.gate_dvth(program.gate_uids, 0, samples)
+    n, C = program.n_gates, len(corners)
+    cp = np.empty((C, samples), dtype=np.float64)
+    delays = np.empty((n, C), dtype=np.float64)
+    for s in range(samples):
+        for g in range(n):
+            dv = float(dvth[g, s])
+            for c in range(C):
+                mp = bti.delay_multiplier_from_dvth(
+                    bti.delta_vth(float(sp[g, c]), float(years[c])) + dv,
+                    allow_speedup=True)
+                mn = bti.delay_multiplier_from_dvth(
+                    bti.delta_vth(float(sn[g, c]), float(years[c])) + dv,
+                    allow_speedup=True)
+                mult = (1.0 + wp[g] * (mp - 1.0) + wn[g] * (mn - 1.0))
+                delays[g, c] = program.base_delay_ps[g] * mult
+        arr = _propagate(program, delays)
+        cp[:, s] = _critical_paths(program, arr)
+    return cp

@@ -21,12 +21,13 @@ from repro.aging.delay import clear_multiplier_memo, multiplier_memo_info
 from repro.core.specs import SpecError, parse_scenario
 from repro.inject import masks as inject_masks
 from repro.mc import (DEFAULT_BLOCK, MCSpec, SAMPLE_CHUNK, VariationModel,
-                      analyze_mc, analyze_mc_reference, cross_validate,
-                      design_matrix, fit_surrogate, n_terms, pick_degree,
-                      run_mc, sample_blocks, standard_draws)
+                      analyze_mc, cross_validate, design_matrix,
+                      fit_surrogate, n_terms, pick_degree, run_mc,
+                      sample_blocks, standard_draws)
 from repro.obs import metrics as obs_metrics
 from repro.report import mc_report_text
 from repro.sta.engine import analyze_batch, compile_timing, corner_delays
+from repro.verify import analyze_mc_reference
 
 SCENARIOS = ("fresh", "worst1y", "worst10y")
 

@@ -18,9 +18,9 @@ from hypothesis import given, strategies as st
 
 from repro.cells import default_library
 from repro.core.specs import parse_scenario
-from repro.mc import VariationModel, analyze_mc, analyze_mc_reference
+from repro.mc import VariationModel, analyze_mc
 from repro.sta.engine import analyze_batch
-from repro.verify import load_corpus, random_netlist
+from repro.verify import analyze_mc_reference, load_corpus, random_netlist
 from repro.verify.pytest_plugin import CORPUS_DIRNAME
 
 LIB = default_library()
