@@ -40,6 +40,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import weakref
 from contextlib import contextmanager
 
 import numpy as np
@@ -144,6 +145,25 @@ def library_fingerprint(library):
     })
     library.__dict__["_content_fingerprint"] = fp
     return fp
+
+
+def library_memo_key(library):
+    """Key of *library* in the per-netlist compile memos.
+
+    A :class:`~repro.cells.library.CellLibrary` is keyed by its content
+    fingerprint, so equal libraries (such as the copy each pool task
+    unpickles) share the programs compiled or seeded under either. A
+    stand-in that is not a library is keyed by weak reference, or by
+    ``id`` if it cannot be weakly referenced.
+    """
+    from ..cells.library import CellLibrary
+
+    if isinstance(library, CellLibrary):
+        return library_fingerprint(library)
+    try:
+        return weakref.ref(library)
+    except TypeError:  # e.g. a dict
+        return id(library)
 
 
 def bti_fingerprint(bti):

@@ -48,8 +48,7 @@ from ..core.parallel import map_tasks
 from ..core.specs import (GridSpec, SpecError, corner_grid,
                           parse_component, parse_scenario)
 from ..obs import logs, metrics as obs_metrics, trace as obs_trace
-from ..quality.metrics import (error_rate, max_abs_error, mean_abs_error,
-                               psnr_db)
+from ..quality.metrics import error_summary
 from ..sim.activity import operand_stream_words
 from ..sim.bitpack import unpack_ints
 from ..sim.logic import compile_netlist, evaluate_words
@@ -218,11 +217,12 @@ def _prelude(spec, library=None):
 # ---------------------------------------------------------------------------
 
 def _quality_row(clean_ints, observed_ints, peak):
+    summary = error_summary(clean_ints, observed_ints, peak=peak)
     return {
-        "word_error_rate": float(error_rate(clean_ints, observed_ints)),
-        "mean_abs_error": float(mean_abs_error(clean_ints, observed_ints)),
-        "max_abs_error": float(max_abs_error(clean_ints, observed_ints)),
-        "psnr_db": float(psnr_db(clean_ints, observed_ints, peak=peak)),
+        "word_error_rate": summary["error_rate"],
+        "mean_abs_error": summary["mean_abs_error"],
+        "max_abs_error": summary["max_abs_error"],
+        "psnr_db": summary["psnr_db"],
     }
 
 

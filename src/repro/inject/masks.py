@@ -89,12 +89,13 @@ def _chunk_mask(seed, gate_uid, chunk, threshold, n_words):
     Planes are always drawn :data:`CHUNK_WORDS` wide and sliced, so a
     partial final chunk yields the same words as a full one would.
     """
-    rng = gate_stream(seed, gate_uid, chunk)
+    # Raw Philox output: the very words ``integers(0, 2**64,
+    # dtype=np.uint64)`` returns, without the bounded-integer wrapper.
+    draw = gate_stream(seed, gate_uid, chunk).bit_generator.random_raw
     lt = np.zeros(n_words, dtype=np.uint64)
     eq = np.full(n_words, bitpack.ALL_ONES, dtype=np.uint64)
     for bit in range(PROB_BITS - 1, -1, -1):
-        plane = rng.integers(0, 1 << 64, size=CHUNK_WORDS,
-                             dtype=np.uint64)[:n_words]
+        plane = draw(CHUNK_WORDS)[:n_words]
         if (threshold >> bit) & 1:
             lt |= eq & ~plane
             eq &= plane

@@ -66,13 +66,42 @@ def max_abs_error(exact, observed):
     return float(np.max(np.abs(exact - observed)))
 
 
-def error_summary(exact, observed):
-    """Bundle of all error statistics as a dict."""
-    return {
-        "error_rate": error_rate(exact, observed),
-        "mean_abs_error": mean_abs_error(exact, observed),
-        "max_abs_error": max_abs_error(exact, observed),
-    }
+def error_summary(exact, observed, peak=None):
+    """All error statistics of one comparison, in one pass.
+
+    The inputs are converted to float64 once and differenced once; the
+    mean and max absolute error and, given *peak*, the MSE and PSNR
+    (keys ``mse`` and ``psnr_db``) all reduce that one array, while the
+    error rate compares the inputs as given (exact for integers beyond
+    2**53). Every value equals its separate function (:func:`error_rate`,
+    :func:`mean_abs_error`, :func:`max_abs_error`, :func:`mse`,
+    :func:`psnr_db`) bit for bit: each is the same full-length
+    reduction over the same values in the same order.
+    """
+    exact = np.asarray(exact)
+    observed = np.asarray(observed)
+    if exact.shape != observed.shape:
+        raise ValueError("shape mismatch: %r vs %r"
+                         % (exact.shape, observed.shape))
+    summary = {"error_rate": 0.0, "mean_abs_error": 0.0,
+               "max_abs_error": 0.0}
+    error = 0.0
+    if exact.size:
+        summary["error_rate"] = (np.count_nonzero(exact != observed)
+                                 / exact.size)
+        diff = exact.astype(np.float64)
+        np.subtract(diff, observed, out=diff)
+        np.abs(diff, out=diff)
+        summary["mean_abs_error"] = float(np.mean(diff))
+        summary["max_abs_error"] = float(np.max(diff))
+        if peak is not None:
+            np.multiply(diff, diff, out=diff)
+            error = float(np.mean(diff))
+    if peak is not None:
+        summary["mse"] = error
+        summary["psnr_db"] = (float("inf") if error == 0 else
+                              float(10.0 * np.log10(peak * peak / error)))
+    return summary
 
 
 def is_acceptable_quality(psnr_value_db, threshold_db=ACCEPTABLE_PSNR_DB):

@@ -18,7 +18,12 @@ provides the packed representation and the packed cell kernels:
 * **Integer codecs** — :func:`pack_ints` / :func:`unpack_ints` encode
   integer streams straight into packed rows (one per bit) and decode
   packed output rows straight back to integers, so a ``(batch, width)``
-  byte matrix never exists between stimulus and metrics.
+  byte matrix never exists between stimulus and metrics. Both are
+  tiled 8x8 bit-matrix transposes: one byte of eight values (or of
+  eight packed rows) is gathered into a ``uint64``, transposed with
+  three SWAR masked shift/XOR steps, and read back as one byte of
+  eight packed rows (or of eight values), in column tiles of
+  :data:`TILE_BYTES` packed bytes.
 * **Popcount** — :func:`popcount` reduces packed words straight to
   statistics (signal probabilities, toggle counts) without unpacking.
 
@@ -108,6 +113,38 @@ def _byte_rows(packed, batch):
     return packed.view(np.uint8)
 
 
+#: Packed bytes per row in one codec tile (32768 vectors): the tile's
+#: gathered words stay cache-sized whatever the batch.
+TILE_BYTES = 4096
+_TILE_VECTORS = TILE_BYTES * 8
+
+#: Masked shift/XOR steps of an 8x8 bit-matrix transpose, one per
+#: power-of-two block size (Hacker's Delight, ``transpose8``).
+_TRANSPOSE_STEPS = (
+    (np.uint64(7), np.uint64(0x00AA00AA00AA00AA)),
+    (np.uint64(14), np.uint64(0x0000CCCC0000CCCC)),
+    (np.uint64(28), np.uint64(0x00000000F0F0F0F0)),
+)
+
+
+def _transpose8(x):
+    """Transpose the 8x8 bit matrix in each word of *x*, in place.
+
+    Bit ``c`` of byte ``r`` moves to bit ``r`` of byte ``c``: eight
+    bytes of eight packed rows become eight bytes of eight values, and
+    back (the transpose is its own inverse).
+    """
+    t = np.empty_like(x)
+    for shift, mask in _TRANSPOSE_STEPS:
+        np.right_shift(x, shift, out=t)
+        t ^= x
+        t &= mask
+        x ^= t
+        t <<= shift
+        x ^= t
+    return x
+
+
 def pack_ints(values, width):
     """Encode integers straight into packed words: ``(width, words)``.
 
@@ -115,19 +152,32 @@ def pack_ints(values, width):
     are taken modulo ``2 ** width``) of every value, in the
     :func:`pack_bits` layout; equal to
     ``pack_bits(int_to_bits(values, width))`` without its ``(batch,
-    width)`` byte matrix and transpose.
+    width)`` byte matrix and transpose. Byte ``p`` of eight consecutive
+    values is gathered into one word whose 8x8 bit transpose holds
+    byte ``j`` of packed rows ``8p .. 8p + 7``; the batch is coded in
+    :data:`TILE_BYTES`-byte column tiles.
     """
-    values = np.asarray(values, dtype=np.int64).ravel()
-    packed = np.zeros((int(width), word_count(values.shape[0])),
-                      dtype=np.uint64)
+    values = np.asarray(values, dtype="<i8").ravel()
+    width = int(width)
+    batch = values.shape[0]
+    packed = np.zeros((width, word_count(batch)), dtype="<u8")
     rows = packed.view(np.uint8)
-    for bit in range(int(width)):
-        row = np.packbits(((values >> bit) & 1).astype(np.uint8),
-                          bitorder="little")
-        rows[bit, :row.shape[0]] = row
-    if sys.byteorder == "big":  # pragma: no cover - x86/ARM are little
-        packed = packed.byteswap()
-    return packed
+    value_bytes = values.view(np.uint8).reshape(batch, 8)
+    planes = (width + 7) // 8
+    for lo in range(0, batch, _TILE_VECTORS):
+        n = min(_TILE_VECTORS, batch - lo)
+        # words[p, j] holds byte p of values lo + 8j .. lo + 8j + 7.
+        words = np.zeros((planes, (n + 7) // 8), dtype="<u8")
+        gathered = words.view(np.uint8)
+        for p in range(planes):
+            gathered[p, :n] = value_bytes[lo:lo + n, p]
+        _transpose8(words)
+        col = lo // 8
+        for p in range(planes):
+            hi = min(8, width - 8 * p)
+            rows[8 * p:8 * p + hi, col:col + words.shape[1]] = \
+                gathered[p].reshape(-1, 8)[:, :hi].T
+    return packed.astype(np.uint64, copy=False)
 
 
 def unpack_ints(packed, batch, signed=True):
@@ -136,18 +186,34 @@ def unpack_ints(packed, batch, signed=True):
     Row ``i`` is bit ``i`` (LSB first); with *signed* the MSB row is a
     two's-complement sign bit. Equal to
     ``bits_to_int(unpack_bits(packed, batch), signed)``; tail bits at
-    positions ``>= batch`` are ignored.
+    positions ``>= batch`` are ignored. The inverse of
+    :func:`pack_ints`' tiled transposes: each tile's value bytes land
+    straight in one preallocated output, sign-extended in place.
     """
     rows = _byte_rows(packed, batch)
-    out = np.zeros(int(batch), dtype=np.int64)
-    for bit in range(rows.shape[0]):
-        term = np.left_shift(np.unpackbits(rows[bit], count=int(batch),
-                                           bitorder="little"),
-                             bit, dtype=np.int64)
-        out |= term
-    if signed and 0 < rows.shape[0] < 64:
-        out -= term << 1  # the MSB's weight is -2 ** (width - 1)
-    return out
+    width = rows.shape[0]
+    batch = int(batch)
+    out = np.zeros(batch, dtype="<i8")
+    value_bytes = out.view(np.uint8).reshape(batch, 8)
+    planes = (width + 7) // 8
+    for lo in range(0, batch, _TILE_VECTORS):
+        n = min(_TILE_VECTORS, batch - lo)
+        # words[p, j] holds byte lo / 8 + j of rows 8p .. 8p + 7.
+        words = np.zeros((planes, (n + 7) // 8), dtype="<u8")
+        gathered = words.view(np.uint8)
+        col = lo // 8
+        for p in range(planes):
+            hi = min(8, width - 8 * p)
+            gathered[p].reshape(-1, 8)[:, :hi] = \
+                rows[8 * p:8 * p + hi, col:col + words.shape[1]].T
+        _transpose8(words)
+        for p in range(planes):
+            value_bytes[lo:lo + n, p] = gathered[p, :n]
+    if signed and 0 < width < 64:
+        sign = np.int64(1) << np.int64(width - 1)
+        out ^= sign
+        out -= sign
+    return out.astype(np.int64, copy=False)
 
 
 # ---------------------------------------------------------------------------

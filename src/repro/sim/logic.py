@@ -19,7 +19,6 @@ Two engines share the compiled program:
   :func:`evaluate_packed` wraps it for byte-matrix callers.
 """
 
-import weakref
 from dataclasses import dataclass
 from typing import List, Tuple
 
@@ -72,9 +71,9 @@ _COMPILE_MEMO_LIMIT = 8
 def compile_netlist(netlist, library, memo=True):
     """Lower *netlist* into a :class:`CompiledNetlist` program.
 
-    The lowering is memoized on the netlist instance (keyed by library
-    identity and a fingerprint of the netlist *contents*: interface nets
-    plus every gate's cell/pins), so the activity extractor and the
+    The lowering is memoized on the netlist instance (keyed by the
+    library's content fingerprint and the netlist *contents*: interface
+    nets plus every gate's cell/pins), so the activity extractor and the
     timed simulator share one compiled program instead of lowering the
     same netlist twice — while any mutation, including in-place gate
     edits that bypass ``rebuild``/``add_gate`` (e.g. assigning
@@ -90,15 +89,12 @@ def compile_netlist(netlist, library, memo=True):
     # O(gates), the same order as one evaluate() row, so the memo still
     # pays for itself on any repeated use.
     #
-    # The library is keyed by weak reference, not id(): a collected
-    # library's id can be recycled by a new one, and a dead weakref
-    # never compares equal to a live one, so a recycled id cannot
-    # resurface a stale program.
-    try:
-        lib_key = weakref.ref(library)
-    except TypeError:  # un-weakref-able library stand-in (e.g. a dict)
-        lib_key = id(library)
-    token = (lib_key, tuple(netlist.primary_inputs),
+    # The library is keyed by content, not id(): a collected library's
+    # id can be recycled by a new one, and a copy of a library (a pool
+    # task's unpickled one) compiles the same program.
+    from ..core.cache import library_memo_key
+
+    token = (library_memo_key(library), tuple(netlist.primary_inputs),
              tuple(netlist.primary_outputs),
              tuple((g.cell, g.inputs, g.output) for g in netlist.gates))
     cache = getattr(netlist, "_compiled_memo", None)

@@ -35,11 +35,10 @@ oracle.
 
 Programs are memoized on the netlist instance exactly like
 :func:`repro.sim.logic.compile_netlist` (content token + library
-weakref, bounded LRU), so repeated analyses of an unchanged netlist
-skip the lowering entirely.
+fingerprint, bounded LRU), so repeated analyses of an unchanged
+netlist skip the lowering entirely.
 """
 
-import weakref
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
@@ -131,10 +130,11 @@ def compile_timing(netlist, library, memo=True):
     """Lower *netlist* into a :class:`TimingProgram`.
 
     Memoized on the netlist instance with the same content token as
-    :func:`repro.sim.logic.compile_netlist` (library weakref + interface
-    + every gate's cell/pins), so all corner batches of one sweep share
-    a single lowering while any structural mutation — including in-place
-    ``gate.cell`` edits by the sizing passes — recompiles. Synthesis
+    :func:`repro.sim.logic.compile_netlist` (library fingerprint +
+    interface + every gate's cell/pins), so all corner batches of one
+    sweep share a single lowering while any structural mutation —
+    including in-place ``gate.cell`` edits by the sizing passes —
+    recompiles. Synthesis
     seeds the memo with the program it lowers from its sizer
     (:func:`seed_timing`). Pass ``memo=False`` to force a fresh lowering.
     """
@@ -152,11 +152,9 @@ def compile_timing(netlist, library, memo=True):
 
 def _timing_memo(netlist, library):
     """``(memo dict, content token)`` of *netlist* under *library*."""
-    try:
-        lib_key = weakref.ref(library)
-    except TypeError:  # un-weakref-able library stand-in (e.g. a dict)
-        lib_key = id(library)
-    token = (lib_key, tuple(netlist.primary_inputs),
+    from ..core.cache import library_memo_key
+
+    token = (library_memo_key(library), tuple(netlist.primary_inputs),
              tuple(netlist.primary_outputs),
              tuple((g.cell, g.inputs, g.output) for g in netlist.gates))
     cache = getattr(netlist, "_timing_memo", None)

@@ -62,7 +62,7 @@ class TestPackUnpack:
 class TestIntCodecs:
     """``pack_ints``/``unpack_ints`` equal the bit-matrix codecs."""
 
-    @given(data=st.data(), width=st.integers(1, 63),
+    @given(data=st.data(), width=st.integers(1, 64),
            batch=st.integers(0, 200), signed=st.booleans())
     def test_pack_ints_matches_bit_matrix(self, data, width, batch, signed):
         # Any int64, negative included: both codecs take values modulo
@@ -77,7 +77,7 @@ class TestIntCodecs:
             unpack_ints(packed, batch, signed=signed),
             bits_to_int(int_to_bits(values, width), signed=signed))
 
-    @given(seed=st.integers(0, 2**31 - 1), width=st.integers(1, 63),
+    @given(seed=st.integers(0, 2**31 - 1), width=st.integers(1, 64),
            batch=st.integers(0, 200), signed=st.booleans())
     def test_unpack_ints_ignores_tail_bits(self, seed, width, batch, signed):
         # Random words, tail bits (positions >= batch) set at random.
@@ -86,6 +86,35 @@ class TestIntCodecs:
                              dtype=np.uint64)
         want = bits_to_int(unpack_bits(words, batch), signed=signed)
         assert np.array_equal(unpack_ints(words, batch, signed=signed), want)
+
+    @given(seed=st.integers(0, 2**31 - 1), signed=st.booleans())
+    def test_width_64(self, seed, signed):
+        rng = np.random.default_rng(seed)
+        values = rng.integers(-2**63, 2**63, 300, dtype=np.int64)
+        values[:2] = (-2**63, 2**63 - 1)
+        packed = pack_ints(values, 64)
+        assert np.array_equal(packed, pack_bits(int_to_bits(values, 64)))
+        assert np.array_equal(unpack_ints(packed, 300, signed=signed),
+                              values)
+
+    @pytest.mark.parametrize("full,tail", [(2, 0), (1, 1), (1, 63),
+                                           (2, 37), (2, 64 * 5 + 9)])
+    @pytest.mark.parametrize("width", [1, 8, 13, 32, 64])
+    def test_batches_spanning_tiles(self, full, tail, width, rng):
+        # Whole tiles plus a partial one, ending mid-word when *tail* is
+        # not a multiple of 64.
+        batch = full * bitpack.TILE_BYTES * 8 + tail
+        values = rng.integers(-2**63, 2**63, batch, dtype=np.int64)
+        bits = int_to_bits(values, width)
+        packed = pack_ints(values, width)
+        assert np.array_equal(packed, pack_bits(bits))
+        # Random tail bits past the batch must not leak into the decode.
+        words = packed.copy()
+        words[:, -1] |= ~bitpack.tail_mask(batch) & rng.integers(
+            0, 2**64, width, dtype=np.uint64)
+        for signed in (True, False):
+            assert np.array_equal(unpack_ints(words, batch, signed=signed),
+                                  bits_to_int(bits, signed=signed))
 
     def test_signed_decode_of_extremes(self):
         values = np.array([-8, -1, 0, 7, 8, 15], dtype=np.int64)

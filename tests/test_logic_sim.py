@@ -173,11 +173,11 @@ class TestCompileMemo:
             compile_netlist(adder8, lib_b)
 
     def test_memo_evicts_single_lru_entry(self):
-        from repro.cells import nangate45
         from repro.sim import logic
         netlist = Adder(4).build()
-        libs = [nangate45(drives=(1,))
-                for __ in range(logic._COMPILE_MEMO_LIMIT + 1)]
+        # The memo keys libraries by content: each one must differ.
+        libs = [_renamed_library("lru%d" % i)
+                for i in range(logic._COMPILE_MEMO_LIMIT + 1)]
         programs = [compile_netlist(netlist, lib) for lib in libs]
         cache = netlist._compiled_memo
         # Overflow evicted exactly one entry (the oldest), not the lot.
@@ -187,16 +187,37 @@ class TestCompileMemo:
 
     def test_collected_library_never_aliases_new_one(self):
         import gc
-        from repro.cells import nangate45
         netlist = Adder(4).build()
-        lib_a = nangate45(drives=(1,))
+        lib_a = _renamed_library("collected")
         first = compile_netlist(netlist, lib_a)
         del lib_a
         gc.collect()
         # New library objects frequently recycle the dead library's
         # id(); an id-keyed memo would resurrect `first` for them.
-        for __ in range(10):
-            lib_b = nangate45(drives=(1,))
+        for i in range(10):
+            lib_b = _renamed_library("recycled%d" % i)
             assert compile_netlist(netlist, lib_b) is not first
             del lib_b
             gc.collect()
+
+    def test_equal_library_copy_shares_program(self, lib, adder8):
+        import pickle
+        first = compile_netlist(adder8, lib)
+        assert compile_netlist(adder8, pickle.loads(pickle.dumps(lib))) \
+            is first
+        assert compile_netlist(adder8, _renamed_library("copy")) \
+            is not first
+
+    def test_library_stand_in_keyed_by_identity(self, adder8):
+        from repro.cells import nangate45
+        stand_in = {cell.name: cell for cell in nangate45()}
+        first = compile_netlist(adder8, stand_in)
+        assert compile_netlist(adder8, stand_in) is first
+        assert compile_netlist(adder8, dict(stand_in)) is not first
+
+
+def _renamed_library(name):
+    """The one-drive bundled library under its own name (so its own
+    content fingerprint)."""
+    from repro.cells import CellLibrary, nangate45
+    return CellLibrary(name, list(nangate45(drives=(1,))))

@@ -273,6 +273,30 @@ class TestSharedWorkerTelemetry:
         assert serial[counter] > 0
 
 
+class TestWorkerTimingMemo:
+    """Compile memos key libraries by content, so a pool task's
+    unpickled library copy hits the timing programs synthesis seeded."""
+
+    def test_pickled_library_hits_seeded_program(self, lib):
+        import pickle
+        from repro.sta import compile_timing
+        from repro.synth import synthesize
+        netlist = synthesize(Adder(6), lib, effort="high").netlist
+        seeded = next(iter(netlist._timing_memo.values()))
+        copy = pickle.loads(pickle.dumps(lib))
+        assert copy is not lib
+        with obs_metrics.scoped() as registry:
+            assert compile_timing(netlist, copy) is seeded
+        assert registry.snapshot()["counters"][
+            obs_metrics.TIMING_MEMO_HITS] == 1
+
+    def test_pool_workers_hit_timing_memo(self, lib):
+        hits = [_telemetry_run("characterize", lib, jobs=jobs)[1].get(
+            obs_metrics.TIMING_MEMO_HITS, 0) for jobs in (1, 2)]
+        assert hits[1] > 0
+        assert hits[0] == hits[1]
+
+
 class TestCLI:
     def test_characterize_with_cache_jobs_timings(self, capsys, tmp_path):
         from repro.cli import main

@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.quality.metrics import (ACCEPTABLE_PSNR_DB, error_rate,
                                    error_summary, is_acceptable_quality,
@@ -116,6 +117,71 @@ class TestShapeMismatch:
     def test_snr_shape_mismatch_raises(self):
         with pytest.raises(ValueError, match="shape mismatch"):
             snr_db(np.zeros(3), np.zeros(4))
+
+
+def separate_metrics(exact, observed, peak):
+    """The summary's values, one metric function each."""
+    return {"error_rate": error_rate(exact, observed),
+            "mean_abs_error": mean_abs_error(exact, observed),
+            "max_abs_error": max_abs_error(exact, observed),
+            "mse": mse(exact, observed),
+            "psnr_db": psnr_db(exact, observed, peak=peak)}
+
+
+INT64 = st.integers(-2**63, 2**63 - 1)
+
+
+class TestOnePassSummary:
+    """``error_summary(..., peak=)`` equals the separate metrics bit for
+    bit: one float64 difference feeds every reduction."""
+
+    @given(pairs=st.lists(st.tuples(INT64, INT64), max_size=300),
+           peak=st.sampled_from((255.0, 32768.0, 2.0**31)))
+    def test_equals_separate_metrics(self, pairs, peak):
+        exact = np.array([a for a, __ in pairs], dtype=np.int64)
+        observed = np.array([b for __, b in pairs], dtype=np.int64)
+        assert error_summary(exact, observed, peak=peak) \
+            == separate_metrics(exact, observed, peak)
+
+    def test_int64_extremes(self):
+        top, bottom = 2**63 - 1, -2**63
+        exact = np.array([top, bottom, top, 0, 2**62], dtype=np.int64)
+        # 2**62 + 1 rounds to 2**62 in float64, yet it is an error.
+        observed = np.array([bottom, top, top, bottom, 2**62 + 1],
+                            dtype=np.int64)
+        summary = error_summary(exact, observed, peak=2.0**63)
+        assert summary == separate_metrics(exact, observed, 2.0**63)
+        assert summary["error_rate"] == 0.8
+        assert summary["max_abs_error"] == 2.0**64
+
+    def test_identical_arrays_give_infinite_psnr(self, rng):
+        exact = rng.integers(-2**15, 2**15, 1000)
+        summary = error_summary(exact, exact.copy(), peak=32768.0)
+        assert summary == separate_metrics(exact, exact, 32768.0)
+        assert summary["psnr_db"] == float("inf")
+        assert summary["mse"] == 0.0
+
+    def test_empty_arrays(self):
+        empty = np.array([], dtype=np.int64)
+        summary = error_summary(empty, empty, peak=255.0)
+        assert summary == separate_metrics(empty, empty, 255.0)
+        assert summary["psnr_db"] == float("inf")
+
+    def test_campaign_scale_vectors(self, rng):
+        exact = rng.integers(-2**31, 2**31, 1 << 17)
+        observed = exact.copy()
+        flips = rng.random(exact.shape) < 0.01
+        observed[flips] ^= rng.integers(1, 2**20, int(flips.sum()))
+        assert error_summary(exact, observed, peak=2.0**31) \
+            == separate_metrics(exact, observed, 2.0**31)
+
+    def test_without_peak_keeps_three_keys(self):
+        assert set(error_summary([1, 2], [1, 3])) \
+            == {"error_rate", "mean_abs_error", "max_abs_error"}
+
+    def test_shape_mismatch_raises(self):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            error_summary(np.zeros(3), np.zeros(4), peak=1.0)
 
 
 def test_acceptability_threshold_boundary():

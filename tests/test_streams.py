@@ -126,6 +126,24 @@ class TestStreams:
                                                          words)).all()
 
 
+class TestMaskPlanes:
+    """Fault masks draw bit-planes as raw Philox output, which must be
+    the very words of full-range ``integers(0, 2**64)`` draws."""
+
+    STREAMS = ((0, 0, 0), (13, 4, 0), (20170618, 1613, 1),
+               (2**64 - 1, 2**32, 7), (7, 2**63, 2**40))
+
+    @pytest.mark.parametrize("seed,uid,chunk", STREAMS)
+    def test_raw_planes_equal_full_range_integers(self, seed, uid, chunk):
+        raw = philox_stream(seed, uid, chunk).bit_generator.random_raw
+        ints = philox_stream(seed, uid, chunk)
+        for __ in range(inject_masks.PROB_BITS):
+            assert (raw(inject_masks.CHUNK_WORDS)
+                    == ints.integers(0, 1 << 64,
+                                     size=inject_masks.CHUNK_WORDS,
+                                     dtype=np.uint64)).all()
+
+
 class TestGateDraws:
     @given(seed=WORDS,
            uids=st.lists(st.integers(0, 2**40) | st.sampled_from(EDGES),
