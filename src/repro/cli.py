@@ -25,6 +25,7 @@ Component names accept a compact ``<name><width>`` spelling (e.g.
 import argparse
 import asyncio
 import contextlib
+import dataclasses
 import json
 import os
 import sys
@@ -361,58 +362,35 @@ def cmd_verify(args):
     return 0 if report.passed else 1
 
 
-def cmd_inject(args):
-    from .inject import CampaignSpec, run_campaign
-    from .inject.campaign import component_spec
+def cmd_stat_arm(args):
+    """``inject`` and ``mc``: build the arm's spec from the options that
+    share its field names, run it, print and optionally save it."""
+    from .core.grid import stat_arms
 
+    spec_cls, run, field = stat_arms()[args.command]
     component = _component(args)
-    scenarios = ["fresh"] + ["%s%gy" % (args.stress, y)
-                             for y in args.years]
+    fields = {f.name: getattr(args, f.name)
+              for f in dataclasses.fields(spec_cls)
+              if getattr(args, f.name, None) is not None}
+    fields.update(
+        component=specs_mod.component_spec(component),
+        width=component.width,
+        scenarios=tuple(["fresh"] + ["%s%gy" % (args.stress, y)
+                                     for y in args.years]),
+        clock_scales=tuple(args.clocks))
     try:
-        spec = CampaignSpec(
-            component=component_spec(component), width=component.width,
-            scenarios=tuple(scenarios), clock_scales=tuple(args.clocks),
-            vectors=args.vectors, seed=args.seed, stimulus=args.stimulus,
-            activity=args.activity, effort=args.effort).validated()
+        spec = spec_cls(**fields).validated()
     except specs_mod.SpecError as exc:
         raise SystemExit(str(exc))
     with _engine(args):
-        result = run_campaign(spec, jobs=args.jobs)
-        print(inject_report_text(result))
+        result = run(spec, jobs=args.jobs)
+        report = {"inject": inject_report_text, "mc": mc_report_text}
+        print(report[args.command](result))
     if args.output:
         with open(args.output, "w") as handle:
             json.dump(result.to_dict(), handle, indent=2, sort_keys=True)
             handle.write("\n")
-        print("campaign result written to %s" % args.output)
-    return 0
-
-
-def cmd_mc(args):
-    from .inject.campaign import component_spec
-    from .mc import DEFAULT_BLOCK, MCSpec, run_mc
-
-    component = _component(args)
-    scenarios = ["fresh"] + ["%s%gy" % (args.stress, y)
-                             for y in args.years]
-    try:
-        spec = MCSpec(
-            component=component_spec(component), width=component.width,
-            scenarios=tuple(scenarios), clock_scales=tuple(args.clocks),
-            sigma_mv=args.sigma, samples=args.samples, seed=args.seed,
-            sweep_bits=args.sweep_bits, min_yield=args.min_yield,
-            effort=args.effort,
-            block=DEFAULT_BLOCK if args.block is None else args.block,
-            surrogate=args.surrogate).validated()
-    except specs_mod.SpecError as exc:
-        raise SystemExit(str(exc))
-    with _engine(args):
-        result = run_mc(spec, jobs=args.jobs)
-        print(mc_report_text(result))
-    if args.output:
-        with open(args.output, "w") as handle:
-            json.dump(result.to_dict(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print("mc result written to %s" % args.output)
+        print("%s result written to %s" % (field, args.output))
     return 0
 
 
@@ -623,7 +601,7 @@ def build_parser():
                         "probabilities (default 0.5)")
     p.add_argument("--output", default=None, metavar="PATH",
                    help="write the campaign result JSON")
-    p.set_defaults(func=cmd_inject)
+    p.set_defaults(func=cmd_stat_arm)
 
     p = sub.add_parser(
         "mc",
@@ -634,7 +612,8 @@ def build_parser():
                    metavar="SCALES",
                    help="comma-separated clock scales relative to the "
                         "fresh critical path (default 1.0,0.97)")
-    p.add_argument("--sigma", type=float, default=30.0, metavar="MV",
+    p.add_argument("--sigma", dest="sigma_mv", type=float, default=30.0,
+                   metavar="MV",
                    help="per-gate Vth variation sigma in mV "
                         "(default 30; 0 reproduces the deterministic "
                         "engine exactly)")
@@ -660,7 +639,7 @@ def build_parser():
                         "and samples only near feasibility boundaries")
     p.add_argument("--output", default=None, metavar="PATH",
                    help="write the mc result JSON")
-    p.set_defaults(func=cmd_mc)
+    p.set_defaults(func=cmd_stat_arm)
 
     p = sub.add_parser(
         "serve",

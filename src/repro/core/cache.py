@@ -166,6 +166,17 @@ def library_memo_key(library):
         return id(library)
 
 
+def compile_token(netlist, library):
+    """Content token of *netlist* under *library* in the compile memos
+    (:func:`repro.sim.logic.compile_netlist`,
+    :func:`repro.sta.engine.compile_timing`): the library's memo key,
+    the PI/PO orders and every gate's cell, pins and output, so any
+    mutation, including in-place ``gate.cell`` edits, recompiles."""
+    return (library_memo_key(library), tuple(netlist.primary_inputs),
+            tuple(netlist.primary_outputs),
+            tuple((g.cell, g.inputs, g.output) for g in netlist.gates))
+
+
 def bti_fingerprint(bti):
     """Fingerprint of a :class:`~repro.aging.bti.BTIModel`."""
     return fingerprint(dataclasses.asdict(bti))
@@ -585,7 +596,7 @@ def synthesize_netlist_memoized(component, library, effort="ultra"):
     component's precision (bit-identical to scratch synthesis). It is
     the in-memory complement of the on-disk metrics cache for callers
     that need the gate-level structure (lazy ``Block.synthesized``,
-    repeated flow validations, campaign preludes). Callers must treat
+    repeated flow validations, timing grids). Callers must treat
     the result as read-only.
     """
     from ..synth.sweep import sweep_for
@@ -593,22 +604,3 @@ def synthesize_netlist_memoized(component, library, effort="ultra"):
     with obs_trace.span("synthesize"):
         return sweep_for(component, library, effort=effort).derive(
             component.precision).netlist
-
-
-def memoized_prelude(memo, spec, library, build, limit=4):
-    """Per-process FIFO memo of a campaign prelude (inject, mc).
-
-    Keyed by the spec fingerprint and the library's content fingerprint
-    (``None`` means the default library) — never ``id(library)``, which
-    Python may hand to a new library once the old one is collected.
-    """
-    from ..cells.library import default_library
-
-    key = (spec.key(), library_fingerprint(
-        library if library is not None else default_library()))
-    prelude = memo.get(key)
-    if prelude is None:
-        if len(memo) >= limit:
-            memo.pop(next(iter(memo)))
-        prelude = memo[key] = build(spec, library)
-    return prelude

@@ -31,8 +31,7 @@ from ..aging.bti import DEFAULT_BTI
 from ..aging.scenario import AgingScenario
 from ..obs import logs, metrics as obs_metrics, trace as obs_trace
 from ..sim.activity import extract_stress, operand_stream_bits
-from ..sta.engine import (analyze_batch, analyze_incremental,
-                          compile_timing, truncated_input_nets)
+from ..sta.engine import analyze_batch, compile_timing
 from ..synth.sweep import synthesize_variant
 from . import cache as cache_mod
 from .parallel import map_tasks, resolve_jobs
@@ -480,7 +479,8 @@ def characterize(component, library, scenarios, precisions=None,
 class TruncationScreen:
     """Precision/delay estimates from one netlist, no re-synthesis.
 
-    Produced by :func:`truncation_screen`: the full-precision netlist is
+    Produced by :func:`truncation_screen` on a
+    :class:`~repro.core.grid.TimingGrid`: the full-precision netlist is
     synthesized once, analyzed under all corners in one batched pass,
     and every lower precision is then re-analyzed incrementally by
     tying operand LSBs low and re-propagating only their fan-out cone.
@@ -560,6 +560,8 @@ def truncation_screen(component, library, scenarios, precisions=None,
     -------
     TruncationScreen
     """
+    from .grid import TimingGrid
+
     width = component.width
     if precisions is None:
         precisions = list(range(width, max(width - 12, 1) - 1, -1))
@@ -578,29 +580,17 @@ def truncation_screen(component, library, scenarios, precisions=None,
                         component=component_key(component),
                         precisions=len(precisions),
                         corners=len(corners)):
-        with obs_trace.span("synthesize"):
-            netlist = cache_mod.synthesize_netlist_memoized(
-                component, library, effort=effort)
-        with obs_trace.span("sta"):
-            baseline = analyze_batch(netlist, library, corners, bti=bti,
-                                     degradation=degradation)
+        grid = TimingGrid(component, library, corners, labels,
+                          effort=effort, bti=bti, degradation=degradation)
+        gates = grid.program.n_gates
         delays, cone, dropped = {}, {}, {}
         for precision in precisions:
-            tied = truncated_input_nets(component, netlist, precision)
-            if not tied:
-                for label, cp in zip(labels, baseline.critical_paths_ps):
-                    delays[(precision, label)] = cp
-                cone[precision] = 0.0
-                dropped[precision] = 0
-                continue
-            with obs_trace.span("sta"):
-                inc = analyze_incremental(netlist, library, tied,
-                                          baseline=baseline, bti=bti,
-                                          degradation=degradation)
-            for label, cp in zip(labels, inc.critical_paths_ps):
-                delays[(precision, label)] = cp
-            cone[precision] = inc.cone_fraction
-            dropped[precision] = int(inc.dropped.sum())
+            for label, cp in zip(labels, grid.critical_paths(precision)):
+                delays[(precision, label)] = float(cp)
+            plan = grid.plan(precision)
+            cone[precision] = \
+                0.0 if plan is None else plan.cone_gates / max(gates, 1)
+            dropped[precision] = gates - grid.alive(precision)
     _log.info("screened %s: %d precisions x %d corners from one netlist",
               component_key(component), len(precisions), len(corners))
     return TruncationScreen(

@@ -82,6 +82,16 @@ def parse_component(spec, width=None, precision=None):
     return cls(width, precision=precision)
 
 
+def component_spec(component):
+    """The registry spelling of a component instance (inverse of
+    :func:`parse_component`, width passed separately)."""
+    for name, cls in component_registry().items():
+        if type(component) is cls:
+            return name
+    raise SpecError("component %s has no registry spelling"
+                    % getattr(component, "name", type(component).__name__))
+
+
 def parse_scenario(spec):
     """One scenario spec: ``fresh``, ``worst10y``/``balance1y`` or the
     characterization-label spelling ``10y_worst``."""
@@ -139,8 +149,7 @@ class GridSpec:
     Subclasses are frozen dataclasses with ``component``, ``scenarios``,
     ``clock_scales``, ``seed``, ``effort`` and ``width`` fields; ``KIND``
     names the spec in diagnostics, and the field annotations drive the
-    JSON coercions of :meth:`to_dict`, :meth:`from_dict` and
-    :meth:`key`.
+    JSON coercions of :meth:`to_dict` and :meth:`from_dict`.
     """
 
     KIND = "grid"
@@ -186,7 +195,18 @@ class GridSpec:
         return cls(**{name: _coerce(kinds[name], value)
                       for name, value in data.items()}).validated()
 
-    def key(self):
-        """Stable fingerprint for per-process prelude memoization."""
-        return tuple(_coerce(f.type, getattr(self, f.name))
-                     for f in dataclasses.fields(self))
+
+class GridResult:
+    """Shared JSON form of the campaign and Monte Carlo results:
+    dataclasses whose first field is the ``spec``, tagged ``SCHEMA``.
+    They hold no wall-clock fields, so equal ``to_dict()`` outputs are
+    the reproducibility check the determinism tests perform."""
+
+    SCHEMA = None
+
+    def to_dict(self):
+        data = {"schema": self.SCHEMA, "spec": self.spec.to_dict()}
+        for f in dataclasses.fields(self)[1:]:
+            value = getattr(self, f.name)
+            data[f.name] = list(value) if isinstance(value, tuple) else value
+        return data

@@ -12,8 +12,9 @@ approximation — and puts the answer next to the two alternatives:
   (:func:`repro.sim.logic.evaluate_words`).
 * **guardband-free + aging-induced approximation** — the paper's
   answer: the deepest precision whose *aged* critical path still meets
-  the same clock (found with cone-restricted incremental STA), with
-  the deterministic quality cost of truncating those inputs.
+  the same clock (Eq. 2 on the shared :class:`~repro.core.grid.TimingGrid`,
+  by cone-restricted re-analysis), with the deterministic quality cost
+  of truncating those inputs.
 * **guardbanded** — slow the clock to the aged critical path: zero
   faults, full precision, and the clock penalty that motivates the
   whole exercise.
@@ -28,48 +29,34 @@ in-process vs served path. Three mechanisms carry that guarantee:
    streams (see :mod:`repro.inject.masks`) — independent of which
    process draws them.
 2. Every grid point is computed by the same module-level worker
-   (:func:`_inject_point`) on inputs re-derived deterministically from
+   (:func:`_inject_points`) on inputs re-derived deterministically from
    the spec; serial and pooled paths run the identical float
-   operations in the identical order.
-3. :func:`repro.core.parallel.map_tasks` returns results in task
-   order, and task order is a pure function of the spec (scenario
-   major, clock scale minor).
+   operations in the identical order, whichever chunk a point falls in.
+3. :func:`repro.core.grid.map_chunks` returns results in task order,
+   and task order is a pure function of the spec (scenario major,
+   clock scale minor).
 """
 
 import time
+from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 import numpy as np
 
-from ..cells.library import default_library
-from ..core.cache import memoized_prelude, synthesize_netlist_memoized
-from ..core.parallel import map_tasks
-from ..core.specs import (GridSpec, SpecError, corner_grid,
-                          parse_component, parse_scenario)
+from ..core.grid import map_chunks, timing_grid
+from ..core.specs import GridResult, GridSpec, SpecError, parse_scenario
 from ..obs import logs, metrics as obs_metrics, trace as obs_trace
 from ..quality.metrics import error_summary
 from ..sim.activity import operand_stream_words
 from ..sim.bitpack import unpack_ints
 from ..sim.logic import compile_netlist, evaluate_words
 from ..sim.stimuli import STIMULUS_NAMES, make_stimulus
-from ..sta.engine import (analyze_batch, analyze_incremental, compile_timing,
-                          corner_label, truncated_input_nets)
+from ..sta.engine import corner_label
 from .faultload import DEFAULT_ACTIVITY, build_faultload
 from .inject_sim import check_alignment, count_mask_bits
 
 _log = logs.get_logger("inject.campaign")
-
-
-def component_spec(component):
-    """The registry spelling of a component instance (inverse of
-    :func:`repro.core.specs.parse_component`, width passed separately)."""
-    from ..core.specs import component_registry
-    for name, cls in component_registry().items():
-        if type(component) is cls:
-            return name
-    raise SpecError("component %s has no registry spelling"
-                    % getattr(component, "name", type(component).__name__))
 
 
 @dataclass(frozen=True)
@@ -110,13 +97,10 @@ class CampaignSpec(GridSpec):
 
 
 @dataclass
-class CampaignResult:
-    """Ladder + comparison arms of one campaign.
+class CampaignResult(GridResult):
+    """Ladder + comparison arms of one campaign."""
 
-    Everything here is deterministic given the spec (no wall-clock
-    fields), so equality of ``to_dict()`` outputs *is* the
-    reproducibility check the determinism tests perform.
-    """
+    SCHEMA = "repro.inject/1"
 
     spec: CampaignSpec
     component: str
@@ -128,42 +112,13 @@ class CampaignResult:
     approximation: list = field(default_factory=list)
     guardbanded: list = field(default_factory=list)
 
-    def to_dict(self):
-        return {
-            "schema": "repro.inject/1",
-            "spec": self.spec.to_dict(),
-            "component": self.component,
-            "gates": int(self.gates),
-            "vectors": int(self.vectors),
-            "fresh_clock_ps": float(self.fresh_clock_ps),
-            "labels": list(self.labels),
-            "rows": self.rows,
-            "approximation": self.approximation,
-            "guardbanded": self.guardbanded,
-        }
-
 
 # ---------------------------------------------------------------------------
-# per-process prelude (synthesis + STA + clean reference outputs)
+# per-run prelude (stimulus + clean reference outputs on the shared grid)
 # ---------------------------------------------------------------------------
 
-@dataclass
-class _Prelude:
-    component: object
-    netlist: object
-    compiled: object
-    program: object
-    corners: tuple
-    labels: tuple
-    batch: object
-    fresh_clock_ps: float
-    pi_words: np.ndarray
-    clean_ints: np.ndarray
-    peak: float
-    library: object
-
-
-_PRELUDE_MEMO = {}
+#: A campaign's per-seed inputs on its shared timing grid.
+_Stimulus = namedtuple("_Stimulus", "grid compiled pi_words clean_ints peak")
 
 
 def _stimulus_operands(spec, component):
@@ -183,15 +138,13 @@ def _stimulus_operands(spec, component):
 
 
 def _build_prelude(spec, library):
-    component = parse_component(spec.component, width=spec.width)
-    lib = library if library is not None else default_library()
-    netlist = synthesize_netlist_memoized(component, lib, effort=spec.effort)
-    compiled = compile_netlist(netlist, lib)
-    program = compile_timing(netlist, lib)
-    check_alignment(compiled, program)
-    corners, labels = corner_grid(spec.scenarios)
-    batch = analyze_batch(netlist, lib, corners, program=program)
-    fresh_clock = float(batch.critical_path_ps[0])
+    """The campaign's per-seed inputs, built on its shared timing grid:
+    packed stimulus, clean outputs and the PSNR peak."""
+    grid = timing_grid(spec.component, spec.width, spec.effort,
+                       spec.scenarios, library)
+    component = grid.component
+    compiled = compile_netlist(grid.netlist, grid.library)
+    check_alignment(compiled, grid.program)
     operands = _stimulus_operands(spec, component)
     # Stimulus stays packed from operands to metrics: a (vectors, n_pi)
     # byte matrix (and its transposes) would dominate peak memory.
@@ -199,17 +152,8 @@ def _build_prelude(spec, library):
     clean_ints = unpack_ints(evaluate_words(compiled, pi_words),
                              spec.vectors)
     peak = float(2 ** (component.output_width - 1))
-    return _Prelude(component=component, netlist=netlist, compiled=compiled,
-                    program=program, corners=corners, labels=labels,
-                    batch=batch, fresh_clock_ps=fresh_clock,
-                    pi_words=pi_words, clean_ints=clean_ints, peak=peak,
-                    library=lib)
-
-
-def _prelude(spec, library=None):
-    """Per-process memoized prelude (see
-    :func:`repro.core.cache.memoized_prelude`)."""
-    return memoized_prelude(_PRELUDE_MEMO, spec, library, _build_prelude)
+    return _Stimulus(grid=grid, compiled=compiled, pi_words=pi_words,
+                     clean_ints=clean_ints, peak=peak)
 
 
 # ---------------------------------------------------------------------------
@@ -226,14 +170,11 @@ def _quality_row(clean_ints, observed_ints, peak):
     }
 
 
-def _point_row(spec, prelude, scenario_label, clock_scale):
+def _point_row(spec, prelude, point):
     """One ladder row: faultload -> masks -> injected replay -> metrics."""
-    clock_ps = prelude.fresh_clock_ps * float(clock_scale)
-    corner = prelude.labels.index(scenario_label)
-    scenario = prelude.corners[corner]
-    faultload = build_faultload(prelude.program, prelude.batch,
-                                scenario_label, clock_ps,
-                                activity=spec.activity)
+    grid = prelude.grid
+    faultload = build_faultload(grid.program, grid.batch, point.label,
+                                point.clock_ps, activity=spec.activity)
     started = time.perf_counter()
     masks = faultload.masks(spec.seed, prelude.pi_words.shape[1])
     injected, faulted = count_mask_bits(masks, spec.vectors)
@@ -253,12 +194,9 @@ def _point_row(spec, prelude, scenario_label, clock_scale):
     obs_metrics.observe(obs_metrics.INJECT_VIOLATING_FRACTION,
                         faultload.violating_fraction,
                         boundaries=obs_metrics.FRACTION_BOUNDARIES)
-    row = {
-        "scenario": scenario_label,
-        "years": float(scenario.years),
-        "clock_scale": float(clock_scale),
-        "clock_ps": clock_ps,
-        "aged_cp_ps": float(prelude.batch.critical_path_ps[corner]),
+    row = point.fields()
+    row.update({
+        "aged_cp_ps": float(grid.batch.critical_path_ps[point.corner]),
         "violating_gates": faultload.n_violating,
         "total_gates": faultload.n_gates,
         "violating_fraction": faultload.violating_fraction,
@@ -267,35 +205,9 @@ def _point_row(spec, prelude, scenario_label, clock_scale):
         "faults_per_vector": injected / spec.vectors,
         "faulted_vectors": int(faulted),
         "faulted_vector_rate": faulted / spec.vectors,
-    }
+    })
     row.update(_quality_row(prelude.clean_ints, observed, prelude.peak))
     return row
-
-
-def _inject_point(task):
-    """Module-level grid-point worker (shared by every execution path):
-    the ladder row of one ``(scenario, clock scale)`` point."""
-    spec = CampaignSpec.from_dict(task["spec"])
-    with obs_trace.span("inject.point", scenario=task["scenario"],
-                        clock_scale=task["clock_scale"]):
-        prelude = _prelude(spec, library=task.get("library"))
-        return _point_row(spec, prelude, task["scenario"],
-                          task["clock_scale"])
-
-
-# ---------------------------------------------------------------------------
-# comparison arms
-# ---------------------------------------------------------------------------
-
-def _approximation_cp(prelude, precision):
-    """Aged CPs (all corners) of the component truncated to *precision*."""
-    tied = truncated_input_nets(prelude.component, prelude.netlist, precision)
-    if not tied:
-        return prelude.batch.critical_paths_ps
-    report = analyze_incremental(prelude.netlist, prelude.library, tied,
-                                 baseline=prelude.batch,
-                                 program=prelude.program)
-    return report.critical_paths_ps
 
 
 def _truncated_ints(prelude, precision):
@@ -306,74 +218,92 @@ def _truncated_ints(prelude, precision):
     ever see constant 0 on those nets), so the full-precision compiled
     netlist can be reused.
     """
-    tied = set(truncated_input_nets(prelude.component, prelude.netlist,
-                                    precision))
-    if not tied:
+    plan = prelude.grid.plan(precision)
+    if plan is None:
         return prelude.clean_ints
+    tied = set(plan.tied)
     pi_words = prelude.pi_words.copy()
-    for row, net in enumerate(prelude.netlist.primary_inputs):
+    for row, net in enumerate(prelude.grid.netlist.primary_inputs):
         if net in tied:
             pi_words[row] = 0
     return unpack_ints(evaluate_words(prelude.compiled, pi_words),
                        len(prelude.clean_ints))
 
 
-def _arms(spec, prelude):
-    """The two alternatives next to the fault ladder (see module doc)."""
-    width = prelude.component.width
-    cp_by_precision = {}
-    approximation = []
-    truncated_cache = {}
-    for label, scenario in zip(prelude.labels, prelude.corners):
+def _approximation(prelude, point, truncated):
+    """The approximation arm at one aged grid point: the Eq. 2
+    precision at the point's clock and the quality cost of truncating
+    the inputs to it (*truncated* memoizes replays by precision)."""
+    grid = prelude.grid
+    width = grid.component.width
+    chosen = grid.deepest_precision(point.corner, point.clock_ps,
+                                    range(width, 0, -1))
+    entry = point.fields()
+    entry.update({
+        "feasible": chosen is not None,
+        "precision": chosen,
+        "dropped_bits": None if chosen is None else width - chosen,
+    })
+    if chosen is not None:
+        entry["aged_cp_ps"] = float(
+            grid.critical_paths(chosen)[point.corner])
+        if chosen not in truncated:
+            truncated[chosen] = _truncated_ints(prelude, chosen)
+        entry.update(_quality_row(prelude.clean_ints, truncated[chosen],
+                                  prelude.peak))
+    return entry
+
+
+def _inject_points(chunk):
+    """Module-level grid worker (shared by every execution path).
+
+    For each point task of *chunk* (see :func:`make_point_tasks`),
+    returns ``(ladder row, approximation entry)``; the entry is
+    ``None`` at fresh points. The chunk's points share one prelude.
+    """
+    tasks = chunk["tasks"]
+    spec = CampaignSpec.from_dict(tasks[0]["spec"])
+    prelude = _build_prelude(spec, tasks[0].get("library"))
+    points = {(p.label, p.clock_scale): p for p in
+              prelude.grid.points(spec.scenarios, spec.clock_scales)}
+    truncated = {}
+    results = []
+    for task in tasks:
+        point = points[(task["scenario"], task["clock_scale"])]
+        with obs_trace.span("inject.point", scenario=point.label,
+                            clock_scale=point.clock_scale):
+            row = _point_row(spec, prelude, point)
+        entry = None
+        if point.label != "fresh":
+            with obs_trace.span("inject.arms", scenario=point.label,
+                                clock_scale=point.clock_scale):
+                entry = _approximation(prelude, point, truncated)
+        results.append((row, entry))
+    return results
+
+
+def _guardbanded(spec, grid):
+    """The guardbanded arm: every aged corner clocked at its own aged
+    critical path (zero faults by construction, a clock penalty)."""
+    entries = []
+    for corner, (label, scenario) in enumerate(zip(grid.labels,
+                                                   grid.corners)):
         if label == "fresh":
             continue
-        corner = prelude.labels.index(label)
-        for scale in spec.clock_scales:
-            clock_ps = prelude.fresh_clock_ps * float(scale)
-            chosen = None
-            for precision in range(width, 0, -1):
-                if precision not in cp_by_precision:
-                    cp_by_precision[precision] = _approximation_cp(
-                        prelude, precision)
-                if cp_by_precision[precision][corner] <= clock_ps:
-                    chosen = precision
-                    break
-            entry = {
-                "scenario": label,
-                "years": float(scenario.years),
-                "clock_scale": float(scale),
-                "clock_ps": clock_ps,
-                "feasible": chosen is not None,
-                "precision": chosen,
-                "dropped_bits": None if chosen is None else width - chosen,
-            }
-            if chosen is not None:
-                entry["aged_cp_ps"] = float(cp_by_precision[chosen][corner])
-                if chosen not in truncated_cache:
-                    truncated_cache[chosen] = _truncated_ints(prelude, chosen)
-                entry.update(_quality_row(prelude.clean_ints,
-                                          truncated_cache[chosen],
-                                          prelude.peak))
-            approximation.append(entry)
-    guardbanded = []
-    for label, scenario in zip(prelude.labels, prelude.corners):
-        if label == "fresh":
-            continue
-        corner = prelude.labels.index(label)
-        aged_cp = float(prelude.batch.critical_path_ps[corner])
-        faultload = build_faultload(prelude.program, prelude.batch, label,
+        aged_cp = float(grid.batch.critical_path_ps[corner])
+        faultload = build_faultload(grid.program, grid.batch, label,
                                     aged_cp, activity=spec.activity)
-        guardbanded.append({
+        entries.append({
             "scenario": label,
             "years": float(scenario.years),
             "clock_ps": aged_cp,
             "clock_penalty_pct":
-                100.0 * (aged_cp / prelude.fresh_clock_ps - 1.0),
+                100.0 * (aged_cp / grid.fresh_clock_ps - 1.0),
             "violating_gates": faultload.n_violating,
             "injected_faults": 0,
             "word_error_rate": 0.0,
         })
-    return approximation, guardbanded
+    return entries
 
 
 # ---------------------------------------------------------------------------
@@ -382,14 +312,10 @@ def _arms(spec, prelude):
 
 def make_point_tasks(spec, library=None):
     """The campaign's task list (scenario major, clock scale minor)."""
-    ladder_labels = [corner_label(parse_scenario(s)) for s in spec.scenarios]
-    tasks = []
-    for label in ladder_labels:
-        for scale in spec.clock_scales:
-            tasks.append({"spec": spec.to_dict(), "scenario": label,
-                          "clock_scale": float(scale),
-                          "library": library})
-    return tasks
+    return [{"spec": spec.to_dict(),
+             "scenario": corner_label(parse_scenario(text)),
+             "clock_scale": float(scale), "library": library}
+            for text in spec.scenarios for scale in spec.clock_scales]
 
 
 def run_campaign(spec, library=None, jobs=None, pool=None):
@@ -404,11 +330,17 @@ def run_campaign(spec, library=None, jobs=None, pool=None):
                         clock_scales=len(spec.clock_scales),
                         vectors=spec.vectors):
         started = time.perf_counter()
-        tasks = make_point_tasks(spec, library=library)
-        rows = map_tasks(_inject_point, tasks, jobs=jobs, pool=pool)
-        prelude = _prelude(spec, library=library)
+        # Built before the fan-out, so forked pool workers inherit it.
+        grid = timing_grid(spec.component, spec.width, spec.effort,
+                       spec.scenarios, library)
+        results = map_chunks(_inject_points,
+                             make_point_tasks(spec, library=library),
+                             jobs=jobs, pool=pool)
+        rows = [row for row, __ in results]
+        approximation = [entry for __, entry in results
+                         if entry is not None]
         with obs_trace.span("inject.arms", component=spec.component):
-            approximation, guardbanded = _arms(spec, prelude)
+            guardbanded = _guardbanded(spec, grid)
         obs_metrics.inc(obs_metrics.INJECT_CAMPAIGNS)
         obs_metrics.inc(obs_metrics.INJECT_POINTS, len(rows))
         _log.info(
@@ -416,7 +348,7 @@ def run_campaign(spec, library=None, jobs=None, pool=None):
             spec.component, len(rows), spec.vectors,
             time.perf_counter() - started)
         return CampaignResult(
-            spec=spec, component=prelude.component.name,
-            gates=prelude.program.n_gates, vectors=int(spec.vectors),
-            fresh_clock_ps=prelude.fresh_clock_ps, labels=prelude.labels,
+            spec=spec, component=grid.component.name,
+            gates=grid.program.n_gates, vectors=int(spec.vectors),
+            fresh_clock_ps=grid.fresh_clock_ps, labels=grid.labels,
             rows=rows, approximation=approximation, guardbanded=guardbanded)

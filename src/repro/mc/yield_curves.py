@@ -8,9 +8,10 @@ clock)`` over the variation ensemble — and the deepest precision K
 whose yield still clears a target (``min_yield``). This module turns
 :func:`repro.mc.engine.analyze_mc` into that report:
 
-* one deterministic prelude per spec (synthesize once, compile one
-  timing program, one cone plan per precision — the same structural
-  plans the truncation sweeps replay);
+* one deterministic :class:`~repro.core.grid.TimingGrid` shared by
+  every spec of the same component, effort and scenarios (synthesize
+  once, compile one timing program, one cone plan per precision — the
+  same structural plans the truncation sweeps replay);
 * sample blocks fan out over ``--jobs`` workers; each block propagates
   the full ``(gates, corners, block)`` tensor *and* replays every
   requested precision's cone against it, so a whole sweep costs one
@@ -31,21 +32,17 @@ routes through the deterministic memoized engine so it *equals*
 """
 
 import time
+from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 import numpy as np
 
 from ..aging.bti import SECONDS_PER_YEAR
-from ..cells.library import default_library
-from ..core.cache import memoized_prelude, synthesize_netlist_memoized
-from ..core.parallel import map_tasks
-from ..core.specs import (GridSpec, SpecError, corner_grid,
-                          parse_component, parse_scenario)
+from ..core.grid import map_chunks, timing_grid
+from ..core.specs import GridResult, GridSpec, SpecError
 from ..obs import logs, metrics as obs_metrics, trace as obs_trace
-from ..sta.engine import (_critical_paths, analyze_batch, compile_timing,
-                          cone_plan, corner_label, corner_stress,
-                          replay_cone, sampled_delays, truncated_input_nets)
+from ..sta.engine import corner_stress, sampled_delays
 from .engine import DEFAULT_BLOCK, mc_block, sample_blocks
 from .surrogate import cross_validate, fit_surrogate, pick_degree
 from .variation import VariationModel
@@ -113,15 +110,15 @@ class MCSpec(GridSpec):
 
 
 @dataclass
-class MCResult:
+class MCResult(GridResult):
     """Yield curves + K table of one spec.
 
-    Deterministic given the spec (no wall-clock fields): equality of
-    ``to_dict()`` outputs is the ``--jobs`` reproducibility check.
     ``rows`` carry one entry per (precision, scenario, clock scale)
     with ``exact`` marking full sampled evaluation vs surrogate
     estimates; ``k_rows`` one entry per (scenario, clock scale).
     """
+
+    SCHEMA = "repro.mc/1"
 
     spec: MCSpec
     component: str
@@ -134,117 +131,72 @@ class MCResult:
     k_rows: list = field(default_factory=list)
     surrogate: Optional[dict] = None
 
-    def to_dict(self):
-        return {
-            "schema": "repro.mc/1",
-            "spec": self.spec.to_dict(),
-            "component": self.component,
-            "gates": int(self.gates),
-            "samples": int(self.samples),
-            "fresh_clock_ps": float(self.fresh_clock_ps),
-            "labels": list(self.labels),
-            "precisions": [int(p) for p in self.precisions],
-            "rows": self.rows,
-            "k_rows": self.k_rows,
-            "surrogate": self.surrogate,
-        }
-
 
 # ---------------------------------------------------------------------------
-# per-process prelude (synthesis + deterministic STA + cone plans)
+# per-run prelude (sampled delays + surrogate features on the shared grid)
 # ---------------------------------------------------------------------------
 
-@dataclass
-class _Prelude:
-    component: object
-    netlist: object
-    program: object
-    corners: tuple
-    labels: tuple
-    batch: object
-    fresh_clock_ps: float
-    precisions: tuple
-    plans: dict         # precision -> ConePlan (None at full precision)
-    det_cp: dict        # precision -> (C,) deterministic aged CPs
-    alive: dict         # precision -> surviving gate count
-    stress_mean: np.ndarray   # (C,) mean per-gate stress duty
-    stress_rms: np.ndarray    # (C,) rms per-gate stress duty
-    age_factor: np.ndarray    # (C,) lifetime feature t_sec**(1/6)
-    library: object
-    delays_of: object         # sampled_delays(program, corners)
-
-
-_PRELUDE_MEMO = {}
+#: An analysis's own inputs on its shared timing grid: the swept
+#: precisions, the surrogate's (C,) stress-duty mean/rms and lifetime
+#: t_sec**(1/6) features, and the sampled_delays function.
+_Sampling = namedtuple("_Sampling", "grid precisions stress_mean "
+                       "stress_rms age_factor delays_of")
 
 
 def _build_prelude(spec, library):
-    component = parse_component(spec.component, width=spec.width)
-    lib = library if library is not None else default_library()
-    netlist = synthesize_netlist_memoized(component, lib, effort=spec.effort)
-    program = compile_timing(netlist, lib)
-    corners, labels = corner_grid(spec.scenarios)
-    batch = analyze_batch(netlist, lib, corners, program=program)
-    fresh_clock = float(batch.critical_path_ps[0])
-    low = max(1, component.width - int(spec.sweep_bits))
-    precisions = tuple(range(component.width, low - 1, -1))
-    plans, det_cp, alive = {}, {}, {}
-    for precision in precisions:
-        tied = truncated_input_nets(component, netlist, precision)
-        if not tied:
-            plans[precision] = None
-            det_cp[precision] = batch.critical_path_ps.copy()
-            alive[precision] = program.n_gates
-        else:
-            plan = cone_plan(program, tied)
-            plans[precision] = plan
-            arr = replay_cone(plan, batch.arrivals, batch.delays)
-            det_cp[precision] = _critical_paths(program, arr)
-            alive[precision] = program.n_gates - int(plan.dropped.sum())
-    sp, sn, years = corner_stress(program, corners)
+    """The analysis's own inputs, built on its shared timing grid: the
+    swept precisions, the sampled delay function and the surrogate's
+    stress features."""
+    grid = timing_grid(spec.component, spec.width, spec.effort,
+                       spec.scenarios, library)
+    program = grid.program
+    width = grid.component.width
+    low = max(1, width - int(spec.sweep_bits))
+    precisions = tuple(range(width, low - 1, -1))
+    sp, sn, years = corner_stress(program, grid.corners)
     duty = (sp + sn) / 2.0
     if program.n_gates:
         stress_mean = duty.mean(axis=0)
         stress_rms = np.sqrt((duty * duty).mean(axis=0))
     else:
-        stress_mean = np.zeros(len(corners))
-        stress_rms = np.zeros(len(corners))
+        stress_mean = np.zeros(len(grid.corners))
+        stress_rms = np.zeros(len(grid.corners))
     age_factor = (years * SECONDS_PER_YEAR) ** (1.0 / 6.0)
-    return _Prelude(component=component, netlist=netlist, program=program,
-                    corners=corners, labels=labels, batch=batch,
-                    fresh_clock_ps=fresh_clock, precisions=precisions,
-                    plans=plans, det_cp=det_cp, alive=alive,
-                    stress_mean=stress_mean, stress_rms=stress_rms,
-                    age_factor=age_factor, library=lib,
-                    delays_of=sampled_delays(program, corners))
-
-
-def _prelude(spec, library=None):
-    """Per-process memoized prelude (see
-    :func:`repro.core.cache.memoized_prelude`)."""
-    return memoized_prelude(_PRELUDE_MEMO, spec, library, _build_prelude)
+    return _Sampling(grid=grid, precisions=precisions,
+                     stress_mean=stress_mean, stress_rms=stress_rms,
+                     age_factor=age_factor,
+                     delays_of=sampled_delays(program, grid.corners))
 
 
 # ---------------------------------------------------------------------------
 # sample-block worker
 # ---------------------------------------------------------------------------
 
-def _mc_block(task):
+def _mc_blocks(chunk):
     """Module-level sample-block worker (shared by every path).
 
-    Runs :func:`~repro.mc.engine.mc_block` once, replaying every
-    requested truncation depth's cone plan against the block's
-    propagation; returns ``{precision: (C, count) critical paths}``
-    (blocks come back in task order, which is absolute sample order).
+    Runs :func:`~repro.mc.engine.mc_block` once per block task of
+    *chunk*, replaying every requested truncation depth's cone plan
+    against the block's propagation; returns one ``{precision: (C,
+    count) critical paths}`` per block (in task order, which is
+    absolute sample order). The chunk's blocks share one prelude.
     """
-    spec = MCSpec.from_dict(task["spec"])
-    with obs_trace.span("mc.block", start=task["start"],
-                        count=task["count"],
-                        precisions=len(task["precisions"])):
-        prelude = _prelude(spec, library=task.get("library"))
-        __, cps = mc_block(prelude.program, prelude.delays_of,
-                           spec.variation(), task["start"], task["count"],
-                           [prelude.plans[p] for p in task["precisions"]])
-    return {int(p): cp for p, cp in zip(task["precisions"], cps)}
+    tasks = chunk["tasks"]
+    spec = MCSpec.from_dict(tasks[0]["spec"])
+    prelude = _build_prelude(spec, tasks[0].get("library"))
+    grid = prelude.grid
+    results = []
+    for task in tasks:
+        with obs_trace.span("mc.block", start=task["start"],
+                            count=task["count"],
+                            precisions=len(task["precisions"])):
+            __, cps = mc_block(grid.program, prelude.delays_of,
+                               spec.variation(), task["start"],
+                               task["count"],
+                               [grid.plan(p) for p in task["precisions"]])
+        results.append({int(p): cp
+                        for p, cp in zip(task["precisions"], cps)})
+    return results
 
 
 def _exact_cp(spec, library, precisions, jobs, pool, prelude):
@@ -259,12 +211,12 @@ def _exact_cp(spec, library, precisions, jobs, pool, prelude):
     if not precisions:
         return {}
     if spec.variation().is_zero:
-        return {p: np.repeat(prelude.det_cp[p][:, None], spec.samples,
-                             axis=1) for p in precisions}
+        return {p: np.repeat(prelude.grid.critical_paths(p)[:, None],
+                             spec.samples, axis=1) for p in precisions}
     tasks = [{"spec": spec.to_dict(), "start": start, "count": count,
               "precisions": precisions, "library": library}
              for start, count in sample_blocks(spec.samples, spec.block)]
-    blocks = map_tasks(_mc_block, tasks, jobs=jobs, pool=pool)
+    blocks = map_chunks(_mc_blocks, tasks, jobs=jobs, pool=pool)
     obs_metrics.inc(obs_metrics.MC_SAMPLES,
                     int(spec.samples) * len(precisions))
     obs_metrics.inc(obs_metrics.MC_BLOCKS, len(tasks))
@@ -279,8 +231,9 @@ def _exact_cp(spec, library, precisions, jobs, pool, prelude):
 def _features(prelude, spec, precision, corner):
     """Feature vector of one (precision, corner) point — netlist stats,
     stress moments, lifetime and sigma (see module doc)."""
-    return [float(prelude.det_cp[precision][corner]),
-            float(prelude.alive[precision]),
+    grid = prelude.grid
+    return [float(grid.critical_paths(precision)[corner]),
+            float(grid.alive(precision)),
             float(prelude.stress_mean[corner]),
             float(prelude.stress_rms[corner]),
             float(prelude.age_factor[corner]),
@@ -292,7 +245,22 @@ def _yield_fraction(cp_samples, clock_ps):
                  / cp_samples.size)
 
 
-def _screened_evaluation(spec, library, jobs, pool, prelude, ladder):
+def _yield_k(spec, precisions, exact, predictions, point):
+    """The stochastic Eq. 2 walk at one grid point: the first precision
+    whose yield clears ``min_yield`` (or, when not exactly evaluated,
+    whose surrogate quantile meets the clock) and its yield (``None``
+    when screened); ``(None, None)`` when none is feasible."""
+    for p in precisions:
+        if p in exact:
+            y = _yield_fraction(exact[p][point.corner], point.clock_ps)
+            if y >= spec.min_yield:
+                return int(p), y
+        elif predictions[(p, point.corner)]["q_ps"] <= point.clock_ps:
+            return int(p), None
+    return None, None
+
+
+def _screened_evaluation(spec, library, jobs, pool, prelude, points):
     """Anchor -> fit -> predict -> boundary-refine evaluation plan.
 
     Returns ``(exact, info, predictions)``: exactly evaluated sample
@@ -308,7 +276,7 @@ def _screened_evaluation(spec, library, jobs, pool, prelude, ladder):
     exact = _exact_cp(spec, library, anchors, jobs, pool, prelude)
 
     X, Y = [], []
-    corners = range(len(prelude.labels))
+    corners = range(len(prelude.grid.labels))
     for p in sorted(exact, reverse=True):
         for c in corners:
             X.append(_features(prelude, spec, p, c))
@@ -318,7 +286,7 @@ def _screened_evaluation(spec, library, jobs, pool, prelude, ladder):
     cv = cross_validate(X, Y, _FEATURES, _TARGETS, degree=degree)
     fit = fit_surrogate(X, Y, _FEATURES, _TARGETS, degree=degree)
     margin = max(2.0 * cv["targets"]["q_ps"]["max_abs_err"],
-                 0.005 * prelude.fresh_clock_ps)
+                 0.005 * prelude.grid.fresh_clock_ps)
 
     rest = [p for p in precisions if p not in exact]
     predictions = {}
@@ -329,33 +297,20 @@ def _screened_evaluation(spec, library, jobs, pool, prelude, ladder):
             predictions[(p, c)] = {"q_ps": float(pred[i, 0]),
                                    "p50_ps": float(pred[i, 1])}
 
-    clocks = [prelude.fresh_clock_ps * float(s)
-              for s in spec.clock_scales]
-    ladder_corners = [prelude.labels.index(label) for label in ladder]
     boundary = [
         p for p in rest
-        if any(abs(predictions[(p, c)]["q_ps"] - clock) <= margin
-               for c in ladder_corners for clock in clocks)]
+        if any(abs(predictions[(p, pt.corner)]["q_ps"] - pt.clock_ps)
+               <= margin for pt in points)]
     if boundary:
         exact.update(_exact_cp(spec, library, boundary, jobs, pool,
                                prelude))
 
-    # A reported K must be exact: walk each (corner, clock) ladder with
+    # A reported K must be exact: walk each grid point's ladder with
     # current knowledge and evaluate any screened would-be K.
     for _ in range(len(precisions)):
-        need = set()
-        for c in ladder_corners:
-            for clock in clocks:
-                for p in precisions:
-                    if p in exact:
-                        feasible = (_yield_fraction(exact[p][c], clock)
-                                    >= spec.min_yield)
-                    else:
-                        feasible = predictions[(p, c)]["q_ps"] <= clock
-                    if feasible:
-                        if p not in exact:
-                            need.add(p)
-                        break
+        need = {p for p, y in (_yield_k(spec, precisions, exact,
+                                        predictions, pt) for pt in points)
+                if p is not None and y is None}
         if not need:
             break
         exact.update(_exact_cp(spec, library, sorted(need, reverse=True),
@@ -364,7 +319,7 @@ def _screened_evaluation(spec, library, jobs, pool, prelude, ladder):
     skipped = [p for p in precisions if p not in exact]
     obs_metrics.inc(obs_metrics.MC_SURROGATE_FITS)
     obs_metrics.inc(obs_metrics.MC_SURROGATE_SKIPPED,
-                    len(skipped) * len(ladder_corners))
+                    len(skipped) * len(spec.scenarios))
     info = {
         "anchors": [int(p) for p in anchors],
         "degree": int(degree),
@@ -396,106 +351,81 @@ def run_mc(spec, library=None, jobs=None, pool=None):
                         samples=int(spec.samples),
                         sigma_mv=float(spec.sigma_mv)):
         started = time.perf_counter()
-        prelude = _prelude(spec, library=library)
-        ladder = [corner_label(parse_scenario(s)) for s in spec.scenarios]
+        prelude = _build_prelude(spec, library)
+        grid = prelude.grid
+        points = list(grid.points(spec.scenarios, spec.clock_scales))
         precisions = prelude.precisions
         surrogate_info = None
         predictions = {}
         if (spec.surrogate == "screen" and not spec.variation().is_zero
                 and len(precisions) > 3):
             exact, surrogate_info, predictions = _screened_evaluation(
-                spec, library, jobs, pool, prelude, ladder)
+                spec, library, jobs, pool, prelude, points)
         else:
             exact = _exact_cp(spec, library, precisions, jobs, pool,
                               prelude)
 
         rows = []
         for precision in precisions:
-            for label in ladder:
-                corner = prelude.labels.index(label)
-                scenario = prelude.corners[corner]
-                for scale in spec.clock_scales:
-                    clock_ps = prelude.fresh_clock_ps * float(scale)
-                    row = {
-                        "precision": int(precision),
-                        "scenario": label,
-                        "years": float(scenario.years),
-                        "clock_scale": float(scale),
-                        "clock_ps": clock_ps,
-                        "det_cp_ps": float(
-                            prelude.det_cp[precision][corner]),
-                    }
-                    if precision in exact:
-                        cps = exact[precision][corner]
-                        y = _yield_fraction(cps, clock_ps)
-                        row.update({
-                            "exact": True,
-                            "yield_fraction": y,
-                            "feasible": y >= spec.min_yield,
-                            "p50_ps": float(np.quantile(cps, 0.5)),
-                            "mean_ps": float(cps.mean()),
-                            "q_ps": float(np.quantile(cps,
-                                                      spec.min_yield)),
-                            "p99_ps": float(np.quantile(cps, 0.99)),
-                        })
-                        obs_metrics.observe(
-                            obs_metrics.MC_YIELD_FRACTION, y,
-                            boundaries=obs_metrics.FRACTION_BOUNDARIES)
-                    else:
-                        pred = predictions[(precision, corner)]
-                        row.update({
-                            "exact": False,
-                            "yield_fraction": None,
-                            "feasible": pred["q_ps"] <= clock_ps,
-                            "p50_ps": pred["p50_ps"],
-                            "q_ps": pred["q_ps"],
-                        })
-                    rows.append(row)
+            for point in points:
+                row = {"precision": int(precision)}
+                row.update(point.fields())
+                row["det_cp_ps"] = float(
+                    grid.critical_paths(precision)[point.corner])
+                if precision in exact:
+                    cps = exact[precision][point.corner]
+                    y = _yield_fraction(cps, point.clock_ps)
+                    row.update({
+                        "exact": True,
+                        "yield_fraction": y,
+                        "feasible": y >= spec.min_yield,
+                        "p50_ps": float(np.quantile(cps, 0.5)),
+                        "mean_ps": float(cps.mean()),
+                        "q_ps": float(np.quantile(cps, spec.min_yield)),
+                        "p99_ps": float(np.quantile(cps, 0.99)),
+                    })
+                    obs_metrics.observe(
+                        obs_metrics.MC_YIELD_FRACTION, y,
+                        boundaries=obs_metrics.FRACTION_BOUNDARIES)
+                else:
+                    pred = predictions[(precision, point.corner)]
+                    row.update({
+                        "exact": False,
+                        "yield_fraction": None,
+                        "feasible": pred["q_ps"] <= point.clock_ps,
+                        "p50_ps": pred["p50_ps"],
+                        "q_ps": pred["q_ps"],
+                    })
+                rows.append(row)
 
         k_rows = []
-        for label in ladder:
-            corner = prelude.labels.index(label)
-            scenario = prelude.corners[corner]
-            for scale in spec.clock_scales:
-                clock_ps = prelude.fresh_clock_ps * float(scale)
-                det_k = next(
-                    (int(p) for p in precisions
-                     if prelude.det_cp[p][corner] <= clock_ps), None)
+        for point in points:
+            # After refinement a screened precision never outranks the
+            # exact K (see _screened_evaluation): K is exact or None.
+            yield_k, yield_at_k = _yield_k(spec, precisions, exact,
+                                           predictions, point)
+            if yield_at_k is None:
                 yield_k = None
-                yield_at_k = None
-                for p in precisions:
-                    if p in exact:
-                        y = _yield_fraction(exact[p][corner], clock_ps)
-                        if y >= spec.min_yield:
-                            yield_k, yield_at_k = int(p), y
-                            break
-                    elif predictions[(p, corner)]["q_ps"] <= clock_ps:
-                        # Screened rows can only be K candidates before
-                        # refinement; after it, a feasible screened row
-                        # never outranks the exact K (see
-                        # _screened_evaluation).
-                        break
-                k_rows.append({
-                    "scenario": label,
-                    "years": float(scenario.years),
-                    "clock_scale": float(scale),
-                    "clock_ps": clock_ps,
-                    "min_yield": float(spec.min_yield),
-                    "det_precision": det_k,
-                    "yield_precision": yield_k,
-                    "yield_at_k": yield_at_k,
-                })
+            k_row = point.fields()
+            k_row.update({
+                "min_yield": float(spec.min_yield),
+                "det_precision": grid.deepest_precision(
+                    point.corner, point.clock_ps, precisions),
+                "yield_precision": yield_k,
+                "yield_at_k": yield_at_k,
+            })
+            k_rows.append(k_row)
 
         obs_metrics.inc(obs_metrics.MC_RUNS)
         obs_metrics.inc(obs_metrics.MC_POINTS,
                         sum(1 for row in rows if row["exact"]))
         _log.info(
             "mc %s: %d precisions x %d corners x %d samples in %.2fs",
-            spec.component, len(precisions), len(prelude.labels),
+            spec.component, len(precisions), len(grid.labels),
             spec.samples, time.perf_counter() - started)
         return MCResult(
-            spec=spec, component=prelude.component.name,
-            gates=prelude.program.n_gates, samples=int(spec.samples),
-            fresh_clock_ps=prelude.fresh_clock_ps, labels=prelude.labels,
+            spec=spec, component=grid.component.name,
+            gates=grid.program.n_gates, samples=int(spec.samples),
+            fresh_clock_ps=grid.fresh_clock_ps, labels=grid.labels,
             precisions=precisions, rows=rows, k_rows=k_rows,
             surrogate=surrogate_info)

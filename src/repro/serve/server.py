@@ -36,13 +36,15 @@ Endpoints
     (:meth:`repro.inject.CampaignSpec.to_dict`); runs the campaign in
     a pool worker and answers with the full
     :meth:`~repro.inject.CampaignResult.to_dict` — bit-identical to an
-    in-process ``run_campaign`` of the same spec.
+    in-process ``run_campaign`` of the same spec. Concurrent identical
+    specs share one run (single-flight); results are not cached.
 ``POST /v1/mc``
     A Monte Carlo yield-analysis spec
     (:meth:`repro.mc.MCSpec.to_dict`); runs the sampled sweep in a
     pool worker and answers with the full
     :meth:`~repro.mc.MCResult.to_dict` — bit-identical to an
-    in-process ``run_mc`` of the same spec.
+    in-process ``run_mc`` of the same spec, single-flight like
+    ``/v1/inject``.
 ``GET /v1/stats``
     Serving counters: requests, in-flight dedup hits, tier hit ratios,
     queue depth, latency percentiles (p50/p95/p99), cache stats, SLO
@@ -84,6 +86,7 @@ from collections import OrderedDict
 
 from ..core import cache as cache_mod
 from ..core.characterize import _characterize_point, component_key
+from ..core.grid import stat_arms
 from ..core.parallel import WorkerPool, absorb, traced
 from ..obs import (logs, metrics as obs_metrics, profile as obs_profile,
                    slo as obs_slo, timeseries as obs_timeseries,
@@ -93,19 +96,10 @@ from . import protocol
 _log = logs.get_logger("serve.server")
 
 
-def _arm_of(kind):
-    """``(spec class, runner, response field)`` of a statistical arm."""
-    if kind == "inject":
-        from ..inject import CampaignSpec, run_campaign
-        return CampaignSpec, run_campaign, "campaign"
-    from ..mc import MCSpec, run_mc
-    return MCSpec, run_mc, "mc"
-
-
 def _stat_arm_job(task):
     """Pool job of ``/v1/inject`` and ``/v1/mc``: one whole serial run
     of the task's spec, as its JSON result."""
-    spec_cls, run, __ = _arm_of(task["kind"])
+    spec_cls, run, __ = stat_arms()[task["kind"]]
     return run(spec_cls.from_dict(task["spec"]), jobs=1).to_dict()
 
 
@@ -638,6 +632,45 @@ class CharacterizationServer:
         if sources is not None:
             sources[source] = sources.get(source, 0) + 1
 
+    async def _single_flight(self, flight, worker, task):
+        """``(source, result)`` of *worker* on *task*, run once on the
+        pool for all concurrent requests of *flight*: a joiner awaits
+        the in-flight run (``"dedup"``), else it runs under
+        :func:`~repro.core.parallel.traced` (``"computed"``), counted
+        in the queue-depth gauge until it finishes."""
+        inflight = self._inflight.get(flight) if self.dedup else None
+        if inflight is not None:
+            self._registry.counter(obs_metrics.SERVE_DEDUP_HITS).inc()
+            self._count_source("dedup")
+            result, __, __ = await asyncio.shield(inflight)
+            return "dedup", result
+        # Stamp the current span's trace identity into a shallow copy
+        # (memoized task lists are shared and read-only) so the
+        # worker's span tree stitches under it across the process
+        # boundary.
+        ctx = obs_trace.propagation_context()
+        worker_task = dict(task, trace=ctx) if ctx is not None else task
+        loop = asyncio.get_running_loop()
+        future = loop.run_in_executor(self.pool.executor, traced, worker,
+                                      worker_task)
+        if self.dedup:
+            self._inflight[flight] = future
+        self._queue_depth += 1
+        self._registry.gauge(
+            obs_metrics.SERVE_QUEUE_DEPTH).set(self._queue_depth)
+
+        def _done(__future):
+            self._inflight.pop(flight, None)
+            self._queue_depth -= 1
+            self._registry.gauge(
+                obs_metrics.SERVE_QUEUE_DEPTH).set(self._queue_depth)
+
+        future.add_done_callback(_done)
+        result = absorb(await asyncio.shield(future), self._registry)
+        self._registry.counter(obs_metrics.SERVE_COMPUTES).inc()
+        self._count_source("computed")
+        return "computed", result
+
     async def _resolve_point(self, task):
         """Answer one grid point from the fastest tier that can."""
         key = task["key"]
@@ -650,74 +683,43 @@ class CharacterizationServer:
             # cache, so waiters skip the tier lookup (and the disk read
             # a stale memory entry would otherwise trigger) entirely.
             flight = key + ":" + ":".join(fps)
-            inflight = self._inflight.get(flight) if self.dedup else None
-            if inflight is not None:
-                self._registry.counter(obs_metrics.SERVE_DEDUP_HITS).inc()
-                self._count_source("dedup")
-                if span is not None:
-                    span.attrs["source"] = "dedup"
-                result, __, __ = await asyncio.shield(inflight)
-                return protocol.record_from_result(task, result, "dedup")
+            if not (self.dedup and flight in self._inflight):
+                entry, tier = self.cache.load_with_source(key, require=fps)
+                if entry is not None and all(fp in entry["aged"]
+                                             for fp in fps):
+                    self._registry.counter(
+                        obs_metrics.SERVE_TIER_MEM if tier == "mem"
+                        else obs_metrics.SERVE_TIER_DISK).inc()
+                    self._count_source(tier)
+                    if span is not None:
+                        span.attrs["source"] = tier
+                    return protocol.record_from_entry(task, entry, tier)
 
-            entry, tier = self.cache.load_with_source(key, require=fps)
-            if entry is not None and all(fp in entry["aged"] for fp in fps):
-                self._registry.counter(
-                    obs_metrics.SERVE_TIER_MEM if tier == "mem"
-                    else obs_metrics.SERVE_TIER_DISK).inc()
-                self._count_source(tier)
-                if span is not None:
-                    span.attrs["source"] = tier
-                return protocol.record_from_entry(task, entry, tier)
-
-            # Stamp this point span's trace identity into a shallow copy
-            # (the memoized task list is shared and read-only) so the
-            # worker's span tree stitches under it across the process
-            # boundary.
-            ctx = obs_trace.propagation_context()
-            worker_task = dict(task, trace=ctx) if ctx is not None \
-                else task
-            loop = asyncio.get_running_loop()
-            future = loop.run_in_executor(self.pool.executor, traced,
-                                          _characterize_point,
-                                          worker_task)
-            if self.dedup:
-                self._inflight[flight] = future
-            self._queue_depth += 1
-            self._registry.gauge(
-                obs_metrics.SERVE_QUEUE_DEPTH).set(self._queue_depth)
-
-            def _done(__future):
-                self._inflight.pop(flight, None)
-                self._queue_depth -= 1
-                self._registry.gauge(
-                    obs_metrics.SERVE_QUEUE_DEPTH).set(self._queue_depth)
-
-            future.add_done_callback(_done)
-            result = absorb(await asyncio.shield(future), self._registry)
-            self._registry.counter(obs_metrics.SERVE_COMPUTES).inc()
-            self._count_source("computed")
-            if result.get("cache_stats"):
-                self.cache.stats.merge(result["cache_stats"])
-            # The worker stored the entry out of process: pull it into
-            # the memory tier so repeats of this query are mem hits.
-            self.cache.refresh(key)
+            source, result = await self._single_flight(
+                flight, _characterize_point, task)
             if span is not None:
-                span.attrs["source"] = "computed"
-            return protocol.record_from_result(task, result, "computed")
+                span.attrs["source"] = source
+            if source == "computed":
+                if result.get("cache_stats"):
+                    self.cache.stats.merge(result["cache_stats"])
+                # The worker stored the entry out of process: pull it
+                # into the memory tier so repeats of this query are mem
+                # hits.
+                self.cache.refresh(key)
+            return protocol.record_from_result(task, result, source)
 
     async def _stat_arm(self, request, writer, keep, kind):
-        """``/v1/inject`` and ``/v1/mc``: one statistical run per request.
-
-        The whole fault-injection campaign or Monte Carlo yield analysis
-        runs in a single pool worker (:func:`_stat_arm_job`). Its result
-        is deterministic from the spec (per-gate Philox streams indexed
-        by absolute position), so the served answer is bit-identical to
-        an in-process ``run_campaign`` / ``run_mc`` at any ``--jobs`` —
-        the determinism suites compare the two verbatim.
-        """
+        """``/v1/inject`` and ``/v1/mc``: one whole campaign or Monte
+        Carlo run per spec in a pool worker (:func:`_stat_arm_job`),
+        shared by concurrent requests for the same spec (single-flight,
+        no result cache). The result is deterministic from the spec
+        (per-gate Philox streams indexed by absolute position), so the
+        served answer is bit-identical to an in-process ``run_campaign``
+        / ``run_mc`` at any ``--jobs``; the determinism suites compare
+        the two verbatim."""
         from ..core.specs import SpecError
 
-        spec_cls, __, field = _arm_of(kind)
+        spec_cls, __, field = stat_arms()[kind]
         try:
             payload = json.loads(request.body.decode("utf-8"))
         except (UnicodeDecodeError, ValueError):
@@ -727,12 +729,10 @@ class CharacterizationServer:
             spec = spec_cls.from_dict(payload)
         except SpecError as exc:
             raise protocol.ProtocolError(str(exc))
-        task = {"kind": kind, "spec": spec.to_dict(),
-                "trace": obs_trace.propagation_context()}
-        loop = asyncio.get_running_loop()
-        future = loop.run_in_executor(self.pool.executor, traced,
-                                      _stat_arm_job, task)
-        result = absorb(await asyncio.shield(future), self._registry)
+        spec_dict = spec.to_dict()
+        flight = "%s:%s" % (kind, json.dumps(spec_dict, sort_keys=True))
+        __, result = await self._single_flight(
+            flight, _stat_arm_job, {"kind": kind, "spec": spec_dict})
         self._respond(writer, 200, {
             "protocol": protocol.PROTOCOL_VERSION, field: result,
         }, keep=keep)

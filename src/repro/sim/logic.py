@@ -82,21 +82,12 @@ def compile_netlist(netlist, library, memo=True):
     """
     if not memo:
         return _compile_netlist(netlist, library)
-    # The token fingerprints what the compiled program actually depends
-    # on: the cell (hence logic function), pin nets and output net of
-    # every gate, plus the PI/PO orders. A mutation counter would be
-    # cheaper but misses in-place gate mutations; building the tuple is
-    # O(gates), the same order as one evaluate() row, so the memo still
-    # pays for itself on any repeated use.
-    #
-    # The library is keyed by content, not id(): a collected library's
-    # id can be recycled by a new one, and a copy of a library (a pool
-    # task's unpickled one) compiles the same program.
-    from ..core.cache import library_memo_key
+    # A mutation counter would be cheaper than the content token but
+    # misses in-place gate mutations; building the token is O(gates),
+    # the same order as one evaluate() row.
+    from ..core.cache import compile_token
 
-    token = (library_memo_key(library), tuple(netlist.primary_inputs),
-             tuple(netlist.primary_outputs),
-             tuple((g.cell, g.inputs, g.output) for g in netlist.gates))
+    token = compile_token(netlist, library)
     cache = getattr(netlist, "_compiled_memo", None)
     if cache is None:
         cache = {}

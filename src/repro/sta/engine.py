@@ -152,11 +152,9 @@ def compile_timing(netlist, library, memo=True):
 
 def _timing_memo(netlist, library):
     """``(memo dict, content token)`` of *netlist* under *library*."""
-    from ..core.cache import library_memo_key
+    from ..core.cache import compile_token
 
-    token = (library_memo_key(library), tuple(netlist.primary_inputs),
-             tuple(netlist.primary_outputs),
-             tuple((g.cell, g.inputs, g.output) for g in netlist.gates))
+    token = compile_token(netlist, library)
     cache = getattr(netlist, "_timing_memo", None)
     if cache is None:
         cache = netlist._timing_memo = {}

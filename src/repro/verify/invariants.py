@@ -464,12 +464,12 @@ def check_injection(component, library, years=(1.0, 10.0),
       equal the byte engine's decoded outputs.
     """
     from ..inject import CampaignSpec, run_campaign
-    from ..inject.campaign import _prelude, component_spec
+    from ..core.specs import component_spec, parse_scenario
+    from ..inject.campaign import _build_prelude
     from ..inject.faultload import build_faultload
     from ..inject.inject_sim import evaluate_bytes_injected, unpack_op_masks
     from ..sim.bitpack import unpack_bits
     from ..sim.logic import bits_to_int, evaluate, evaluate_words
-    from ..core.specs import parse_scenario
     from ..sta.engine import corner_label
 
     years = sorted(years)
@@ -528,11 +528,11 @@ def check_injection(component, library, years=(1.0, 10.0),
         "fault counts decrease with clock aggressiveness: %s"
         % "; ".join(bad)))
 
-    prelude = _prelude(spec, library=library)
+    prelude = _build_prelude(spec, library)
     label = labels[-1]
-    clock = prelude.fresh_clock_ps * scales[-1]
-    faultload = build_faultload(prelude.program, prelude.batch, label,
-                                clock, activity=spec.activity)
+    clock = prelude.grid.fresh_clock_ps * scales[-1]
+    faultload = build_faultload(prelude.grid.program, prelude.grid.batch,
+                                label, clock, activity=spec.activity)
     masks = faultload.masks(spec.seed, prelude.pi_words.shape[1])
     pi_bits = unpack_bits(prelude.pi_words, spec.vectors)
     packed = unpack_bits(
@@ -575,8 +575,7 @@ def check_mc(component, library, years=(1.0, 10.0),
       evaluated row (critical paths are maxima over many gate sums, a
       right-skewed family).
     """
-    from ..core.specs import parse_scenario
-    from ..inject.campaign import component_spec
+    from ..core.specs import component_spec, parse_scenario
     from ..mc import MCSpec, VariationModel, analyze_mc, run_mc
     from ..sta.engine import analyze_batch, corner_label
     from ..synth.synthesize import synthesize_netlist

@@ -16,14 +16,14 @@ import pytest
 from repro import cli
 from repro.inject import (CampaignSpec, DEFAULT_ACTIVITY, build_faultload,
                           run_campaign)
-from repro.inject.campaign import component_spec, make_point_tasks
+from repro.inject.campaign import make_point_tasks
 from repro.inject.inject_sim import (check_alignment, count_mask_bits,
                                      evaluate_bytes_injected,
                                      evaluate_packed_injected,
                                      unpack_op_masks)
 from repro.inject.masks import (CHUNK_WORDS, PROB_BITS, PROB_ONE,
                                 bernoulli_words, flip_threshold, gate_stream)
-from repro.core.specs import SpecError, parse_scenario
+from repro.core.specs import SpecError, component_spec, parse_scenario
 from repro.obs import metrics as obs_metrics
 from repro.report import inject_report_text
 from repro.rtl import Adder, Multiplier

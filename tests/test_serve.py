@@ -7,6 +7,7 @@ calls, and the CLI ``serve`` subcommand end to end.
 """
 
 import asyncio
+import json
 import os
 import re
 import subprocess
@@ -16,6 +17,8 @@ import pytest
 
 from repro.aging import fresh as fresh_scenario, worst_case
 from repro.core.characterize import characterize
+from repro.inject import CampaignSpec, run_campaign
+from repro.mc import MCSpec, run_mc
 from repro.obs import metrics as obs_metrics
 from repro.rtl import Adder, Multiplier
 from repro.serve import CharacterizationServer, ServeClient, http_request
@@ -332,6 +335,100 @@ class TestSingleFlight:
         for reply in replies[1:]:
             assert reply["points"][0]["metrics"] == reference["metrics"]
             assert reply["points"][0]["aged"] == reference["aged"]
+
+
+    #: kind -> (spec dict, in-process runner, response field)
+    ARMS = {
+        "inject": ({"component": "adder8",
+                    "scenarios": ["worst1y", "worst10y"],
+                    "clock_scales": [1.0, 0.95], "vectors": 4096,
+                    "seed": 3, "effort": "high"},
+                   lambda spec: run_campaign(CampaignSpec.from_dict(spec)),
+                   "campaign"),
+        "mc": ({"component": "adder8", "scenarios": ["worst10y"],
+                "clock_scales": [1.0, 0.97], "samples": 256,
+                "sweep_bits": 3, "seed": 3, "effort": "high"},
+               lambda spec: run_mc(MCSpec.from_dict(spec)), "mc"),
+    }
+
+    async def _fanout_arm(self, server, kind, spec):
+        clients = [ServeClient(server.host, server.port)
+                   for __ in range(self.CONCURRENT)]
+        for client in clients:
+            await client._connection()
+        try:
+            return await asyncio.gather(
+                *[getattr(client, kind)(spec) for client in clients])
+        finally:
+            for client in clients:
+                await client.close()
+
+    def _serve_arm(self, tmp_path, kind, **kwargs):
+        spec, __, field = self.ARMS[kind]
+
+        async def scenario():
+            server = await start_server(tmp_path, **kwargs)
+            try:
+                replies = await self._fanout_arm(server, kind, spec)
+                stats = server.stats()
+                gauge = server._registry.value(
+                    obs_metrics.SERVE_QUEUE_DEPTH)
+            finally:
+                await server.stop()
+            return [reply[field] for reply in replies], stats, gauge
+
+        return run(scenario())
+
+    @pytest.mark.parametrize("kind", ["inject", "mc"])
+    def test_identical_concurrent_stat_arms_compute_once(self, kind,
+                                                         tmp_path):
+        """N identical concurrent ``/v1/inject`` or ``/v1/mc`` bodies
+        share one run, and every reply is the in-process result."""
+        results, stats, gauge = self._serve_arm(tmp_path, kind)
+        assert stats["computes"] == 1
+        assert stats["dedup_hits"] == self.CONCURRENT - 1
+        assert stats["queue_depth"] == 0 and gauge == 0
+        assert stats["inflight"] == 0
+        spec, run_in_process, __ = self.ARMS[kind]
+        reference = json.loads(json.dumps(
+            run_in_process(spec).to_dict()))
+        for result in results:
+            assert result == reference
+
+    @pytest.mark.parametrize("kind", ["inject", "mc"])
+    def test_stat_arms_without_dedup_recompute(self, kind, tmp_path):
+        results, stats, gauge = self._serve_arm(tmp_path, kind, workers=2,
+                                                dedup=False)
+        assert stats["dedup_hits"] == 0
+        assert stats["computes"] == self.CONCURRENT
+        assert stats["queue_depth"] == 0 and gauge == 0
+        assert all(result == results[0] for result in results[1:])
+
+    @pytest.mark.parametrize("kind, body, match", [
+        ("inject", {"component": "adder8", "bogus": 1},
+         "unknown campaign spec fields"),
+        ("inject", {"component": "adder8", "vectors": 0}, "vectors"),
+        ("mc", {"component": "adder8", "bogus": 1},
+         "unknown mc spec fields"),
+        ("mc", {"component": "nope8"}, "unknown component"),
+    ])
+    def test_malformed_stat_arm_spec_is_400(self, kind, body, match,
+                                            tmp_path):
+        async def scenario():
+            server = await start_server(tmp_path)
+            try:
+                async with ServeClient(server.host, server.port) as client:
+                    with pytest.raises(ServeError) as excinfo:
+                        await getattr(client, kind)(body)
+                stats = server.stats()
+            finally:
+                await server.stop()
+            return excinfo.value, stats
+
+        exc, stats = run(scenario())
+        assert exc.status == 400
+        assert match in str(exc)
+        assert stats["computes"] == 0 and stats["queue_depth"] == 0
 
 
 class TestTelemetryEndpoints:
