@@ -37,6 +37,7 @@ from .core import AgingApproximationLibrary, characterize, remove_guardband
 from .core import cache as cache_mod
 from .core import specs as specs_mod
 from .core.adaptive import plan_graceful_degradation
+from .core.characterize import precision_range
 from .core.parallel import resolve_jobs
 from . import bench_report as bench_report_mod
 from .obs import logs as obs_logs
@@ -96,8 +97,7 @@ def _sweep(args, component):
                          % args.sweep_bits)
     if not args.sweep_bits:
         return None
-    lo = max(component.width - args.sweep_bits, 1)
-    return range(component.width, lo - 1, -1)
+    return precision_range(component.width, args.sweep_bits)
 
 
 def _parse_scenario(spec):

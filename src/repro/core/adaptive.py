@@ -94,7 +94,8 @@ def plan_graceful_degradation(micro, library, years_grid,
     Characterizations are shared across checkpoints through the supplied
     (or an internal) :class:`~repro.core.library.
     AgingApproximationLibrary`, so the sweep costs one synthesis per
-    precision, not per (precision x lifetime).
+    precision, not per (precision x lifetime). An entry the flow's
+    search creates reaches only as deep as the oldest checkpoint needs.
     """
     years_grid = sorted(float(y) for y in years_grid)
     if not years_grid or years_grid[0] <= 0:

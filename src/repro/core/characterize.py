@@ -132,13 +132,16 @@ class ComponentCharacterization:
 
         Defaults to the full-precision fresh delay — i.e. "remove the
         guardband entirely". Returns None when no characterized
-        precision satisfies the target.
+        precision satisfies the target. Reads top down and stops at the
+        answer, as the flow's search does, so an entry that search
+        filled only down to its answer answers too.
         """
         if target_ps is None:
             target_ps = self.fresh_delay_ps()
-        feasible = [p for p in self.precisions
-                    if self.aged_delay_ps(p, scenario_label) <= target_ps]
-        return max(feasible) if feasible else None
+        for precision in sorted(self.precisions, reverse=True):
+            if self.aged_delay_ps(precision, scenario_label) <= target_ps:
+                return precision
+        return None
 
     def merge(self, other):
         """Fold another characterization of the *same component* in.
@@ -161,6 +164,20 @@ class ComponentCharacterization:
         self.leakage_nw.update(other.leakage_nw)
         self.gates.update(other.gates)
         self.depth.update(other.depth)
+        return self
+
+    def discard(self, precisions=(), points=()):
+        """Drop whole *precisions* and single ``(precision, label)``
+        aged *points*; labels stay (the inverse of :meth:`merge`)."""
+        drop = set(precisions)
+        self.precisions = [p for p in self.precisions if p not in drop]
+        for table in (self.fresh_ps, self.area_um2, self.leakage_nw,
+                      self.gates, self.depth):
+            for precision in drop:
+                table.pop(precision, None)
+        points = set(points)
+        self.aged_ps = {key: delay for key, delay in self.aged_ps.items()
+                        if key[0] not in drop and key not in points}
         return self
 
     def has_scenario(self, scenario_label):
@@ -223,6 +240,13 @@ class ComponentCharacterization:
 def component_key(component):
     """Library key of a component: family + base width."""
     return "%s_w%d" % (component.family, component.width)
+
+
+def precision_range(width, bits=12):
+    """Precisions ``width`` down to ``width - bits`` (at least 1),
+    descending: the default sweep of :func:`characterize`,
+    :func:`truncation_screen` and the flow's Eq. 2 search."""
+    return list(range(width, max(width - bits, 1) - 1, -1))
 
 
 def _characterize_point(task):
@@ -396,7 +420,8 @@ def characterize(component, library, scenarios, precisions=None,
         (uniform stress) and/or :class:`ActualCaseSpec` (per-variant
         stress extraction from stimulus operands).
     precisions:
-        Precisions to sweep; default ``width .. width-12`` (descending).
+        Precisions to sweep; default :func:`precision_range`
+        (``width .. width-12``, descending).
     effort:
         Synthesis effort for every variant.
     jobs:
@@ -419,7 +444,7 @@ def characterize(component, library, scenarios, precisions=None,
     """
     width = component.width
     if precisions is None:
-        precisions = list(range(width, max(width - 12, 1) - 1, -1))
+        precisions = precision_range(width)
     precisions = sorted(set(precisions), reverse=True)
     scenarios = list(scenarios)
 
@@ -564,7 +589,7 @@ def truncation_screen(component, library, scenarios, precisions=None,
 
     width = component.width
     if precisions is None:
-        precisions = list(range(width, max(width - 12, 1) - 1, -1))
+        precisions = precision_range(width)
     precisions = sorted(set(precisions), reverse=True)
     corners = [None]
     for spec in scenarios:

@@ -111,11 +111,16 @@ def remove_guardband(micro, library, design_scenario, report_scenarios=(),
         Initial / 1y WC / 10y WC / 10y AC).
     approx_library:
         Pre-built :class:`~repro.core.library.
-        AgingApproximationLibrary`; a fresh one is created (and filled
-        on demand) when omitted.
+        AgingApproximationLibrary`; a fresh one is created when omitted.
+        Missing delays are characterized on demand by the top-down Eq. 2
+        search of :func:`~repro.core.microarch.apply_aging_approximations`:
+        a supplied entry is searched over its own precisions and gains
+        none; an entry the search creates holds exactly
+        ``width .. chosen``.
     jobs:
-        Worker processes for on-the-fly characterizations (None defers
-        to ``REPRO_JOBS``; 1 is the deterministic serial default).
+        Worker processes for on-demand characterizations; the search
+        characterizes this many precisions per window (None defers to
+        ``REPRO_JOBS``; 1 is the deterministic serial default).
 
     Returns
     -------

@@ -16,24 +16,48 @@ import json
 from .characterize import ComponentCharacterization, component_key
 
 
+def _key(component_or_key):
+    return (component_or_key if isinstance(component_or_key, str)
+            else component_key(component_or_key))
+
+
 class AgingApproximationLibrary:
     """Keyed store of :class:`ComponentCharacterization` entries."""
 
     def __init__(self, entries=()):
         self._entries = {}
+        #: key -> scenarios of each entry the flow's Eq. 2 search created
+        #: (in memory only, never serialized): such an entry may be
+        #: extended down the default precision range, a supplied one not.
+        self._searched = {}
         for entry in entries:
             self.add(entry)
 
     def add(self, entry):
-        """Insert or replace a characterization."""
+        """Insert or replace a characterization (a supplied entry)."""
         self._entries[entry.key] = entry
+        self._searched.pop(entry.key, None)
+        return entry
+
+    def searched_scenarios(self, component_or_key):
+        """Scenarios the Eq. 2 search characterized into an entry it
+        created, oldest first; None for a supplied or missing entry."""
+        return self._searched.get(_key(component_or_key))
+
+    def add_searched(self, entry, scenario):
+        """Record that the Eq. 2 search characterized *scenario* into
+        *entry*, inserting the entry when it is new."""
+        scenarios = self._searched.get(entry.key)
+        if scenarios is None:
+            self._entries[entry.key] = entry
+            scenarios = self._searched[entry.key] = []
+        if all(s.label != scenario.label for s in scenarios):
+            scenarios.append(scenario)
         return entry
 
     def get(self, component_or_key):
         """Look up by component instance or key; None when missing."""
-        key = (component_or_key if isinstance(component_or_key, str)
-               else component_key(component_or_key))
-        return self._entries.get(key)
+        return self._entries.get(_key(component_or_key))
 
     def __contains__(self, component_or_key):
         return self.get(component_or_key) is not None

@@ -18,12 +18,14 @@ and control logic is hardened conventionally). The flow in
    guardband.
 """
 
+import contextlib
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
 from ..aging.bti import DEFAULT_BTI
 from ..sta.engine import analyze_batch
 from .cache import synthesize_netlist_memoized
+from .parallel import WorkerPool, resolve_jobs
 
 
 @dataclass
@@ -222,6 +224,58 @@ class ApproximationOutcome:
         return {name: d.chosen_precision for name, d in self.decisions.items()}
 
 
+def _search_precision(component, scenario, approx_library, target_of,
+                      characterize_at, window):
+    """Eq. 2, top down: the largest precision of *component* whose aged
+    delay under *scenario* meets ``target_of(entry)``, else the lowest.
+
+    Walks a supplied entry's own precisions, or the default
+    :func:`~repro.core.characterize.precision_range` for an entry the
+    search creates, from full width down, and stops at the first that
+    meets the target. Delays the entry holds are read; missing ones are
+    characterized *window* points at a time and merged in. A precision
+    new to a created entry is also characterized under the scenarios
+    earlier searches put there, so its table stays complete. Window
+    points below the answer are dropped again, so the entry is the same
+    at every window size.
+    """
+    from .characterize import precision_range  # local import: avoid cycle
+
+    label = scenario.label
+    entry = approx_library.get(component)
+    older = approx_library.searched_scenarios(component)
+    created = entry is None or older is not None
+    span = (precision_range(component.width) if created
+            else sorted(entry.precisions, reverse=True))
+
+    def held(precision):
+        return entry is not None and (precision, label) in entry.aged_ps
+
+    new_precisions, new_points = [], []
+    chosen = span[-1]
+    for i, precision in enumerate(span):
+        if not held(precision):
+            points = [p for p in span[i:i + window] if not held(p)]
+            known = [p for p in points
+                     if entry is not None and p in entry.fresh_ps]
+            new = [p for p in points if p not in known]
+            for group, scenarios in ((known, [scenario]),
+                                     (new, list(older or ()) + [scenario])):
+                if group:
+                    part = characterize_at(component, group, scenarios)
+                    entry = part if entry is None else entry.merge(part)
+            new_precisions += new
+            new_points += [(p, label) for p in known]
+        if entry.aged_delay_ps(precision, label) <= target_of(entry):
+            chosen = precision
+            break
+    entry.discard([p for p in new_precisions if p < chosen],
+                  [point for point in new_points if point[0] < chosen])
+    if created:
+        approx_library.add_searched(entry, scenario)
+    return chosen
+
+
 def apply_aging_approximations(micro, library, scenario, approx_library,
                                effort="ultra", bti=DEFAULT_BTI,
                                degradation=None, max_refinements=8,
@@ -237,19 +291,26 @@ def apply_aging_approximations(micro, library, scenario, approx_library,
     scenario:
         End-of-life aging scenario to compensate (e.g. 10y worst case).
     approx_library:
-        :class:`~repro.core.library.AgingApproximationLibrary` with
-        pre-characterized entries for every component family used. Missing
-        entries are characterized on the fly (uniform-stress scenarios
-        only).
+        :class:`~repro.core.library.AgingApproximationLibrary` to read
+        the Eq. 2 choice from. Each violating block's precision is
+        searched top down, from full width to the first precision that
+        meets the target, and missing delays are characterized on demand
+        (uniform-stress scenarios only). An entry the caller supplied is
+        searched over its own precisions and gains none. An entry the
+        search creates holds exactly ``width .. chosen`` (the whole
+        default :func:`~repro.core.characterize.precision_range` when
+        nothing meets the target), and a later scenario that needs a
+        lower precision extends it further down that range.
     quality_check:
         Optional callable ``design -> bool``; when it returns False the
         flow backs off one precision step on the most-approximated block
         (the paper's "if final quality is not sufficient, precision can
         be increased and a resulting guardband be similarly added").
     jobs:
-        Worker processes for on-the-fly characterizations (forwarded to
-        :func:`~repro.core.characterize.characterize`; None defers to
-        ``REPRO_JOBS``).
+        Worker processes for on-demand characterizations; the search
+        characterizes this many precisions per window (None defers to
+        ``REPRO_JOBS``). Decisions and created entries do not depend
+        on it.
     rule:
         Precision-selection rule for violating blocks.
 
@@ -277,44 +338,45 @@ def apply_aging_approximations(micro, library, scenario, approx_library,
 
     decisions = {}
     precisions = {}
-    for blk in micro.blocks:
-        timing = before[blk.name]
-        full = blk.component.precision
-        if not timing.violates:
+    window = resolve_jobs(jobs)
+    # One pool (spawned on first use) serves every window of the search.
+    with (WorkerPool(window) if window > 1
+          else contextlib.nullcontext()) as pool:
+
+        def characterize_at(component, points, scenarios):
+            return characterize(component, library, scenarios,
+                                precisions=points, effort=effort, bti=bti,
+                                degradation=degradation, jobs=window,
+                                pool=pool)
+
+        for blk in micro.blocks:
+            timing = before[blk.name]
+            full = blk.component.precision
+            if not timing.violates:
+                decisions[blk.name] = BlockDecision(
+                    name=blk.name, original_precision=full,
+                    chosen_precision=full, slack_before_ps=timing.slack_ps,
+                    slack_after_ps=timing.slack_ps,
+                    relative_slack=timing.relative_slack, from_library=True)
+                continue
+            if rule == "relative":
+                # Paper's literal relative-slack rule: pick P_j with
+                # t_Cj(Aging, P_j) <= (1 + relSlack) * t_Cj(noAging, N_j).
+                def target_of(entry, scale=1.0 + timing.relative_slack):
+                    return scale * entry.fresh_delay_ps()
+            else:
+                # Eq. 2 at the design constraint (block == component).
+                def target_of(entry):
+                    return constraint
+            chosen = _search_precision(blk.component, scenario,
+                                       approx_library, target_of,
+                                       characterize_at, window)
+            precisions[blk.name] = chosen
             decisions[blk.name] = BlockDecision(
                 name=blk.name, original_precision=full,
-                chosen_precision=full, slack_before_ps=timing.slack_ps,
-                slack_after_ps=timing.slack_ps,
+                chosen_precision=chosen, slack_before_ps=timing.slack_ps,
+                slack_after_ps=float("nan"),
                 relative_slack=timing.relative_slack, from_library=True)
-            continue
-        entry = approx_library.get(blk.component)
-        if entry is None:
-            entry = characterize(blk.component, library,
-                                 scenarios=[scenario], effort=effort,
-                                 bti=bti, degradation=degradation,
-                                 jobs=jobs)
-            approx_library.add(entry)
-        elif not entry.has_scenario(scenario.label):
-            # Cached entry from another lifetime/stress: extend it.
-            entry.merge(characterize(
-                blk.component, library, scenarios=[scenario],
-                precisions=entry.precisions, effort=effort, bti=bti,
-                degradation=degradation, jobs=jobs))
-        if rule == "relative":
-            # Paper's literal relative-slack rule: pick P_j with
-            # t_Cj(Aging, P_j) <= (1 + relSlack) * t_Cj(noAging, N_j).
-            target = (1.0 + timing.relative_slack) * entry.fresh_delay_ps()
-        else:
-            # Eq. 2 applied at the design constraint (block == component).
-            target = constraint
-        chosen = entry.required_precision(scenario.label, target_ps=target)
-        if chosen is None:
-            chosen = min(entry.precisions)
-        precisions[blk.name] = chosen
-        decisions[blk.name] = BlockDecision(
-            name=blk.name, original_precision=full, chosen_precision=chosen,
-            slack_before_ps=timing.slack_ps, slack_after_ps=float("nan"),
-            relative_slack=timing.relative_slack, from_library=True)
 
     # Validation / refinement loop (bottom of Fig. 6).
     iterations = 0

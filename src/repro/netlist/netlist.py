@@ -57,11 +57,6 @@ class Netlist:
         self._version += 1
         return net
 
-    def new_nets(self, count, prefix=None):
-        """Allocate *count* fresh nets, optionally named ``prefix[i]``."""
-        return [self.new_net(None if prefix is None else "%s[%d]" % (prefix, i))
-                for i in range(count)]
-
     def add_input(self, name=None):
         """Allocate a fresh net and register it as a primary input."""
         net = self.new_net(name)

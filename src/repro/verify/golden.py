@@ -275,14 +275,6 @@ class GoldenMismatch:
     arithmetic: int
     netlist: int
 
-    @property
-    def agrees_arithmetic(self):
-        return self.golden == self.arithmetic
-
-    @property
-    def agrees_netlist(self):
-        return self.netlist is None or self.golden == self.netlist
-
     def describe(self):
         parts = ["%s(%s): golden=%d arithmetic=%d"
                  % (self.component, ", ".join(str(o) for o in self.operands),
