@@ -70,8 +70,13 @@ def _years_list(text):
     return [float(part) for part in text.split(",") if part]
 
 
+def _stress_factory(stress):
+    """``--stress`` -> the scenario factory of one lifetime."""
+    return worst_case if stress == "worst" else balance_case
+
+
 def _scenarios(years, stress):
-    factory = worst_case if stress == "worst" else balance_case
+    factory = _stress_factory(stress)
     return [factory(y) for y in years]
 
 
@@ -264,8 +269,7 @@ def cmd_timing(args):
         with obs_trace.span("synthesize"):
             netlist = synthesize(component, lib,
                                  effort=args.effort).netlist
-        scenarios = [(worst_case if args.stress == "worst"
-                      else balance_case)(years) for years in args.years]
+        scenarios = _scenarios(args.years, args.stress)
         with obs_trace.span("sta"):
             batch = analyze_batch(netlist, lib, [None] + scenarios)
         fresh = batch.report(0)
@@ -289,10 +293,10 @@ def cmd_flow(args):
                          % (args.design, ", ".join(sorted(DESIGNS))))
     store = (AgingApproximationLibrary.load(args.library)
              if args.library else None)
+    scenarios = _scenarios(args.years, args.stress)
     with _engine(args):
         report = remove_guardband(
-            micro, lib, worst_case(args.years[0]),
-            report_scenarios=[worst_case(y) for y in args.years[1:]],
+            micro, lib, scenarios[0], report_scenarios=scenarios[1:],
             approx_library=store, effort=args.effort, jobs=args.jobs)
         print(flow_report_text(report))
     return 0 if report.meets_constraint else 1
@@ -302,8 +306,9 @@ def cmd_schedule(args):
     lib = default_library()
     micro = DESIGNS[args.design](width=args.width)
     with _engine(args):
-        schedule = plan_graceful_degradation(micro, lib, args.years,
-                                             effort=args.effort)
+        schedule = plan_graceful_degradation(
+            micro, lib, args.years, effort=args.effort,
+            scenario_factory=_stress_factory(args.stress))
         print(schedule_report_text(schedule))
     return 0
 

@@ -171,7 +171,12 @@ def compile_token(netlist, library):
     (:func:`repro.sim.logic.compile_netlist`,
     :func:`repro.sta.engine.compile_timing`): the library's memo key,
     the PI/PO orders and every gate's cell, pins and output, so any
-    mutation, including in-place ``gate.cell`` edits, recompiles."""
+    mutation, including in-place ``gate.cell`` edits, recompiles. A
+    read-only netlist (:meth:`~repro.netlist.netlist.Netlist.freeze`,
+    every synthesized one) carries its token, computed once."""
+    token = getattr(netlist, "_token", None)
+    if token is not None:
+        return (library_memo_key(library), token)
     return (library_memo_key(library), tuple(netlist.primary_inputs),
             tuple(netlist.primary_outputs),
             tuple((g.cell, g.inputs, g.output) for g in netlist.gates))

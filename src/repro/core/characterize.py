@@ -186,7 +186,8 @@ class ComponentCharacterization:
                    for p in self.precisions)
 
     def to_rows(self):
-        """Flat table (list of dicts) for printing/serialization."""
+        """Flat table (list of dicts) for printing/serialization; a delay
+        a scenario was not characterized at (see :meth:`merge`) is None."""
         rows = []
         for p in self.precisions:
             row = {
@@ -198,7 +199,7 @@ class ComponentCharacterization:
                 "depth": self.depth[p],
             }
             for label in self.scenario_labels:
-                row[label + "_ps"] = self.aged_ps[(p, label)]
+                row[label + "_ps"] = self.aged_ps.get((p, label))
             rows.append(row)
         return rows
 

@@ -19,7 +19,7 @@ from ..aging.bti import DEFAULT_BTI
 from ..obs import logs, trace as obs_trace
 from ..power.power import PowerReport, dynamic_power_uw
 from ..sim.activity import operand_stream_bits, simulate_activity
-from ..sta.engine import analyze_batch
+from ..sta.engine import analyze_batch, compile_timing
 from ..synth.aging_aware import aging_aware_synthesize
 from .library import AgingApproximationLibrary
 from .microarch import ApproximationOutcome, apply_aging_approximations
@@ -181,8 +181,12 @@ def microarchitecture_power(blocks_netlists, library, clock_ps,
                                    activity_vectors[block.name])
         dyn = dynamic_power_uw(netlist, library, report.toggle_rate,
                                clock_ps)
-        area += block.instances * netlist.area(library)
-        leakage += block.instances * netlist.leakage(library)
+        # Per-row cells of the (memo-served) timing program, summed in
+        # gate order: the floats of Netlist.area / Netlist.leakage.
+        block_area, block_leakage = compile_timing(
+            netlist, library).cell_totals()
+        area += block.instances * block_area
+        leakage += block.instances * block_leakage
         dynamic += block.instances * dyn
     return PowerReport(area_um2=area, leakage_nw=leakage,
                        dynamic_uw=dynamic, clock_ps=clock_ps)

@@ -10,6 +10,15 @@ from dataclasses import dataclass, field
 from typing import Tuple
 
 
+def split_cell(name):
+    """``(kind, drive)`` of a cell name: ``"NAND2_X2"`` -> ``("NAND2",
+    2)``; a name without a drive suffix is its own kind, at drive 1."""
+    base, sep, drive = name.rpartition("_X")
+    if sep and drive.isdigit():
+        return base, int(drive)
+    return name, 1
+
+
 @dataclass
 class Gate:
     """One standard-cell instance.
@@ -47,20 +56,29 @@ class Gate:
         ``"NAND2_X1"`` -> ``"NAND2"``. Cell names without a drive suffix
         are returned unchanged.
         """
-        base, sep, drive = self.cell.rpartition("_X")
-        if sep and drive.isdigit():
-            return base
-        return self.cell
+        return split_cell(self.cell)[0]
 
     @property
     def drive(self):
         """Drive strength (1, 2, 4, ...) encoded in the cell name."""
-        __, sep, drive = self.cell.rpartition("_X")
-        if sep and drive.isdigit():
-            return int(drive)
-        return 1
+        return split_cell(self.cell)[1]
 
     def with_cell(self, cell):
         """Return a copy of this gate mapped to a different cell type."""
         return Gate(uid=self.uid, cell=cell, inputs=self.inputs,
                     output=self.output, name=self.name)
+
+
+class FrozenGate(Gate):
+    """A :class:`Gate` of a read-only netlist (see
+    :meth:`~repro.netlist.netlist.Netlist.freeze`): assigning any
+    attribute raises."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError("gate %d belongs to a read-only netlist; "
+                             "copy() the netlist to edit it" % self.uid)
+
+    def __delattr__(self, name):
+        self.__setattr__(name, None)

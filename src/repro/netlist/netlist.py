@@ -12,12 +12,28 @@ the arithmetic components built on top.
 
 from collections import deque
 
-from .gate import Gate
+from .gate import FrozenGate, Gate
 from .net import CONST0, CONST1, FIRST_FREE_NET, is_const
 
 
 class NetlistError(Exception):
     """Raised when a netlist is structurally invalid."""
+
+
+class ReadOnlyList(list):
+    """A list whose in-place mutators raise (gate and interface lists of
+    a read-only netlist); it still compares, slices and copies as a
+    list."""
+
+    def _read_only(self, *args, **kwargs):
+        raise NetlistError("list of a read-only netlist; copy() the "
+                           "netlist to edit it")
+
+    append = extend = insert = pop = remove = clear = sort = reverse = \
+        __setitem__ = __delitem__ = __iadd__ = __imul__ = _read_only
+
+    def __reduce__(self):
+        return ReadOnlyList, (list(self),)
 
 
 class Netlist:
@@ -306,6 +322,25 @@ class Netlist:
         self._topo_cache = None
         self._version += 1
 
+    def freeze(self, token):
+        """Make this netlist read-only and remember its content *token*.
+
+        Synthesis freezes every netlist it returns: gate edits, the
+        mutating methods and rebinding the gate or interface lists then
+        raise, so the compile memos key it by *token* (see
+        :func:`repro.core.cache.compile_token`) instead of walking its
+        gates. :meth:`copy` returns an editable netlist.
+        """
+        for gate in self.gates:
+            if not isinstance(gate, FrozenGate):
+                gate.__class__ = FrozenGate
+        self.gates = ReadOnlyList(self.gates)
+        self.primary_inputs = ReadOnlyList(self.primary_inputs)
+        self.primary_outputs = ReadOnlyList(self.primary_outputs)
+        self._token = token
+        self.__class__ = FrozenNetlist
+        return self
+
     def copy(self):
         """Return a deep-enough copy (gates are re-created, ids preserved)."""
         dup = Netlist(self.name)
@@ -323,3 +358,24 @@ class Netlist:
         return ("Netlist(%r, gates=%d, inputs=%d, outputs=%d)"
                 % (self.name, len(self.gates), len(self.primary_inputs),
                    len(self.primary_outputs)))
+
+
+class FrozenNetlist(Netlist):
+    """A netlist after :meth:`Netlist.freeze`: read-only."""
+
+    _STRUCTURE = frozenset((
+        "name", "gates", "primary_inputs", "primary_outputs", "net_names",
+        "_driver", "_next_net", "_next_gate_uid", "_version", "_token"))
+
+    def __setattr__(self, name, value):
+        if name in self._STRUCTURE:
+            raise NetlistError("netlist %r is read-only; copy() it to "
+                               "edit it" % self.name)
+        object.__setattr__(self, name, value)
+
+    def _read_only(self, *args, **kwargs):
+        raise NetlistError("netlist %r is read-only; copy() it to edit it"
+                           % self.name)
+
+    new_net = add_input = add_inputs = set_outputs = add_gate = \
+        rebuild = freeze = _read_only

@@ -65,7 +65,6 @@ SYNTH_SWEEP_DERIVES = "synth.sweep.derives"
 SYNTH_SWEEP_CONE_GATES = "synth.sweep.cone_gates"
 SYNTH_SWEEP_BASE_MEMO_HITS = "synth.sweep.base_memo_hits"
 SYNTH_SWEEP_BASE_MEMO_EVICTIONS = "synth.sweep.base_memo_evictions"
-SYNTH_SWEEP_FALLBACKS = "synth.sweep.fallbacks"
 STA_RUNS = "sta.runs"
 STA_BATCH_RUNS = "sta.batch.runs"
 STA_BATCH_CORNERS = "sta.batch.corners"

@@ -24,21 +24,34 @@ def format_table(headers, rows):
 
 
 def characterization_report(entry):
-    """Text table of one component characterization (Section IV)."""
+    """Text table of one component characterization (Section IV).
+
+    A scenario characterized at only some precisions (a merged or
+    flow-searched entry) shows ``-`` where it has no delay."""
     headers = (["precision", "fresh_ps"]
                + ["%s_ps" % label for label in entry.scenario_labels]
                + ["gates", "area_um2"])
     rows = []
     for precision in entry.precisions:
         rows.append([precision, entry.fresh_ps[precision]]
-                    + [entry.aged_ps[(precision, label)]
+                    + [entry.aged_ps.get((precision, label), "-")
                        for label in entry.scenario_labels]
                     + [entry.gates[precision],
                        entry.area_um2[precision]])
     lines = ["component %s (base width %d)" % (entry.key, entry.width),
              format_table(headers, rows), ""]
     for label in entry.scenario_labels:
-        k = entry.required_precision(label)
+        try:
+            k = entry.required_precision(label)
+        except KeyError:
+            # The top-down Eq. 2 walk reached a precision this scenario
+            # was not characterized at before finding an answer.
+            covered = sum((p, label) in entry.aged_ps
+                          for p in entry.precisions)
+            lines.append("%-18s characterized at %d of %d precisions, "
+                         "no answer among them"
+                         % (label, covered, len(entry.precisions)))
+            continue
         if k is None:
             lines.append("%-18s cannot be compensated within the sweep"
                          % label)

@@ -121,6 +121,19 @@ class TimingProgram:
         """Number of logic levels."""
         return len(self.levels)
 
+    def cell_totals(self):
+        """``(area_um2, leakage_nw)`` of the per-row cells, summed in row
+        order (for a synthesized netlist its gate order, so the floats
+        equal :meth:`~repro.netlist.netlist.Netlist.area` /
+        :meth:`~repro.netlist.netlist.Netlist.leakage`); memoized."""
+        got = self.__dict__.get("_cell_totals")
+        if got is None:
+            cells = self.cells
+            rows = [cells[i] for i in self.cell_index.tolist()]
+            got = self._cell_totals = (sum(c.area for c in rows),
+                                       sum(c.leakage_nw for c in rows))
+        return got
+
 
 #: Per-netlist memo bound (several libraries may compile one netlist).
 _TIMING_MEMO_LIMIT = 8

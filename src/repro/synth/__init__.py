@@ -1,8 +1,6 @@
 """Logic synthesis: optimization passes, sizing, aging-aware baseline."""
 
-from .optimize import (constant_propagation, dead_gate_elimination,
-                       optimize, remove_inverter_pairs,
-                       structural_hashing)
+from .optimize import optimize
 from .synthesize import (EFFORTS, SynthesisResult, synthesize,
                          synthesize_netlist)
 from .fastsize import upsize_fast
@@ -12,8 +10,7 @@ from .sweep import (SweepSynthesis, clear_sweep_memo, sweep_for,
 from .aging_aware import AgingAwareResult, aging_aware_synthesize
 
 __all__ = [
-    "constant_propagation", "dead_gate_elimination", "optimize",
-    "remove_inverter_pairs", "structural_hashing",
+    "optimize",
     "EFFORTS", "SynthesisResult", "synthesize", "synthesize_netlist",
     "SizingReport", "upsize_fast",
     "SweepSynthesis", "clear_sweep_memo", "sweep_for",

@@ -11,12 +11,11 @@ axis of the paper's Fig. 8(c) comparison.
 from dataclasses import dataclass
 
 from ..aging.bti import DEFAULT_BTI
-from ..sta.engine import seed_timing
-from .fastsize import (compile_sizer, critical_path, propagate_full,
-                       timing_program, upsize_fast)
-from .optimize import optimize
+from .fastsize import critical_path, propagate_full, sizer_for, upsize_fast
+from .optimize import lower, run
 from .sizing import SizingReport
 from .sweep import memoized_base
+from .synthesize import seal
 
 
 @dataclass
@@ -72,18 +71,20 @@ def aging_aware_synthesize(source, library, scenario, target_ps=None,
     result is memoized on that base, keyed on the scenario, target,
     rounds, area budget, BTI model and degradation library, and evicted
     with it: a repeat call returns the same object, whose netlist is
-    shared and must be treated as read-only. Other sources (a raw
-    netlist, or no such base) are optimized and hardened afresh. The
-    hardened netlist arrives with its timing program seeded.
+    shared. Other sources (a raw netlist, or no such base) are optimized
+    and hardened afresh. Either way the hardened netlist is read-only
+    (:meth:`~repro.netlist.netlist.Netlist.freeze`) and arrives with its
+    timing program seeded.
     """
     sweep = memoized_base(source, library, effort_rounds)
     if sweep is None:
-        netlist = (source.build() if hasattr(source, "_build_core")
-                   else source).copy()
-        optimize(netlist, library, max_rounds=effort_rounds)
-        return _harden(netlist, compile_sizer(netlist, library), library,
-                       scenario, target_ps, bti, degradation,
-                       area_budget_ratio)
+        opt = run(lower(source.build() if hasattr(source, "_build_core")
+                        else source, library), effort_rounds)
+        netlist = opt.netlist()
+        program = sizer_for(opt, library)
+        program.netlist = netlist
+        return _harden(netlist, program, library, scenario, target_ps, bti,
+                       degradation, area_budget_ratio)
     from ..core.cache import (bti_fingerprint, degradation_fingerprint,
                               scenario_fingerprint)
 
@@ -97,18 +98,19 @@ def aging_aware_synthesize(source, library, scenario, target_ps=None,
 
 def _harden(netlist, program, library, scenario, target_ps, bti,
             degradation, area_budget_ratio):
-    """Size the optimized *netlist* (on its pre-sizing *program*) against
-    aged timing and seed its timing program."""
+    """Size the optimized *netlist* (on its pre-sizing *program*, rows in
+    gate order) against aged timing, then freeze it and seed its timing
+    program."""
     if target_ps is None:
         target_ps = critical_path(program, propagate_full(program))
     area_budget = None
     if area_budget_ratio is not None:
-        area_budget = area_budget_ratio * netlist.area(library)
+        area_budget = area_budget_ratio * program.area()
     sizing, __, aged = upsize_fast(netlist, library, target_ps, program,
                                    scenario=scenario, bti=bti,
                                    degradation=degradation,
                                    max_area_um2=area_budget)
-    seed_timing(netlist, library, timing_program(program))
+    seal(netlist, program, library)
     return AgingAwareResult(
         netlist=netlist,
         fresh_delay_ps=critical_path(program, propagate_full(program)),

@@ -1,40 +1,53 @@
-"""Netlist optimization passes.
+"""Netlist optimization: one levelized array engine for all synthesis.
 
 These passes are the working core of the reproduction's "logic
 synthesis" (the stand-in for Synopsys Design Compiler): constant
 propagation, algebraic single-gate simplification, inverter/buffer
-cleanup and dead-gate elimination. Constant propagation is what turns a
-precision reduction (operand LSBs tied to constant 0) into a physically
-smaller and faster netlist — the mechanism behind the paper's
-area/power/delay savings.
+cleanup, structural hashing and dead-gate elimination. Constant
+propagation is what turns a precision reduction (operand LSBs tied to
+constant 0) into a physically smaller and faster netlist — the
+mechanism behind the paper's area/power/delay savings.
 
-All passes mutate the given netlist in place and return it;
-:func:`repro.synth.synthesize.synthesize` works on a copy.
+A netlist is lowered **once** (:func:`lower`) to arrays in
+``topological_gates()`` order — cell ids, an ``(n, 3)`` input-net
+matrix padded with a never-driven net, output nets and longest-path
+levels — and every optimization round runs four levelized NumPy sweeps
+over those arrays:
 
-Every pass can *journal* what it did — per gate, the entry state and the
-outcome (kept with rewired inputs, or substituted away to a constant /
-alias / hash representative). :mod:`repro.synth.sweep` replays such a
-journal through the fan-out cone of tied-low inputs to derive truncated
-variants without re-running the passes over the whole netlist, so the
-per-gate decision logic is factored into ``_constprop_step`` /
-``_hash_key`` helpers that both the passes and the replay share.
+* **constant propagation** resolves each level's inputs and looks every
+  gate up in one table indexed by (cell, const/live code of the three
+  pins, equality pattern of the pins). :class:`CellTable` generates the
+  table from :func:`_constprop_step`, the one statement of the rewrite
+  rules;
+* **inverter cleanup** aliases BUFs and INV(INV(x)) pairs away and
+  recomputes the longest-path levels of what it keeps;
+* **structural hashing** groups each of those levels on packed
+  ``(kind, inputs sorted if commutative)`` keys and aliases every gate
+  to the lowest-position gate of its group. Duplicates always share a
+  longest-path level of the pass's input netlist (their inputs are
+  duplicates or equal), so grouping per level is exact;
+* **dead-gate elimination** is a reverse level sweep from the primary
+  outputs.
+
+The result equals the dict-walking passes of
+:mod:`repro.verify.optimize` gate for gate — uids, cells, input tuples,
+order and primary outputs (``tests/test_optimize_engine.py``). Every
+synthesis runs here: scratch :func:`~repro.synth.synthesize.synthesize`,
+the sweep base and its truncated derivations
+(:mod:`repro.synth.sweep`), the aging-aware baseline and
+:func:`optimize`.
 """
 
-from ..cells.cell import cell_function
-from ..netlist.net import CONST0, CONST1, is_const, const_value
+import weakref
+from itertools import chain, product
+
+import numpy as np
+
+from ..cells.cell import CELL_KINDS, cell_function
+from ..netlist.gate import Gate, split_cell
+from ..netlist.net import CONST0, CONST1, const_value, is_const
+from ..netlist.netlist import Netlist, NetlistError
 from ..obs import metrics as obs_metrics
-
-
-def _resolver(subst):
-    def resolve(net):
-        seen = []
-        while net in subst:
-            seen.append(net)
-            net = subst[net]
-        for s in seen:  # path compression
-            subst[s] = net
-        return net
-    return resolve
 
 
 def _simplify(kind, ins):
@@ -134,8 +147,9 @@ def _simplify(kind, ins):
 def _constprop_step(kind, drive, ins, library):
     """Constant-propagation outcome of one gate, given resolved inputs.
 
-    Shared by :func:`constant_propagation` and the sweep replay so both
-    apply byte-identical rewrite decisions. Returns ``("k", cell,
+    The one statement of the rewrite rules: :class:`CellTable` compiles
+    it into the engine's lookup table and the dict oracle
+    (:mod:`repro.verify.optimize`) calls it per gate. Returns ``("k", cell,
     inputs)`` for a kept (possibly remapped) gate or ``("s", net)`` for a
     gate substituted by a constant or alias net.
     """
@@ -157,188 +171,517 @@ def _constprop_step(kind, drive, ins, library):
 
 _COMMUTATIVE = {"AND2", "OR2", "XOR2", "XNOR2", "NAND2", "NOR2"}
 
+# ---------------------------------------------------------------------------
+# cell table: kinds, arities and the constant-propagation rewrite table
+# ---------------------------------------------------------------------------
 
-def _hash_key(kind, ins):
-    """Structural-hashing key: kind + canonicalized input tuple."""
-    return (kind, tuple(sorted(ins)) if kind in _COMMUTATIVE else ins)
+_KINDS = tuple(CELL_KINDS)
+_KIND_CODE = {kind: code for code, kind in enumerate(_KINDS)}
+_INV = _KIND_CODE["INV"]
+_BUF = _KIND_CODE["BUF"]
+_IS_COMMUTATIVE = np.asarray([kind in _COMMUTATIVE for kind in _KINDS])
+_ARITY = np.asarray([CELL_KINDS[kind][0] for kind in _KINDS])
+
+#: Table entries per cell: 27 const/live codes of the three pins times 8
+#: pin-equality patterns.
+_ENTRIES = 27 * 8
+#: Rewrite source columns past the three resolved pins.
+_SRC_CONST0, _SRC_CONST1, _SRC_PAD = 3, 4, 5
 
 
-class OptimizeJournal:
-    """Recording of one :func:`optimize` run for sweep replay.
+def _entry(pins):
+    """Table entry of three resolved pin nets (or symbols): const/live
+    code plus pin-equality bits, as :func:`_constprop` computes them."""
+    a, b, c = pins
+    code = min(a, 2) * 9 + min(b, 2) * 3 + min(c, 2)
+    return code * 8 + (a == b) + 2 * (a == c) + 4 * (b == c)
 
-    ``rounds`` holds one dict per optimization round with the per-pass
-    entry lists (``"cp"`` / ``"inv"`` / ``"sh"`` / ``"dge"``) and the
-    primary-output list after each substituting pass. Entry tuples are:
 
-    * ``cp`` / ``inv``: ``(uid, out, cell, ins, kept_cell, kept_ins)``
-      for kept gates (entry state + post state) or
-      ``(uid, out, cell, ins, None, target)`` for substituted gates
-      (*target* is the one-step substitution as created);
-    * ``sh``: kept as above, substituted gates carry
-      ``(uid, out, cell, ins, None, (rep, key_ins))`` — the
-      representative net plus the resolved inputs that formed the hash
-      key;
-    * ``dge``: ``(uid, out, cell, ins, kept_bool)``.
+def _pin_patterns(arity):
+    """Every distinct pin pattern of an *arity*-input gate: constants
+    are nets 0/1, live nets are numbered 2, 3, 4 in order of first use
+    and the unused pins carry the pad symbol 5."""
+    for pins in product(range(5), repeat=arity):
+        top = 1
+        for p in pins:
+            if p > top + 1:
+                break
+            top = max(top, p)
+        else:
+            yield pins + (5,) * (3 - arity)
+
+
+class CellTable:
+    """Cell ids of one library and their constant-propagation table.
+
+    A cell name gets an id the first time a netlist uses it (or a rewrite
+    produces it); its 216 table entries are generated then, by calling
+    :func:`_constprop_step` on every distinct pin pattern. An entry is
+    ``op`` (1: substitute the output by source ``tgt``, 0: keep the gate
+    as cell ``cell`` reading sources ``src``) where a source is a pin
+    (0-2), CONST0 (3), CONST1 (4) or the pad net (5). Entries no gate
+    can reach keep ``op == -1``.
     """
 
-    def __init__(self):
-        self.rounds = []
+    def __init__(self, library):
+        self.library = library
+        self.names = []
+        self.ids = {}
+        self._kind = []
+        self._op = []
+        self._tgt = []
+        self._cell = []
+        self._src = []
+        self._arrays = None
+        self._electrical = None
 
-    def begin_round(self):
-        rec = {"cp": [], "inv": [], "sh": [], "dge": [],
-               "po": {}, "count_after": None}
-        self.rounds.append(rec)
-        return rec
+    def id_of(self, name):
+        got = self.ids.get(name)
+        return self._register(name) if got is None else got
+
+    def _register(self, name):
+        kind, drive = split_cell(name)
+        if kind not in CELL_KINDS:
+            raise KeyError("unknown cell kind %r (cell %r)" % (kind, name))
+        cid = len(self.names)
+        self.ids[name] = cid
+        self.names.append(name)
+        self._kind.append(_KIND_CODE[kind])
+        op = [-1] * _ENTRIES
+        tgt = [_SRC_PAD] * _ENTRIES
+        cell = [cid] * _ENTRIES
+        src = [(0, 1, 2)] * _ENTRIES
+        for table, row in ((self._op, op), (self._tgt, tgt),
+                           (self._cell, cell), (self._src, src)):
+            table.append(row)
+        self._arrays = None
+        self._electrical = None
+        arity = CELL_KINDS[kind][0]
+        for pins in _pin_patterns(arity):
+            idx = _entry(pins)
+            step = _constprop_step(kind, drive, pins[:arity], self.library)
+            if step[0] == "s":
+                op[idx] = 1
+                tgt[idx] = _source(step[1], pins)
+            else:
+                op[idx] = 0
+                cell[idx] = self.id_of(step[1])
+                src[idx] = (tuple(_source(net, pins) for net in step[2])
+                            + (_SRC_PAD,) * (3 - len(step[2])))
+        return cid
+
+    def arrays(self):
+        """``(op, tgt, cell, src, kind, arity)``: the table as flat NumPy
+        arrays (entry ``cell * 216 + _entry(pins)``) plus the kind code
+        and pin count of every cell id."""
+        if self._arrays is None:
+            kind = np.asarray(self._kind, dtype=np.int64)
+            self._arrays = (
+                np.asarray(list(chain.from_iterable(self._op)),
+                           dtype=np.int8),
+                np.asarray(list(chain.from_iterable(self._tgt)),
+                           dtype=np.int64),
+                np.asarray(list(chain.from_iterable(self._cell)),
+                           dtype=np.int64),
+                np.asarray(list(chain.from_iterable(self._src)),
+                           dtype=np.int64).reshape(-1, 3),
+                kind, _ARITY[kind])
+        return self._arrays
+
+    def electrical(self):
+        """Per-cell-id library data for the sizer: ``(cells, params,
+        up)`` — the :class:`~repro.cells.cell.Cell` objects (None for a
+        cell the library lacks), a ``(cells, 4)`` float array of input
+        cap, intrinsic delay, drive resistance and area, and the id of
+        the next stronger drive (-1 at the top). Registers the stronger
+        drives it names."""
+        if self._electrical is None:
+            library = self.library
+            up = []
+            while len(up) < len(self.names):
+                name = self.names[len(up)]
+                stronger = (library.next_drive_up(name) if name in library
+                            else None)
+                up.append(-1 if stronger is None else self.id_of(stronger))
+            cells = [library[name] if name in library else None
+                     for name in self.names]
+            params = np.asarray(
+                [(c.input_cap_ff, c.intrinsic_ps, c.drive_res, c.area)
+                 if c is not None else (np.nan,) * 4 for c in cells],
+                dtype=np.float64).reshape(-1, 4)
+            self._electrical = (cells, params,
+                                np.asarray(up, dtype=np.int64))
+        return self._electrical
 
 
-def constant_propagation(netlist, library, record=None, po_record=None):
-    """Fold constants and algebraic identities through the netlist."""
-    subst = {}
-    resolve = _resolver(subst)
-    kept = []
-    for gate in netlist.topological_gates():
-        ins = tuple(resolve(n) for n in gate.inputs)
-        step = _constprop_step(gate.kind, gate.drive, ins, library)
-        if step[0] == "s":
-            subst[gate.output] = step[1]
-            if record is not None:
-                record.append((gate.uid, gate.output, gate.cell,
-                               gate.inputs, None, step[1]))
-        else:
-            __, cell, new_ins = step
-            if record is not None:
-                record.append((gate.uid, gate.output, gate.cell,
-                               gate.inputs, cell, new_ins))
-            kept.append(gate.with_cell(cell) if cell != gate.cell else gate)
-            if new_ins != gate.inputs:
-                kept[-1].inputs = new_ins
-    netlist.rebuild(kept)
-    netlist.primary_outputs = [resolve(n) for n in netlist.primary_outputs]
-    if po_record is not None:
-        po_record["cp"] = list(netlist.primary_outputs)
-    return netlist
+def _source(net, pins):
+    """Rewrite source column of *net* in a pin pattern."""
+    if net == CONST0:
+        return _SRC_CONST0
+    if net == CONST1:
+        return _SRC_CONST1
+    return pins.index(net)
 
 
-def remove_inverter_pairs(netlist, library, record=None, po_record=None):
-    """Collapse INV(INV(x)) chains and BUFs into aliases."""
-    subst = {}
-    resolve = _resolver(subst)
-    kept = []
-    for gate in netlist.topological_gates():
-        ins = tuple(resolve(n) for n in gate.inputs)
-        if gate.kind == "BUF":
-            subst[gate.output] = ins[0]
-            if record is not None:
-                record.append((gate.uid, gate.output, gate.cell,
-                               gate.inputs, None, ins[0]))
+_TABLES = weakref.WeakKeyDictionary()
+
+
+def cell_table(library):
+    """The process's :class:`CellTable` of *library*."""
+    got = _TABLES.get(library)
+    if got is None:
+        got = _TABLES[library] = CellTable(library)
+    return got
+
+
+# ---------------------------------------------------------------------------
+# lowering
+# ---------------------------------------------------------------------------
+
+class Lowered:
+    """A netlist lowered to arrays, rows in ``topological_gates()`` order.
+
+    ``ins`` pads unused pins with ``pad``, a net id no gate drives or
+    reads; ``driver`` maps a net to its row (-1 for primary inputs,
+    constants and the pad); ``level`` holds longest-path levels
+    (primary inputs and constants at 0) and ``groups`` the rows of each
+    level, ascending.
+    """
+
+    def __init__(self, netlist, table):
+        gates = netlist.topological_gates()
+        n = len(gates)
+        self.netlist = netlist
+        self.gates = gates
+        self.table = table
+        self.n = n
+        pins = [g.inputs for g in gates]
+        arity = np.fromiter(map(len, pins), dtype=np.int64, count=n)
+        if n and arity.max() > 3:
+            raise NetlistError("a gate has more than three inputs")
+        flat = np.fromiter(chain.from_iterable(pins), dtype=np.int64,
+                           count=int(arity.sum()))
+        self.out = np.fromiter((g.output for g in gates), dtype=np.int64,
+                               count=n)
+        self.uid = np.fromiter((g.uid for g in gates), dtype=np.int64,
+                               count=n)
+        names = [g.cell for g in gates]
+        for name in set(names).difference(table.ids):
+            table.id_of(name)
+        self.cell = np.fromiter(map(table.ids.__getitem__, names),
+                                dtype=np.int64, count=n)
+        self.names = [g.name for g in gates]
+        self.pis = list(netlist.primary_inputs)
+        pis = np.asarray(self.pis, dtype=np.int64)
+        self.po = np.asarray(netlist.primary_outputs, dtype=np.int64)
+        top = max([1] + [int(a.max()) for a in (flat, self.out, pis,
+                                                self.po) if len(a)])
+        self.pad = top + 1
+        self.nets = top + 2
+        ins = np.full((n, 3), self.pad, dtype=np.int64)
+        if n:
+            starts = np.cumsum(arity) - arity
+            ins[np.repeat(np.arange(n), arity),
+                np.arange(len(flat)) - np.repeat(starts, arity)] = flat
+        self.ins = ins
+        self.driver = np.full(self.nets, -1, dtype=np.int64)
+        self.driver[self.out] = np.arange(n)
+        self._validate(pis)
+        self.level = _longest_levels(ins, self.out, self.nets)
+        self.groups = _level_groups(self.level, np.arange(n))
+
+    def _validate(self, pis):
+        """:meth:`Netlist.validate`'s structural checks, on the arrays
+        (``topological_gates`` already rejected cycles and reads of
+        undriven nets)."""
+        out = self.out
+        if len(np.unique(out)) != self.n:
+            dup = np.flatnonzero(np.bincount(out) > 1)[0]
+            raise NetlistError("net %d multiply driven" % dup)
+        if self.n and out.min() <= CONST1:
+            raise NetlistError("constant net driven by gate %d"
+                               % self.uid[np.argmin(out)])
+        driven = np.zeros(self.nets, dtype=bool)
+        driven[pis] = True
+        hit = driven[out]
+        if hit.any():
+            raise NetlistError("primary input %d driven"
+                               % out[np.argmax(hit)])
+        driven[out] = True
+        driven[[CONST0, CONST1]] = True
+        bad = ~driven[self.po]
+        if bad.any():
+            raise NetlistError("primary output %d undriven"
+                               % self.po[np.argmax(bad)])
+
+
+def lower(netlist, library):
+    """Lower *netlist* under *library*'s cell table (see :class:`Lowered`)."""
+    return Lowered(netlist, cell_table(library))
+
+
+def _longest_levels(ins, out, nets):
+    """Longest-path level of every row (inputs at 0); rows are in
+    topological order, so one forward pass settles them."""
+    net_level = [0] * nets
+    level = []
+    append = level.append
+    for a, b, c, o in zip(ins[:, 0].tolist(), ins[:, 1].tolist(),
+                          ins[:, 2].tolist(), out.tolist()):
+        lv = max(net_level[a], net_level[b], net_level[c]) + 1
+        net_level[o] = lv
+        append(lv)
+    return np.asarray(level, dtype=np.int64)
+
+
+def _level_groups(level, rows):
+    """*rows* (ascending) split by level, levels ascending."""
+    if not len(rows):
+        return []
+    order = rows[np.argsort(level[rows], kind="stable")]
+    lv = level[order]
+    return np.split(order, np.flatnonzero(lv[1:] != lv[:-1]) + 1)
+
+
+# ---------------------------------------------------------------------------
+# the four passes
+# ---------------------------------------------------------------------------
+
+def _constprop(groups, state, tables):
+    op_t, tgt_t, cell_t, src_t = tables[:4]
+    alive, cell, ins, rep, out = state.alive, state.cell, state.ins, \
+        state.rep, state.low.out
+    consts = np.asarray([CONST0, CONST1, state.low.pad], dtype=np.int64)
+    for rows in groups:
+        rows = rows[alive[rows]]
+        if not len(rows):
             continue
-        if gate.kind == "INV":
-            driver = netlist.driver_of(ins[0])
-            if driver is not None and driver.kind == "INV":
-                target = resolve(driver.inputs[0])
-                subst[gate.output] = target
-                if record is not None:
-                    record.append((gate.uid, gate.output, gate.cell,
-                                   gate.inputs, None, target))
-                continue
-        if record is not None:
-            record.append((gate.uid, gate.output, gate.cell, gate.inputs,
-                           gate.cell, ins))
-        if ins != gate.inputs:
-            gate.inputs = ins
+        r = rep[ins[rows]]
+        st = np.minimum(r, 2)
+        a, b, c = r[:, 0], r[:, 1], r[:, 2]
+        idx = (cell[rows] * _ENTRIES
+               + (st[:, 0] * 9 + st[:, 1] * 3 + st[:, 2]) * 8
+               + (a == b) + 2 * (a == c) + 4 * (b == c))
+        ext = np.empty((len(rows), 6), dtype=np.int64)
+        ext[:, :3] = r
+        ext[:, 3:] = consts
+        sub = op_t[idx] == 1
+        if sub.any():
+            srows = rows[sub]
+            rep[out[srows]] = ext[sub, tgt_t[idx[sub]]]
+            alive[srows] = False
+            keep = ~sub
+            rows, idx, ext = rows[keep], idx[keep], ext[keep]
+        cell[rows] = cell_t[idx]
+        ins[rows] = np.take_along_axis(ext, src_t[idx], axis=1)
+
+
+def _inverters(groups, state, tables):
+    """Alias BUFs and INV(INV(x)) away; return the longest-path levels
+    of the kept rows."""
+    kind_t = tables[4]
+    low = state.low
+    alive, cell, ins, rep, out = state.alive, state.cell, state.ins, \
+        state.rep, low.out
+    driver = low.driver
+    level = np.zeros(low.n, dtype=np.int64)
+    net_level = np.zeros(low.nets, dtype=np.int64)
+    for rows in groups:
+        rows = rows[alive[rows]]
+        if not len(rows):
+            continue
+        r = rep[ins[rows]]
+        kind = kind_t[cell[rows]]
+        d = r[:, 0]
+        target = d.copy()
+        sub = kind == _BUF
+        inv = np.flatnonzero(kind == _INV)
+        if len(inv):
+            drow = driver[d[inv]]
+            pair = drow >= 0
+            pair[pair] = kind_t[cell[drow[pair]]] == _INV
+            inv = inv[pair]
+            sub[inv] = True
+            target[inv] = ins[drow[pair], 0]
+        if sub.any():
+            rep[out[rows[sub]]] = target[sub]
+            alive[rows[sub]] = False
+            keep = ~sub
+            rows, r = rows[keep], r[keep]
+        ins[rows] = r
+        lv = net_level[r].max(axis=1) + 1
+        net_level[out[rows]] = lv
+        level[rows] = lv
+    return level
+
+
+def _hashing(groups, state, tables):
+    kind_t = tables[4]
+    low = state.low
+    alive, cell, ins, rep, out = state.alive, state.cell, state.ins, \
+        state.rep, low.out
+    span = low.nets
+    packed = span ** 3 * len(_KINDS) < 2 ** 63
+    for rows in groups:
+        rows = rows[alive[rows]]
+        r = rep[ins[rows]]
+        ins[rows] = r
+        if len(rows) < 2:
+            continue
+        kind = kind_t[cell[rows]]
+        a, b = r[:, 0], r[:, 1]
+        comm = _IS_COMMUTATIVE[kind]
+        lo = np.where(comm, np.minimum(a, b), a)
+        hi = np.where(comm, np.maximum(a, b), b)
+        if packed:
+            key = ((kind * span + lo) * span + hi) * span + r[:, 2]
+            __, first, back = np.unique(key, return_index=True,
+                                        return_inverse=True)
+        else:
+            __, first, back = np.unique(
+                np.stack([kind, lo, hi, r[:, 2]], axis=1), axis=0,
+                return_index=True, return_inverse=True)
+        keeper = rows[first[back.reshape(-1)]]
+        dup = keeper != rows
+        if dup.any():
+            rep[out[rows[dup]]] = out[keeper[dup]]
+            alive[rows[dup]] = False
+
+
+def _dead(groups, state, po):
+    alive, ins, out = state.alive, state.ins, state.low.out
+    needed = np.zeros(state.low.nets, dtype=bool)
+    needed[po] = True
+    for rows in reversed(groups):
+        rows = rows[alive[rows]]
+        live = needed[out[rows]]
+        alive[rows[~live]] = False
+        needed[ins[rows[live]]] = True
+
+
+class Optimized:
+    """Engine state of one optimized netlist.
+
+    ``rows`` are the surviving rows of the lowered netlist ``low``
+    (ascending, hence topological); ``cell`` / ``ins`` / ``level`` are
+    per-row (read them at ``rows``) and ``po`` holds the primary-output
+    nets.
+    """
+
+    def __init__(self, low, tied=()):
+        self.low = low
+        self.alive = np.ones(low.n, dtype=bool)
+        self.cell = low.cell.copy()
+        phi = np.arange(low.nets)
+        phi[np.asarray(tied, dtype=np.int64)] = CONST0
+        self.ins = phi[low.ins]
+        self.po = phi[low.po]
+        self.rep = np.arange(low.nets)
+        self.level = low.level
+        self.rows = None
+
+    def run(self, max_rounds):
+        low = self.low
+        tables = low.table.arrays()
+        groups = low.groups
+        count = low.n
+        for __ in range(max_rounds):
+            before = count
+            _constprop(groups, self, tables)
+            self.po = self.rep[self.po]
+            after_cp = int(np.count_nonzero(self.alive))
+            self.level = _inverters(groups, self, tables)
+            self.po = self.rep[self.po]
+            groups = _level_groups(self.level, np.flatnonzero(self.alive))
+            _hashing(groups, self, tables)
+            self.po = self.rep[self.po]
+            after_sh = int(np.count_nonzero(self.alive))
+            _dead(groups, self, self.po)
+            count = int(np.count_nonzero(self.alive))
+            obs_metrics.inc(obs_metrics.SYNTH_CONSTPROP_REWRITES,
+                            before - after_cp)
+            obs_metrics.inc(obs_metrics.SYNTH_DEAD_GATES, after_sh - count)
+            if count == before:
+                break
+        self.rows = np.flatnonzero(self.alive)
+        del self.rep
+        return self
+
+    def cell_names(self):
+        names = self.low.table.names
+        return [names[c] for c in self.cell[self.rows].tolist()]
+
+    def pin_tuples(self):
+        """Input-net tuple of every surviving row."""
+        rows = self.rows
+        arity = self.low.table.arrays()[5][self.cell[rows]]
+        order = np.argsort(arity, kind="stable")
+        ins = self.ins[rows[order]]
+        bounds = np.searchsorted(arity[order], [1, 2, 3, 4])
+        made = []
+        for k in (1, 2, 3):
+            made.extend(zip(*ins[bounds[k - 1]:bounds[k], :k].T.tolist()))
+        place = np.empty(len(rows), dtype=np.int64)
+        place[order] = np.arange(len(rows))
+        return [made[i] for i in place.tolist()]
+
+    def netlist(self, cellnames=None, name=None):
+        """Materialize the optimized netlist, with cells *cellnames*
+        (default: the engine's own)."""
+        low = self.low
+        raw = low.netlist
+        rows = self.rows
+        if cellnames is None:
+            cellnames = self.cell_names()
+        outs = low.out[rows].tolist()
+        names = low.names
+        gates = list(map(Gate, low.uid[rows].tolist(), cellnames,
+                         self.pin_tuples(), outs,
+                         [names[r] for r in rows.tolist()]))
+        nl = Netlist(raw.name if name is None else name)
+        nl._next_net = raw._next_net
+        nl._next_gate_uid = raw._next_gate_uid
+        nl.net_names = dict(raw.net_names)
+        nl.primary_inputs = list(raw.primary_inputs)
+        nl.primary_outputs = self.po.tolist()
+        nl.gates = gates
+        nl._driver = dict(zip(outs, gates))
+        nl._topo_cache = list(gates)
+        return nl
+
+    def diff_rows(self, other):
+        """Number of rows whose state differs from *other*'s (a gate
+        present in one and not the other, or kept with another cell or
+        other inputs)."""
+        both = self.alive & other.alive
+        differ = self.alive != other.alive
+        differ[both] = ((self.cell[both] != other.cell[both])
+                        | (self.ins[both] != other.ins[both]).any(axis=1))
+        return int(np.count_nonzero(differ))
+
+
+def run(low, max_rounds, tied=()):
+    """Optimize lowered *low* for at most *max_rounds* rounds, with the
+    nets *tied* rewired to CONST0 first; returns :class:`Optimized`."""
+    return Optimized(low, tied).run(max_rounds)
+
+
+def optimize(netlist, library, max_rounds=8):
+    """Run constant propagation, inverter cleanup, structural hashing
+    and dead-gate elimination to a fixpoint (at most *max_rounds*
+    rounds), in place: the surviving gates keep their objects, with
+    cells and inputs rewritten. Returns *netlist*."""
+    opt = run(lower(netlist, library), max_rounds)
+    gates = opt.low.gates
+    kept = []
+    for row, cell, pins in zip(opt.rows.tolist(), opt.cell_names(),
+                               opt.pin_tuples()):
+        gate = gates[row]
+        if gate.cell != cell:
+            gate.cell = cell
+        if gate.inputs != pins:
+            gate.inputs = pins
         kept.append(gate)
     netlist.rebuild(kept)
-    netlist.primary_outputs = [resolve(n) for n in netlist.primary_outputs]
-    if po_record is not None:
-        po_record["inv"] = list(netlist.primary_outputs)
-    return netlist
-
-
-def structural_hashing(netlist, library=None, record=None, po_record=None):
-    """Merge structurally identical gates (common-subexpression elim).
-
-    Two gates of the same kind reading the same (canonicalized) inputs
-    compute the same function; the second one is replaced by an alias to
-    the first. Input order of commutative cells is canonicalized by
-    sorting. Arithmetic generators produce plenty of shared
-    propagate/generate terms, so this pass recovers real area.
-    """
-    subst = {}
-    resolve = _resolver(subst)
-    seen = {}
-    kept = []
-    for gate in netlist.topological_gates():
-        ins = tuple(resolve(n) for n in gate.inputs)
-        key = _hash_key(gate.kind, ins)
-        existing = seen.get(key)
-        if existing is not None:
-            subst[gate.output] = existing
-            if record is not None:
-                record.append((gate.uid, gate.output, gate.cell,
-                               gate.inputs, None, (existing, key[1])))
-            continue
-        seen[key] = gate.output
-        if record is not None:
-            record.append((gate.uid, gate.output, gate.cell, gate.inputs,
-                           gate.cell, ins))
-        if ins != gate.inputs:
-            gate.inputs = ins
-        kept.append(gate)
-    netlist.rebuild(kept)
-    netlist.primary_outputs = [resolve(n) for n in netlist.primary_outputs]
-    if po_record is not None:
-        po_record["sh"] = list(netlist.primary_outputs)
-    return netlist
-
-
-def dead_gate_elimination(netlist, library=None, record=None):
-    """Drop gates whose outputs cannot reach any primary output."""
-    needed = set(netlist.primary_outputs)
-    # Walk backwards in reverse topological order.
-    for gate in reversed(netlist.topological_gates()):
-        if gate.output in needed:
-            needed.update(gate.inputs)
-    if record is not None:
-        for gate in netlist.gates:
-            record.append((gate.uid, gate.output, gate.cell, gate.inputs,
-                           gate.output in needed))
-    kept = [g for g in netlist.gates if g.output in needed]
-    netlist.rebuild(kept)
-    return netlist
-
-
-def optimize(netlist, library, max_rounds=8, journal=None):
-    """Run all passes to a fixpoint (bounded by *max_rounds*).
-
-    When *journal* (an :class:`OptimizeJournal`) is given, every pass
-    application is recorded for cone-restricted replay by
-    :mod:`repro.synth.sweep`.
-    """
-    for __ in range(max_rounds):
-        before = netlist.num_gates
-        rec = journal.begin_round() if journal is not None else None
-        if rec is None:
-            constant_propagation(netlist, library)
-            after_cp = netlist.num_gates
-            remove_inverter_pairs(netlist, library)
-            structural_hashing(netlist, library)
-            after_sh = netlist.num_gates
-            dead_gate_elimination(netlist, library)
-        else:
-            constant_propagation(netlist, library, record=rec["cp"],
-                                 po_record=rec["po"])
-            after_cp = netlist.num_gates
-            remove_inverter_pairs(netlist, library, record=rec["inv"],
-                                  po_record=rec["po"])
-            structural_hashing(netlist, library, record=rec["sh"],
-                               po_record=rec["po"])
-            after_sh = netlist.num_gates
-            dead_gate_elimination(netlist, library, record=rec["dge"])
-            rec["count_after"] = netlist.num_gates
-        obs_metrics.inc(obs_metrics.SYNTH_CONSTPROP_REWRITES,
-                        before - after_cp)
-        obs_metrics.inc(obs_metrics.SYNTH_DEAD_GATES,
-                        after_sh - netlist.num_gates)
-        if netlist.num_gates == before:
-            break
+    netlist.primary_outputs = opt.po.tolist()
     return netlist

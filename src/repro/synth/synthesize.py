@@ -11,9 +11,9 @@ from dataclasses import dataclass
 
 from ..obs import logs, metrics as obs_metrics, trace as obs_trace
 from ..sta.engine import seed_timing
-from .fastsize import (compile_sizer, critical_path, propagate_full,
+from .fastsize import (critical_path, propagate_full, sizer_for,
                        timing_program, upsize_fast)
-from .optimize import optimize
+from .optimize import lower, run
 
 _log = logs.get_logger("synth")
 
@@ -58,7 +58,7 @@ def synthesize(source, library, effort="ultra", target_ps=None):
     source:
         An :class:`~repro.rtl.component.RTLComponent` (its ``build()``
         netlist is used) or a :class:`~repro.netlist.netlist.Netlist`
-        (copied, the input is not mutated).
+        (read, not mutated).
     library:
         Target :class:`~repro.cells.library.CellLibrary`.
     effort:
@@ -66,19 +66,19 @@ def synthesize(source, library, effort="ultra", target_ps=None):
     target_ps:
         Optional timing target for the sizing pass at ``"ultra"``
         effort; by default it sizes for maximum performance.
+
+    The result's netlist is read-only (:meth:`~repro.netlist.netlist.
+    Netlist.freeze`) and arrives with its timing program seeded.
     """
     if effort not in EFFORTS:
         raise ValueError("unknown effort %r (have %s)"
                          % (effort, sorted(EFFORTS)))
     netlist = source.build() if hasattr(source, "_build_core") else source
-    netlist = netlist.copy()
     source_gates = netlist.num_gates
     with obs_trace.span("synth.synthesize", design=netlist.name,
                         effort=effort, source_gates=source_gates) as s:
-        optimize(netlist, library, max_rounds=EFFORTS[effort][0])
-        netlist.validate()
-        result = finish(netlist, library, compile_sizer(netlist, library),
-                        effort, target_ps, source_gates)
+        opt = run(lower(netlist, library), EFFORTS[effort][0])
+        result = finish(opt, library, effort, target_ps)
         if s is not None:
             s.attrs["final_gates"] = result.final_gates
     _log.debug("synthesized %s: %d -> %d gates, %.1f ps, %.1f um^2 "
@@ -88,24 +88,38 @@ def synthesize(source, library, effort="ultra", target_ps=None):
     return result
 
 
-def finish(netlist, library, program, effort, target_ps, source_gates):
-    """Size an optimized netlist (at "ultra", on its pre-sizing sizer
-    *program*) and seed its timing program, lowered from the sizer, into
-    :func:`repro.sta.engine.compile_timing`'s memo."""
+def finish(opt, library, effort, target_ps, name=None, program=None):
+    """Size an optimizer result (at "ultra", on its pre-sizing sizer
+    *program*, built if omitted), materialize it as a read-only netlist
+    named *name* (default: the source's) and seed its timing program,
+    lowered from the sizer, into :func:`repro.sta.engine.
+    compile_timing`'s memo."""
+    if program is None:
+        program = sizer_for(opt, library)
     if EFFORTS[effort][1]:
         goal = 0.0 if target_ps is None else target_ps
-        __, __, delay = upsize_fast(netlist, library, goal, program)
+        __, __, delay = upsize_fast(None, library, goal, program)
     else:
         delay = critical_path(program, propagate_full(program))
-    seed_timing(netlist, library, timing_program(program))
+    netlist = opt.netlist(program.cellnames, name=name)
+    area, leakage = seal(netlist, program, library).cell_totals()
     result = SynthesisResult(
-        netlist=netlist, delay_ps=delay, area_um2=netlist.area(library),
-        leakage_nw=netlist.leakage(library), source_gates=source_gates,
-        final_gates=netlist.num_gates)
+        netlist=netlist, delay_ps=delay, area_um2=area, leakage_nw=leakage,
+        source_gates=opt.low.n, final_gates=len(opt.rows))
     obs_metrics.inc(obs_metrics.SYNTH_RUNS)
     obs_metrics.observe(obs_metrics.SYNTH_DELAY_PS, delay)
     obs_metrics.observe(obs_metrics.SYNTH_AREA_UM2, result.area_um2)
     return result
+
+
+def seal(netlist, program, library):
+    """Freeze *netlist*, timed by sizer *program*, under the program's
+    content token, and seed its timing program; returns that program."""
+    program.netlist = netlist
+    netlist.freeze(program.token())
+    timing = timing_program(program)
+    seed_timing(netlist, library, timing)
+    return timing
 
 
 def synthesize_netlist(source, library, effort="ultra", target_ps=None):

@@ -17,9 +17,11 @@ Section-V slack rule. This package makes those equivalences executable:
     the outputs bit-exactly, with minimized counterexample reporting;
     also the byte-engine oracle of activity extraction and the
     scalar-loop oracle of Monte Carlo STA.
+``optimize``
+    The dict-walking optimization passes, oracle of the array optimizer.
 ``sizing``
     The dict-based sizing loop, oracle of the production array sizer,
-    and scratch synthesis sized by it.
+    and scratch synthesis by both oracles.
 ``shrink``
     Greedy netlist shrinker that reduces a failing netlist to a minimal
     reproducer (typically a handful of gates).
@@ -50,6 +52,9 @@ from .oracles import (ENGINES, Counterexample, EngineMismatch, OracleReport,
                       analyze_mc_reference, cross_engine_check,
                       diff_engines, engine_outputs,
                       minimize_counterexample, simulate_activity_bytes)
+from .optimize import (constant_propagation, dead_gate_elimination,
+                       reference_optimize, remove_inverter_pairs,
+                       structural_hashing)
 from .shrink import shrink_netlist
 from .sizing import reference_synthesize, upsize_critical_paths
 from .verify import VerificationReport, verify_component
@@ -61,11 +66,14 @@ __all__ = [
     "check_characterization", "check_error_shape",
     "check_golden", "check_injection", "check_mc",
     "check_psnr_endpoints", "check_slack_rule",
-    "check_sta_engine", "check_synth_sweep",
-    "cross_engine_check", "diff_engines", "engine_outputs", "fuzz_engines",
+    "check_sta_engine", "check_synth_sweep", "constant_propagation",
+    "cross_engine_check", "dead_gate_elimination", "diff_engines",
+    "engine_outputs", "fuzz_engines",
     "golden_model", "load_corpus", "minimize_counterexample",
     "netlist_from_dict", "netlist_to_dict", "random_netlist",
-    "reference_synthesize", "replay_corpus", "save_corpus_entry",
-    "shrink_netlist", "simulate_activity_bytes", "upsize_critical_paths",
+    "reference_optimize", "reference_synthesize",
+    "remove_inverter_pairs", "replay_corpus", "save_corpus_entry",
+    "shrink_netlist", "simulate_activity_bytes", "structural_hashing",
+    "upsize_critical_paths",
     "verify_component",
 ]

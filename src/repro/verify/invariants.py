@@ -314,22 +314,20 @@ def check_psnr_endpoints(library, image="akiyo", size=32, width=32,
 
 def check_synth_sweep(component, library, efforts=("medium", "ultra"),
                       precisions=None, target_ps=None):
-    """Incremental sweep synthesis vs from-scratch synthesis, bit-exactly.
+    """Sweep synthesis vs the dict-pass oracle, bit-exactly.
 
-    :class:`repro.synth.sweep.SweepSynthesis` is a perf optimization
-    with the same contract as the vectorized STA engine: identical
-    results, no epsilon. For every (effort, precision) pair this check
-    derives the truncated variant from the full-precision base by
-    cone-restricted replay and compares it against an independent
-    scratch synthesis of the explicitly truncated component, sized by
-    the dict-sizer oracle (:func:`repro.verify.sizing.
-    reference_synthesize`, so the check does not rest on
-    :mod:`repro.synth.fastsize`) — content-fingerprint equality of the
-    netlists plus float-equal delay/area/leakage — and requires that no
-    derivation fell back to the from-scratch path.
+    :class:`repro.synth.sweep.SweepSynthesis` runs the array optimizer
+    and sizer, with the same contract as the vectorized STA engine:
+    identical results, no epsilon. For every (effort, precision) pair
+    this check derives the truncated variant from the full-precision
+    base and compares it against an independent scratch synthesis of
+    the explicitly truncated component by the dict optimization passes
+    and the dict sizer (:func:`repro.verify.sizing.reference_synthesize`,
+    so the check rests on neither :mod:`repro.synth.optimize` nor
+    :mod:`repro.synth.fastsize`): content-fingerprint equality of the
+    netlists plus float-equal delay/area/leakage.
     """
     from ..core.cache import netlist_fingerprint
-    from ..obs import metrics as obs_metrics
     from ..synth.sweep import SweepSynthesis
     from .sizing import reference_synthesize
 
@@ -341,42 +339,28 @@ def check_synth_sweep(component, library, efforts=("medium", "ultra"),
                         reverse=True)
     bad = []
     points = 0
-    fallbacks = 0
     for effort in efforts:
-        with obs_metrics.scoped() as registry:
-            sweep = SweepSynthesis(component, library, effort=effort,
-                                   target_ps=target_ps)
-            for precision in precisions:
-                derived = sweep.derive(precision)
-                scratch = reference_synthesize(
-                    component.with_precision(precision), library,
-                    effort=effort, target_ps=target_ps)
-                points += 1
-                if (netlist_fingerprint(derived.netlist)
-                        != netlist_fingerprint(scratch.netlist)
-                        or derived.delay_ps != scratch.delay_ps
-                        or derived.area_um2 != scratch.area_um2
-                        or derived.leakage_nw != scratch.leakage_nw):
-                    bad.append("%s@%s" % (precision, effort))
-            snap = registry.snapshot()
-        # The scope isolates the fallback count; fold the work metrics
-        # back into the ambient registry so they still show up in run
-        # manifests.
-        obs_metrics.registry().merge(snap)
-        fallbacks += int(snap.get("counters", {}).get(
-            obs_metrics.SYNTH_SWEEP_FALLBACKS, 0))
-    results = [_result(
+        sweep = SweepSynthesis(component, library, effort=effort,
+                               target_ps=target_ps)
+        for precision in precisions:
+            derived = sweep.derive(precision)
+            scratch = reference_synthesize(
+                component.with_precision(precision), library,
+                effort=effort, target_ps=target_ps)
+            points += 1
+            if (netlist_fingerprint(derived.netlist)
+                    != netlist_fingerprint(scratch.netlist)
+                    or derived.delay_ps != scratch.delay_ps
+                    or derived.area_um2 != scratch.area_um2
+                    or derived.leakage_nw != scratch.leakage_nw):
+                bad.append("%s@%s" % (precision, effort))
+    return [_result(
         "synth_sweep_bit_exact", not bad,
-        "%d derived point(s) fingerprint-identical to from-scratch "
-        "synthesis" % points,
-        "sweep-derived synthesis diverges from scratch at: %s"
+        "%d derived point(s) fingerprint-identical to the dict-pass "
+        "oracle" % points,
+        "sweep-derived synthesis diverges from the oracle at: %s"
         % ", ".join(bad))]
-    results.append(_result(
-        "synth_sweep_no_fallback", fallbacks == 0,
-        "every derivation replayed incrementally (no fallbacks)",
-        "%d derivation(s) fell back to from-scratch synthesis"
-        % fallbacks))
-    return results
+
 
 def check_sta_engine(netlist, library, scenarios, bti=None,
                      degradation=None):

@@ -3,16 +3,17 @@
 :func:`upsize_critical_paths` is the plain sizing loop — one freshly
 compiled STA per round, scalar slack dictionaries, cells mutated round
 by round. :func:`repro.synth.fastsize.upsize_fast` must match it bit for
-bit. :func:`reference_synthesize` is scratch synthesis sized by it, the
-reference :func:`repro.verify.invariants.check_synth_sweep` uses.
+bit. :func:`reference_synthesize` is scratch synthesis by the dict
+optimization passes sized by it, the reference
+:func:`repro.verify.invariants.check_synth_sweep` uses.
 """
 
 from ..aging.bti import DEFAULT_BTI
 from ..obs import metrics as obs_metrics
 from ..sta.engine import analyze_batch, compile_timing
-from ..synth.optimize import optimize
 from ..synth.sizing import SizingReport, gate_slacks
 from ..synth.synthesize import EFFORTS, SynthesisResult
+from .optimize import reference_optimize
 
 
 def _analyze(netlist, library, scenario, bti, degradation):
@@ -105,13 +106,15 @@ def _record(report):
 
 
 def reference_synthesize(component, library, effort="ultra", target_ps=None):
-    """Scratch synthesis sized by :func:`upsize_critical_paths`, timed
-    by a fresh compile: no number comes from :mod:`repro.synth.fastsize`.
+    """Scratch synthesis by the dict passes
+    (:func:`repro.verify.optimize.reference_optimize`), sized by
+    :func:`upsize_critical_paths` and timed by a fresh compile: no
+    number comes from the array optimizer or :mod:`repro.synth.fastsize`.
     """
     rounds, do_sizing = EFFORTS[effort]
     netlist = component.build().copy()
     source_gates = netlist.num_gates
-    optimize(netlist, library, max_rounds=rounds)
+    reference_optimize(netlist, library, max_rounds=rounds)
     if do_sizing:
         upsize_critical_paths(netlist, library,
                               0.0 if target_ps is None else target_ps)

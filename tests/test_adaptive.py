@@ -127,3 +127,24 @@ class TestMergeSupport:
         # 10y covers only precision 8 -> not fully characterized.
         assert not entry.has_scenario("10y_worst")
         assert entry.has_scenario("1y_worst")
+
+    def test_partial_entry_renders(self, lib):
+        """A scenario covering only some precisions renders its missing
+        delays as None (rows) and ``-`` (report) instead of raising."""
+        from repro.aging import worst_case
+        from repro.core import characterize
+        from repro.report import characterization_report
+        entry = characterize(Adder(8), lib, scenarios=[worst_case(1)],
+                             precisions=[8, 7], effort="low")
+        extra = characterize(Adder(8), lib, scenarios=[worst_case(10)],
+                             precisions=[8], effort="low")
+        entry.merge(extra)
+        rows = {row["precision"]: row for row in entry.to_rows()}
+        assert rows[8]["10y_worst_ps"] == entry.aged_ps[(8, "10y_worst")]
+        assert rows[7]["10y_worst_ps"] is None
+        assert rows[7]["1y_worst_ps"] == entry.aged_ps[(7, "1y_worst")]
+        text = characterization_report(entry)
+        line7 = [line for line in text.splitlines()
+                 if line.split()[:1] == ["7"]]
+        assert len(line7) == 1 and "-" in line7[0].split()
+        assert "10y_worst" in text and "1 of 2 precisions" in text

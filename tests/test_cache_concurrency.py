@@ -27,8 +27,12 @@ METRICS = {"delay_ps": 100.0, "area_um2": 2.0, "leakage_nw": 3.0,
 ROUNDS = 150
 
 
-def _store_worker(root, label, barrier, shards):
-    """Repeatedly extend KEY with this writer's scenario fingerprints."""
+def _store_worker(root, label, barrier, shards, stored=None, reading=None):
+    """Repeatedly extend KEY with this writer's scenario fingerprints.
+
+    With the *stored* / *reading* events, pause after the first store
+    until the reader has seen it (bounded), so the reader's loads
+    overlap the remaining stores."""
     cache = CharacterizationCache(root, shards=shards)
     barrier.wait()
     for index in range(ROUNDS):
@@ -36,12 +40,20 @@ def _store_worker(root, label, barrier, shards):
         cache.store(KEY, METRICS,
                     {fingerprint: {"label": label,
                                    "delay_ps": float(index % 8)}})
+        if index == 0 and stored is not None:
+            stored.set()
+            reading.wait(timeout=10)
 
 
-def _load_worker(root, barrier, queue):
-    """Hammer load() against a concurrent writer; report anomalies."""
+def _load_worker(root, barrier, queue, stored, reading):
+    """Hammer load() against a concurrent writer; report anomalies.
+
+    Starts once the writer's first store is visible (bounded wait) and
+    releases the writer, so the loads overlap the remaining stores."""
     cache = CharacterizationCache(root, mem_entries=0)
     barrier.wait()
+    stored.wait(timeout=10)
+    reading.set()
     torn = 0
     seen = 0
     for __ in range(ROUNDS * 4):
@@ -100,9 +112,10 @@ class TestConcurrentWriters:
         root = str(tmp_path)
         context = multiprocessing.get_context("fork")
         queue = context.Queue()
+        stored, reading = context.Event(), context.Event()
         _run_processes([
-            (_store_worker, (root, "alpha"), (0,)),
-            (_load_worker, (root,), (queue,)),
+            (_store_worker, (root, "alpha"), (0, stored, reading)),
+            (_load_worker, (root,), (queue, stored, reading)),
         ])
         report = queue.get(timeout=10)
         assert report["torn"] == 0

@@ -89,6 +89,23 @@ class TestCommands:
         assert "validated: True" in out
         assert "mult" in out
 
+    @pytest.mark.parametrize("command", ["flow", "schedule"])
+    def test_stress_balance_is_used(self, command, capsys):
+        """``--stress balance`` ages the design under balanced stress:
+        its report differs from the worst-case one and names the
+        balanced scenario."""
+        outputs = {}
+        for stress in ("worst", "balance"):
+            code = main([command, "--design", "fir", "--width", "10",
+                         "--years", "10", "--effort", "high",
+                         "--stress", stress])
+            assert code == 0
+            outputs[stress] = capsys.readouterr().out
+        assert outputs["balance"] != outputs["worst"]
+        if command == "flow":
+            assert "10y_balance" in outputs["balance"]
+            assert "10y_worst" not in outputs["balance"]
+
     def test_flow_unknown_design(self, capsys):
         code = main(["flow", "--design", "gpu", "--width", "8"])
         err = capsys.readouterr().err

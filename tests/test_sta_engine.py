@@ -110,7 +110,8 @@ class TestProgramMemo:
         assert reg.value(obs_metrics.TIMING_MEMO_HITS) == 1
 
     def test_cell_mutation_recompiles(self, lib):
-        netlist = synthesize_netlist(Adder(4), lib, effort="low")
+        # Synthesized netlists are read-only; edit a copy.
+        netlist = synthesize_netlist(Adder(4), lib, effort="low").copy()
         before = compile_timing(netlist, lib)
         gate = netlist.gates[0]
         stronger = lib.next_drive_up(gate.cell)

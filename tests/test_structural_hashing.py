@@ -6,7 +6,7 @@ import pytest
 from repro.netlist import NetlistBuilder
 from repro.rtl import Multiplier
 from repro.sim import compile_netlist, evaluate
-from repro.synth import dead_gate_elimination, structural_hashing
+from repro.verify import dead_gate_elimination, structural_hashing
 
 
 def test_duplicate_gates_merged(lib):

@@ -7,10 +7,9 @@ from repro.netlist import CONST0, CONST1, NetlistBuilder
 from repro.rtl import Adder, Multiplier
 from repro.sim import compile_netlist, evaluate
 from repro.sta import critical_path_delay
-from repro.synth import (EFFORTS, constant_propagation,
-                         dead_gate_elimination, optimize,
-                         remove_inverter_pairs, synthesize,
-                         synthesize_netlist)
+from repro.synth import EFFORTS, optimize, synthesize, synthesize_netlist
+from repro.verify import (constant_propagation, dead_gate_elimination,
+                          remove_inverter_pairs)
 
 
 def random_netlist(rng, n_inputs=6, n_gates=40, tie_consts=True):

@@ -21,7 +21,6 @@ from repro.core.specs import parse_component
 from repro.obs import metrics as obs_metrics
 from repro.synth import (SweepSynthesis, clear_sweep_memo, sweep_for,
                          synthesize, synthesize_variant, upsize_fast)
-from repro.synth.sweep import SweepFallback
 from repro.verify import (check_synth_sweep, reference_synthesize,
                           upsize_critical_paths)
 
@@ -52,18 +51,14 @@ class TestReplayMatchesScratch:
     @pytest.mark.parametrize("effort", ["low", "medium", "ultra"])
     def test_families(self, lib, spec, effort):
         component = parse_component(spec)
-        with obs_metrics.scoped() as registry:
-            sweep = SweepSynthesis(component, lib, effort=effort)
-            width = component.width
-            for precision in range(width, max(width - 4, 1) - 1, -1):
-                derived = sweep.derive(precision)
-                scratch = synthesize(component.with_precision(precision),
-                                     lib, effort=effort)
-                assert_point_identical(
-                    derived, scratch, "%s p=%d %s" % (spec, precision,
-                                                      effort))
-            counters = registry.snapshot()["counters"]
-        assert counters.get(obs_metrics.SYNTH_SWEEP_FALLBACKS, 0) == 0
+        sweep = SweepSynthesis(component, lib, effort=effort)
+        width = component.width
+        for precision in range(width, max(width - 4, 1) - 1, -1):
+            derived = sweep.derive(precision)
+            scratch = synthesize(component.with_precision(precision),
+                                 lib, effort=effort)
+            assert_point_identical(
+                derived, scratch, "%s p=%d %s" % (spec, precision, effort))
 
     def test_full_precision_is_base(self, lib):
         component = parse_component("adder8")
@@ -89,22 +84,6 @@ class TestReplayMatchesScratch:
         sweep.clear_derived()
         again = sweep.derive(6)
         assert again is sweep.derive(6)
-
-    def test_fallback_counts_and_still_answers(self, lib, monkeypatch):
-        component = parse_component("adder8")
-        sweep = SweepSynthesis(component, lib, effort="medium")
-
-        def boom(precision):
-            raise SweepFallback("forced by test")
-
-        monkeypatch.setattr(sweep, "_derive", boom)
-        with obs_metrics.scoped() as registry:
-            derived = sweep.derive(6)
-            counters = registry.snapshot()["counters"]
-        assert counters.get(obs_metrics.SYNTH_SWEEP_FALLBACKS) == 1
-        scratch = synthesize(component.with_precision(6), lib,
-                             effort="medium")
-        assert_point_identical(derived, scratch, "fallback path")
 
 
 @given(spec=st.sampled_from(["adder", "rca", "multiplier", "mac"]),
@@ -244,7 +223,6 @@ class TestVerifyInvariant:
         component = parse_component("adder8")
         results = check_synth_sweep(component, lib, efforts=("ultra",),
                                     precisions=[8, 7, 5])
-        assert [r.name for r in results] == ["synth_sweep_bit_exact",
-                                             "synth_sweep_no_fallback"]
+        assert [r.name for r in results] == ["synth_sweep_bit_exact"]
         assert all(r.passed for r in results), \
             [(r.name, r.detail) for r in results]
