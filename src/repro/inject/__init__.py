@@ -10,20 +10,22 @@ from .campaign import (CampaignResult, CampaignSpec, run_campaign,
                        make_point_tasks)
 from .crosscheck import (CrosscheckReport, Disagreement,
                          crosscheck_violations, minimize_disagreement)
-from .faultload import DEFAULT_ACTIVITY, Faultload, build_faultload
+from .faultload import (DEFAULT_ACTIVITY, Faultload, build_faultload,
+                        point_masks)
 from .inject_sim import (check_alignment, count_mask_bits,
                          evaluate_bytes_injected, evaluate_packed_injected,
                          unpack_op_masks)
-from .masks import (CHUNK_WORDS, PROB_BITS, PROB_ONE, bernoulli_words,
-                    flip_threshold, gate_stream)
+from .masks import (CHUNK_WORDS, PROB_BITS, PROB_ONE, bernoulli_masks,
+                    bernoulli_words, flip_threshold, flip_thresholds,
+                    gate_stream)
 
 __all__ = [
     "CampaignResult", "CampaignSpec", "run_campaign", "make_point_tasks",
     "CrosscheckReport", "Disagreement", "crosscheck_violations",
     "minimize_disagreement",
-    "DEFAULT_ACTIVITY", "Faultload", "build_faultload",
+    "DEFAULT_ACTIVITY", "Faultload", "build_faultload", "point_masks",
     "check_alignment", "count_mask_bits", "evaluate_bytes_injected",
     "evaluate_packed_injected", "unpack_op_masks",
-    "CHUNK_WORDS", "PROB_BITS", "PROB_ONE", "bernoulli_words",
-    "flip_threshold", "gate_stream",
+    "CHUNK_WORDS", "PROB_BITS", "PROB_ONE", "bernoulli_masks",
+    "bernoulli_words", "flip_threshold", "flip_thresholds", "gate_stream",
 ]

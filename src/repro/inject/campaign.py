@@ -7,7 +7,8 @@ approximation — and puts the answer next to the two alternatives:
 * **guardband-free + faults** — the error-rate ladder. Every grid
   point ``(scenario, clock scale)`` derives a faultload from batched
   STA arrivals (:mod:`repro.inject.faultload`), samples per-gate XOR
-  masks (:mod:`repro.inject.masks`) and replays the packed stimulus
+  masks (:mod:`repro.inject.masks`; a gate's bit-planes are drawn once
+  for every point of a worker's chunk) and replays the packed stimulus
   through the packed evaluator with those masks
   (:func:`repro.sim.logic.evaluate_words`).
 * **guardband-free + aging-induced approximation** — the paper's
@@ -53,7 +54,7 @@ from ..sim.bitpack import unpack_ints
 from ..sim.logic import compile_netlist, evaluate_words
 from ..sim.stimuli import STIMULUS_NAMES, make_stimulus
 from ..sta.engine import corner_label
-from .faultload import DEFAULT_ACTIVITY, build_faultload
+from .faultload import DEFAULT_ACTIVITY, build_faultload, point_masks
 from .inject_sim import check_alignment, count_mask_bits
 
 _log = logs.get_logger("inject.campaign")
@@ -170,13 +171,12 @@ def _quality_row(clean_ints, observed_ints, peak):
     }
 
 
-def _point_row(spec, prelude, point):
-    """One ladder row: faultload -> masks -> injected replay -> metrics."""
-    grid = prelude.grid
-    faultload = build_faultload(grid.program, grid.batch, point.label,
-                                point.clock_ps, activity=spec.activity)
+def _point_row(spec, prelude, point, faultload, masks_iter):
+    """One ladder row: masks -> injected replay -> metrics. The point's
+    masks are the next of *masks_iter* and are dropped after the
+    replay."""
     started = time.perf_counter()
-    masks = faultload.masks(spec.seed, prelude.pi_words.shape[1])
+    masks = next(masks_iter)
     injected, faulted = count_mask_bits(masks, spec.vectors)
     if masks:
         observed = unpack_ints(
@@ -184,6 +184,7 @@ def _point_row(spec, prelude, point):
             spec.vectors)
     else:
         observed = prelude.clean_ints
+    del masks
     elapsed = time.perf_counter() - started
     if elapsed > 0.0:
         obs_metrics.set_gauge(obs_metrics.INJECT_VECTORS_PER_SEC,
@@ -196,7 +197,8 @@ def _point_row(spec, prelude, point):
                         boundaries=obs_metrics.FRACTION_BOUNDARIES)
     row = point.fields()
     row.update({
-        "aged_cp_ps": float(grid.batch.critical_path_ps[point.corner]),
+        "aged_cp_ps": float(
+            prelude.grid.batch.critical_path_ps[point.corner]),
         "violating_gates": faultload.n_violating,
         "total_gates": faultload.n_gates,
         "violating_fraction": faultload.violating_fraction,
@@ -259,20 +261,29 @@ def _inject_points(chunk):
 
     For each point task of *chunk* (see :func:`make_point_tasks`),
     returns ``(ladder row, approximation entry)``; the entry is
-    ``None`` at fresh points. The chunk's points share one prelude.
+    ``None`` at fresh points. The chunk's points share one prelude, and
+    each gate's fault-mask planes are drawn once for all of the chunk's
+    points that find it violating (:func:`point_masks`).
     """
     tasks = chunk["tasks"]
     spec = CampaignSpec.from_dict(tasks[0]["spec"])
     prelude = _build_prelude(spec, tasks[0].get("library"))
-    points = {(p.label, p.clock_scale): p for p in
-              prelude.grid.points(spec.scenarios, spec.clock_scales)}
+    grid = prelude.grid
+    by_key = {(p.label, p.clock_scale): p for p in
+              grid.points(spec.scenarios, spec.clock_scales)}
+    points = [by_key[(task["scenario"], task["clock_scale"])]
+              for task in tasks]
+    faultloads = [build_faultload(grid.program, grid.batch, point.label,
+                                  point.clock_ps, activity=spec.activity)
+                  for point in points]
+    masks_iter = point_masks(faultloads, spec.seed,
+                             prelude.pi_words.shape[1])
     truncated = {}
     results = []
-    for task in tasks:
-        point = points[(task["scenario"], task["clock_scale"])]
+    for point, faultload in zip(points, faultloads):
         with obs_trace.span("inject.point", scenario=point.label,
                             clock_scale=point.clock_scale):
-            row = _point_row(spec, prelude, point)
+            row = _point_row(spec, prelude, point, faultload, masks_iter)
         entry = None
         if point.label != "fresh":
             with obs_trace.span("inject.arms", scenario=point.label,

@@ -87,6 +87,7 @@ INJECT_FAULTS = "inject.faults"
 INJECT_FAULTED_VECTORS = "inject.faulted_vectors"
 INJECT_VECTORS_PER_SEC = "inject.vectors_per_sec"
 INJECT_VIOLATING_FRACTION = "inject.violating_gate_fraction"
+INJECT_MASK_STREAMS = "inject.mask_streams"
 MC_RUNS = "mc.runs"
 MC_POINTS = "mc.points"
 MC_SAMPLES = "mc.samples"

@@ -15,8 +15,9 @@ Section-V slack rule. This package makes those equivalences executable:
     Cross-engine oracles running one netlist through the functional
     bytes, packed 64-way, event-driven and timed engines and diffing
     the outputs bit-exactly, with minimized counterexample reporting;
-    also the byte-engine oracle of activity extraction and the
-    scalar-loop oracle of Monte Carlo STA.
+    also the byte-engine oracle of activity extraction, the
+    scalar-loop oracle of Monte Carlo STA and the whole-uniform
+    oracle of fault-mask sampling.
 ``optimize``
     The dict-walking optimization passes, oracle of the array optimizer.
 ``sizing``
@@ -49,7 +50,8 @@ from .invariants import (InvariantResult, check_characterization,
                          check_psnr_endpoints, check_slack_rule,
                          check_sta_engine, check_synth_sweep)
 from .oracles import (ENGINES, Counterexample, EngineMismatch, OracleReport,
-                      analyze_mc_reference, cross_engine_check,
+                      analyze_mc_reference, bernoulli_masks_reference,
+                      cross_engine_check,
                       diff_engines, engine_outputs,
                       minimize_counterexample, simulate_activity_bytes)
 from .optimize import (constant_propagation, dead_gate_elimination,
@@ -63,6 +65,7 @@ __all__ = [
     "ENGINES", "Counterexample", "EngineMismatch", "FuzzReport",
     "GoldenMismatch", "InvariantResult", "OracleReport",
     "VerificationReport", "analyze_mc_reference",
+    "bernoulli_masks_reference",
     "check_characterization", "check_error_shape",
     "check_golden", "check_injection", "check_mc",
     "check_psnr_endpoints", "check_slack_rule",

@@ -24,6 +24,9 @@ that disagrees — small enough to paste into a regression test.
 
 :func:`analyze_mc_reference` is the Monte Carlo engine's oracle: the
 per-sample scalar loop that :func:`repro.mc.analyze_mc` vectorizes.
+:func:`bernoulli_masks_reference` is the fault-mask sampler's oracle:
+whole 24-bit uniforms compared against each threshold, with none of
+the kernel's bitwise comparison or early exits.
 
 Netlists are always compiled with ``memo=False`` here so that an
 injected kernel fault (or any global-table mutation) is picked up
@@ -398,3 +401,33 @@ def analyze_mc_reference(netlist, library, corners, variation, samples,
         arr = _propagate(program, delays)
         cp[:, s] = _critical_paths(program, arr)
     return cp
+
+
+def bernoulli_masks_reference(seed, gate_uid, thresholds, words):
+    """Whole-uniform oracle of :func:`repro.inject.masks.bernoulli_masks`.
+
+    Per chunk it draws all ``PROB_BITS`` planes of the gate's
+    ``SeedSequence([seed, gate_uid, chunk])`` Philox stream as
+    full-range integers, assembles each lane's uniform ``U`` (the
+    *i*-th plane carries bit ``PROB_BITS - 1 - i``) and sets the lane
+    iff ``U < T``, for each threshold ``T``. No early exits.
+    """
+    from ..inject.masks import CHUNK_WORDS, PROB_BITS
+
+    words = int(words)
+    masks = [np.zeros(words, dtype="<u8") for __ in thresholds]
+    for chunk, lo in enumerate(range(0, words, CHUNK_WORDS)):
+        n_words = min(CHUNK_WORDS, words - lo)
+        rng = np.random.Generator(np.random.Philox(
+            np.random.SeedSequence([int(seed), int(gate_uid), chunk])))
+        uniform = np.zeros(64 * n_words, dtype=np.int64)
+        for __ in range(PROB_BITS):
+            plane = rng.integers(0, 1 << 64, size=CHUNK_WORDS,
+                                 dtype=np.uint64)[:n_words]
+            lanes = np.unpackbits(plane.astype("<u8").view(np.uint8),
+                                  bitorder="little")
+            uniform = uniform << 1 | lanes
+        for mask, threshold in zip(masks, thresholds):
+            mask[lo:lo + n_words] = np.packbits(
+                uniform < int(threshold), bitorder="little").view("<u8")
+    return [mask.astype(np.uint64) for mask in masks]
