@@ -459,7 +459,8 @@ def timing_program(program):
     return TimingProgram(
         netlist=netlist, slots=program.slots, slot_of=program.slot_of,
         gates=tuple(netlist.topological_gates()),
-        gate_uids=program.uids.copy(), base_delay_ps=program.delay.copy(),
+        gate_uids=program.uids.copy(), out_slots=program.out_slot.copy(),
+        base_delay_ps=program.delay.copy(),
         loads=program.loads.copy(),
         cells=[cells[c] for c in distinct[order].tolist()],
         cell_index=rank[index.reshape(-1)].astype(np.int64), levels=levels,

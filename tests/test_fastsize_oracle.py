@@ -70,7 +70,7 @@ def assert_programs_equal(lowered, compiled):
     assert lowered.slot_of == compiled.slot_of
     assert [g.uid for g in lowered.gates] == [g.uid for g in compiled.gates]
     assert all(a is b for a, b in zip(lowered.gates, compiled.gates))
-    for name in ("gate_uids", "base_delay_ps", "loads", "cell_index",
+    for name in ("gate_uids", "out_slots", "base_delay_ps", "loads", "cell_index",
                  "pi_slots", "po_slots"):
         mine, theirs = getattr(lowered, name), getattr(compiled, name)
         assert mine.dtype == theirs.dtype, name
