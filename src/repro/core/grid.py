@@ -4,7 +4,8 @@ Fault-injection campaigns, Monte Carlo analyses and the truncation
 screen share one piece of work: synthesize the component, lower its
 timing program, analyze every corner in one batched STA pass, and
 answer the paper's Eq. 2 (the deepest precision whose aged critical
-path meets a clock) by replaying each precision's truncation cone. A
+path meets a clock) by replaying, per precision, the cone of the gates
+its truncation drops. A
 :class:`TimingGrid` does it once; :func:`timing_grid` shares grids per
 process, keyed by content, so runs that differ only in seed, vectors,
 samples, sweep depth or clocks reuse one grid.
@@ -14,7 +15,7 @@ from collections import OrderedDict, namedtuple
 
 from ..aging.bti import DEFAULT_BTI
 from ..sta.engine import (_critical_paths, analyze_batch, compile_timing,
-                          cone_plan, corner_label, replay_cone,
+                          cone_plan, corner_label, delta_plan, replay_cone,
                           truncated_input_nets)
 from . import cache as cache_mod
 from .parallel import map_tasks, resolve_jobs
@@ -80,8 +81,10 @@ class TimingGrid:
             if plan is None:
                 cps = self.batch.critical_path_ps.copy()
             else:
-                cps = _critical_paths(self.program, replay_cone(
-                    plan, self.batch.arrivals, self.batch.delays))
+                arr = self.batch.arrivals.copy()
+                replay_cone(delta_plan(self.program, None, plan), arr,
+                            self.batch.delays)
+                cps = _critical_paths(self.program, arr)
             self._cps[precision] = cps
         return cps
 

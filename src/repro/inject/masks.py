@@ -24,10 +24,11 @@ monotonicity guarantees of :mod:`repro.inject` rest on them:
   process draws it. ``--jobs 1`` vs ``--jobs N`` and in-process vs
   served campaigns therefore produce bit-identical masks.
 * **Prefix stability** — uniform bit-planes are drawn from the stream
-  one at a time, most-significant first, always a full
-  :data:`CHUNK_WORDS` words wide, so plane *i* is always the *i*-th
-  draw and word *w* of it is always the same value regardless of how
-  many planes a threshold needs or how many words a caller asks for.
+  one at a time, most-significant first, each occupying a full
+  :data:`CHUNK_WORDS` words of it (a shorter mask advances past the
+  words it does not use), so plane *i* is always the *i*-th plane and
+  word *w* of it is always the same value regardless of how many
+  planes a threshold needs or how many words a caller asks for.
   Two corners that share ``(seed, uid, chunk)`` see the same planes,
   and a shorter mask is an exact prefix of a longer one.
 * **Monotone nesting** — a lane flips iff its 24-bit uniform ``U``
@@ -122,8 +123,11 @@ def bernoulli_masks(seed, gate_uid, thresholds, words):
     stability above). Thresholds at ``0`` or :data:`PROB_ONE` are
     decided without opening a stream.
 
-    Planes are always drawn :data:`CHUNK_WORDS` wide and sliced, so a
-    partial final chunk yields the same words as a full one would.
+    Each plane occupies :data:`CHUNK_WORDS` words of the stream, so a
+    partial chunk yields the same words as a full one would. Philox is
+    counter-based, so a partial chunk draws only its words (rounded up
+    to the generator's 4-word block) and advances the stream past the
+    rest instead of drawing them.
     """
     words = int(words)
     thresholds = [int(t) for t in thresholds]
@@ -139,12 +143,16 @@ def bernoulli_masks(seed, gate_uid, thresholds, words):
         obs_metrics.inc(obs_metrics.INJECT_MASK_STREAMS)
         # Raw Philox output: the very words ``integers(0, 2**64,
         # dtype=np.uint64)`` returns, without the bounded-integer wrapper.
-        draw = gate_stream(seed, gate_uid, chunk).bit_generator.random_raw
+        philox = gate_stream(seed, gate_uid, chunk).bit_generator
+        drawn = -(-n_words // 4) * 4
+        skip = (CHUNK_WORDS - drawn) // 4
         undecided = [(t, masks[t][lo:lo + n_words],
                       np.full(n_words, bitpack.ALL_ONES, dtype=np.uint64))
                      for t in live]
         for bit in range(PROB_BITS - 1, -1, -1):
-            plane = draw(CHUNK_WORDS)[:n_words]
+            plane = philox.random_raw(drawn)[:n_words]
+            if skip:
+                philox.advance(skip)
             clear = ~plane
             still = []
             for threshold, lt, eq in undecided:

@@ -34,7 +34,11 @@ Block kernel
 :func:`mc_block` runs every sample block, for :func:`analyze_mc` and
 for the :mod:`repro.mc.yield_curves` workers alike: draws, delays from
 a per-run :func:`~repro.sta.engine.sampled_delays` function, one
-propagation, one critical-path reduction per requested cone plan. Its
+propagation, then a walk down the requested precision ladder. Each
+step applies the :func:`~repro.sta.engine.delta_plan` from the previous
+precision to the block's arrivals in place — recomputing only the
+fan-out of the gates that start or stop dropping — and reduces the
+critical path, so a ladder makes no copy of the arrival tensor. Its
 scalar-loop oracle is :func:`repro.verify.analyze_mc_reference`.
 """
 
@@ -48,7 +52,7 @@ from ..aging.bti import DEFAULT_BTI
 from ..obs import metrics as obs_metrics, trace as obs_trace
 from ..sta.engine import (CornerLabels, _critical_paths, _propagate,
                           analyze_batch, compile_timing, corner_label,
-                          replay_cone, sampled_delays)
+                          delta_plan, replay_cone, sampled_delays)
 from .variation import VariationModel
 
 #: Samples propagated per block; bounds peak arrival-tensor memory.
@@ -74,14 +78,21 @@ def mc_block(program, delays_of, variation, start, count, plans=(None,)):
     into ``(n_gates, C, count)`` delays with *delays_of* (a
     :func:`~repro.sta.engine.sampled_delays` function), propagates
     them once and reduces ``(C, count)`` critical paths per entry of
-    *plans*: ``None`` reads the full propagation, a
-    :class:`~repro.sta.engine.ConePlan` replays its cone against it.
+    *plans* (``None`` is the untruncated netlist, otherwise a
+    :class:`~repro.sta.engine.ConePlan`). The plans are walked in the
+    order given, each reached from the one before by applying their
+    :func:`~repro.sta.engine.delta_plan` to the arrivals in place, so
+    the returned arrivals are those of the last plan.
     """
     delays = delays_of(variation.gate_dvth(program.gate_uids, start, count))
     arr = _propagate(program, delays)
-    return arr, [_critical_paths(program, arr if plan is None
-                                 else replay_cone(plan, arr, delays))
-                 for plan in plans]
+    cps = []
+    previous = None
+    for plan in plans:
+        replay_cone(delta_plan(program, previous, plan), arr, delays)
+        cps.append(_critical_paths(program, arr))
+        previous = plan
+    return arr, cps
 
 
 @dataclass

@@ -11,11 +11,12 @@ whose yield still clears a target (``min_yield``). This module turns
 * one deterministic :class:`~repro.core.grid.TimingGrid` shared by
   every spec of the same component, effort and scenarios (synthesize
   once, compile one timing program, one cone plan per precision — the
-  same structural plans the truncation sweeps replay);
+  same structural plans the truncation screen uses);
 * sample blocks fan out over ``--jobs`` workers; each block propagates
-  the full ``(gates, corners, block)`` tensor *and* replays every
-  requested precision's cone against it, so a whole sweep costs one
-  propagation plus cheap cone replays per block;
+  the full ``(gates, corners, block)`` tensor once, then walks the
+  requested precisions in descending order, updating the arrivals in
+  place over the fan-out of the gates each step drops, so a whole
+  sweep costs one propagation plus small in-place replays per block;
 * the optional surrogate screen (``surrogate="screen"``) evaluates
   anchor precisions exactly, fits the cross-validated least-squares
   model of :mod:`repro.mc.surrogate`, and spends full sampled STA only
@@ -176,8 +177,8 @@ def _mc_blocks(chunk):
     """Module-level sample-block worker (shared by every path).
 
     Runs :func:`~repro.mc.engine.mc_block` once per block task of
-    *chunk*, replaying every requested truncation depth's cone plan
-    against the block's propagation; returns one ``{precision: (C,
+    *chunk*, walking the requested truncation depths down from the
+    block's propagation; returns one ``{precision: (C,
     count) critical paths}`` per block (in task order, which is
     absolute sample order). The chunk's blocks share one prelude.
     """

@@ -71,6 +71,7 @@ STA_BATCH_CORNERS = "sta.batch.corners"
 STA_INCREMENTAL_RUNS = "sta.incremental.runs"
 STA_INCREMENTAL_CONE_FRACTION = "sta.incremental.cone_fraction"
 STA_CONE_PLAN_HITS = "sta.cone_plan_hits"
+STA_REPLAY_ROWS = "sta.replay_rows"
 TIMING_MEMO_HITS = "cache.timing_memo_hits"
 STRESS_EXTRACTIONS = "stress.extractions"
 OBS_TS_SAMPLES = "obs.ts.samples"

@@ -13,11 +13,16 @@ then:
   per-gate delay columns, so each logic level is a single NumPy
   gather / max / add / scatter over a ``(gates, pins, corners)`` block;
 * :func:`analyze_incremental` re-analyzes a truncation (``K`` LSB inputs
-  tied low) by re-propagating only the structural fan-out cone of the
-  tied primary inputs against the cached baseline arrivals, dropping
-  gates whose inputs all become constant. The cone is captured once per
-  tied set as a structural :class:`ConePlan` (memoized on the program)
-  and replayed by :func:`replay_cone`;
+  tied low) against the cached baseline arrivals. Which gates drop
+  (all inputs constant) is captured once per tied set as a structural
+  :class:`ConePlan`. Tying an input changes no arrival by itself —
+  inputs and rails arrive at 0.0 — so only a dropped gate and its
+  fan-out change: a :class:`DeltaPlan` (:func:`delta_plan`) holds the
+  fan-out cone of the gates dropped by exactly one of two plans, and
+  :func:`replay_cone` applies it to an arrival tensor in place. The
+  same primitive turns the untruncated arrivals into a truncation's,
+  or one precision's into the next (a Monte Carlo ladder); both kinds
+  of plan are memoized on the program;
 * both :func:`_propagate` and :func:`replay_cone` are dimension-agnostic
   past the gate axis: :func:`corner_delays` with per-gate Vth draws
   (``dvth=``) emits a ``(gates, corners, samples)`` tensor and the same
@@ -31,7 +36,8 @@ float64 ``max``/``+``/``*`` are the same IEEE-754 operations the scalar
 loop performs. ``tests/test_sta_engine.py`` and the ``verify``
 invariants enforce exact equality, and :func:`tie_low` provides the
 explicit netlist transform that serves as the incremental path's scalar
-oracle.
+oracle; :func:`repro.verify.structural_replay` re-propagates the whole
+structural cone as the replay's array oracle.
 
 Programs are memoized on the netlist instance exactly like
 :func:`repro.sim.logic.compile_netlist` (content token + library
@@ -573,39 +579,68 @@ class IncrementalTimingReport(CornerLabels):
 
 
 @dataclass
-class _ConeStep:
-    """One touched level of a cone plan (index arrays + drop mask)."""
-
-    rows: np.ndarray       # touched gate rows
-    ins: np.ndarray        # (g, pins) input slots of touched gates
-    outs: np.ndarray       # (g,) output slots
-    all_const: np.ndarray  # (g,) bool: gate drops (all inputs const)
-
-
-@dataclass
 class ConePlan:
     """Structural fan-out-cone plan of one tied-PI set.
 
     Which gates are touched, which inputs become constant and which
     gates drop is a function of netlist *structure* only — independent
     of corners, delays, or sample draws — so a plan is computed once
-    per ``(program, tied)`` and replayed against any baseline arrival
-    tensor (deterministic ``(slots, C)`` or sampled ``(slots, C, S)``)
-    by :func:`replay_cone`. Plans are memoized on the program (bounded
-    LRU), which turns a precision sweep's per-corner-batch cone walks
-    into array replays.
+    per ``(program, tied)`` and memoized on the program (bounded LRU).
+    ``cone_gates`` counts the structural fan-out cone of the tied
+    inputs and the rails; the replay itself touches only the cone of
+    the gates that drop (:func:`delta_plan`).
     """
 
     tied: Tuple[int, ...]
-    steps: List
     dropped: np.ndarray     # (n_gates,) bool
     const_slots: np.ndarray  # (slots,) bool
     cone_gates: int
 
 
-#: Per-program bound on memoized cone plans (a sweep touches one plan
-#: per precision point).
+@dataclass
+class _DeltaStep:
+    """One level of a delta plan: live rows to recompute, dropped
+    outputs to zero."""
+
+    rows: np.ndarray       # live gate rows to recompute
+    ins: np.ndarray        # (g, pins) their input slots
+    outs: np.ndarray       # (g,) their output slots
+    zeroed: np.ndarray     # output slots of rows the target drops
+
+
+@dataclass
+class DeltaPlan:
+    """What turns the arrivals of one truncation into another's.
+
+    The steps cover the fan-out cone of the rows dropped by exactly one
+    of the two plans, level by level; ``rows`` counts the gate rows in
+    that cone (recomputed or zeroed).
+    """
+
+    steps: List
+    rows: int
+
+
+#: Per-program bound on memoized cone and delta plans (a sweep touches
+#: one plan per precision point).
 _CONE_MEMO_LIMIT = 32
+
+
+def _memoized(program, attr, key, build, hits=None):
+    """LRU lookup of *key* in the dict at ``program.<attr>``."""
+    cache = getattr(program, attr, None)
+    if cache is None:
+        cache = {}
+        setattr(program, attr, cache)
+    plan = cache.pop(key, None)
+    if plan is None:
+        if len(cache) >= _CONE_MEMO_LIMIT:
+            cache.pop(next(iter(cache)))
+        plan = build()
+    elif hits is not None:
+        obs_metrics.inc(hits)
+    cache[key] = plan
+    return plan
 
 
 def cone_plan(program, tied_pis):
@@ -616,20 +651,9 @@ def cone_plan(program, tied_pis):
     if stray:
         raise ValueError("tied nets %s are not primary inputs of %s"
                          % (stray[:5], program.netlist.name))
-    cache = getattr(program, "_cone_memo", None)
-    if cache is None:
-        cache = {}
-        program._cone_memo = cache
-    plan = cache.get(tied)
-    if plan is None:
-        if len(cache) >= _CONE_MEMO_LIMIT:
-            cache.pop(next(iter(cache)))
-        plan = _build_cone_plan(program, tied)
-        cache[tied] = plan
-    else:
-        cache[tied] = cache.pop(tied)  # refresh LRU position
-        obs_metrics.inc(obs_metrics.STA_CONE_PLAN_HITS)
-    return plan
+    return _memoized(program, "_cone_memo", tied,
+                     lambda: _build_cone_plan(program, tied),
+                     obs_metrics.STA_CONE_PLAN_HITS)
 
 
 def _build_cone_plan(program, tied):
@@ -646,50 +670,89 @@ def _build_cone_plan(program, tied):
         const[slot] = True
         changed[slot] = True
     dropped = np.zeros(program.n_gates, dtype=bool)
-    steps = []
     cone = 0
     for level in program.levels:
         touched = changed[level.in_slots].any(axis=1)
         if not touched.any():
             continue
-        ins = level.in_slots[touched]
         outs = level.out_slots[touched]
-        rows = level.rows[touched]
-        cone += len(rows)
-        all_const = const[ins].all(axis=1)
+        cone += len(outs)
+        all_const = const[level.in_slots[touched]].all(axis=1)
         const[outs] = all_const
-        dropped[rows] = all_const
+        dropped[level.rows[touched]] = all_const
         changed[outs] = True
-        steps.append(_ConeStep(rows=rows, ins=ins, outs=outs,
-                               all_const=all_const))
-    return ConePlan(tied=tied, steps=steps, dropped=dropped,
-                    const_slots=const, cone_gates=cone)
+    return ConePlan(tied=tied, dropped=dropped, const_slots=const,
+                    cone_gates=cone)
 
 
-def replay_cone(plan, baseline_arrivals, delays):
-    """Re-propagate a cone plan against baseline arrivals.
+def delta_plan(program, reference, target):
+    """Memoized :class:`DeltaPlan` from *reference* to *target*.
 
-    *baseline_arrivals* is ``(slots, ...)`` and *delays*
-    ``(n_gates, ...)`` with matching trailing dims — ``(C,)`` for
-    deterministic batches, ``(C, S)`` for sampled Monte Carlo tensors;
-    one replay serves both shapes. Returns a fresh arrival tensor;
-    slots outside the cone keep their baseline values, dropped gates
-    arrive at 0.0.
-
-    Constant inputs need no mask: every ``plan.const_slots`` slot reads
-    0.0 when a touched gate consumes it. Rails and tied primary inputs
-    are never written by :func:`_propagate`, and an all-constant gate is
-    zeroed at its own level, before any later level reads it. So the
-    plain gather/max/add is bit-identical to scalar STA on the
-    :func:`tie_low` transform.
+    Both are :class:`ConePlan` objects, or ``None`` for the untruncated
+    netlist (the arrivals :func:`_propagate` computes). Tying an input
+    changes no arrival by itself, since inputs and rails arrive at 0.0;
+    only a gate that starts or stops dropping does, and then so may its
+    fan-out. The plan therefore recomputes the fan-out cone of the rows
+    where ``dropped_ref XOR dropped_target``, which is correct for any
+    two tie sets, nested or not. Keyed by the two tied sets' content.
     """
-    arr = baseline_arrivals.copy()
-    for step in plan.steps:
-        at = arr[step.ins].max(axis=1)         # (g, C[, S])
-        at += delays[step.rows]
-        at[step.all_const] = 0.0
-        arr[step.outs] = at
-    return arr
+    key = (None if reference is None else reference.tied,
+           None if target is None else target.tied)
+    return _memoized(program, "_delta_memo", key,
+                     lambda: _build_delta_plan(program, reference, target))
+
+
+def _build_delta_plan(program, reference, target):
+    none = np.zeros(program.n_gates, dtype=bool)
+    ref = none if reference is None else reference.dropped
+    tgt = none if target is None else target.dropped
+    flipped = ref ^ tgt
+    changed = np.zeros(program.slots, dtype=bool)
+    steps = []
+    total = 0
+    for level in program.levels:
+        cone = flipped[level.rows] | changed[level.in_slots].any(axis=1)
+        if not cone.any():
+            continue
+        outs = level.out_slots[cone]
+        changed[outs] = True
+        total += len(outs)
+        # Only a flipped row can be dropped by the target: a row the
+        # reference drops too reads no changed slot.
+        zero = tgt[level.rows[cone]]
+        live = cone.copy()
+        live[cone] = ~zero
+        steps.append(_DeltaStep(rows=level.rows[live],
+                                ins=level.in_slots[live],
+                                outs=level.out_slots[live],
+                                zeroed=outs[zero]))
+    return DeltaPlan(steps=steps, rows=total)
+
+
+def replay_cone(delta, arrivals, delays):
+    """Apply a :class:`DeltaPlan` to *arrivals* in place.
+
+    *arrivals* is ``(slots, ...)`` and *delays* ``(n_gates, ...)`` with
+    matching trailing dims — ``(C,)`` for deterministic batches,
+    ``(C, S)`` for sampled Monte Carlo tensors; one replay serves both
+    shapes. *arrivals* must hold the delta's reference truncation; on
+    return it holds the target's. Each recomputed gate takes the same
+    IEEE ``max`` and ``+`` over the same operands as a full propagation
+    of the target would, and a slot outside the cone has unchanged
+    inputs and delay, so the result is bit-identical to scalar STA on
+    the :func:`tie_low` transform.
+
+    Constant inputs need no mask: rails and tied primary inputs are
+    never written, and a dropped gate is zeroed at its own level,
+    before any later level reads it.
+    """
+    for step in delta.steps:
+        if len(step.rows):
+            at = arrivals[step.ins].max(axis=1)     # (g, C[, S])
+            at += delays[step.rows]
+            arrivals[step.outs] = at
+        arrivals[step.zeroed] = 0.0
+    obs_metrics.inc(obs_metrics.STA_REPLAY_ROWS, delta.rows)
 
 
 def analyze_incremental(netlist, library, tied_pis, corners=(None,),
@@ -697,11 +760,13 @@ def analyze_incremental(netlist, library, tied_pis, corners=(None,),
                         program=None):
     """Re-analyze *netlist* with *tied_pis* tied to constant 0.
 
-    Only the structural fan-out cone of the tied primary inputs is
-    re-propagated; arrivals outside the cone are reused from the
-    baseline batch. Gates whose inputs all become constant are dropped
-    (arrival 0.0, no delay contribution) — the timing view of the
-    constant propagation a truncation sweep performs during synthesis.
+    Gates whose inputs all become constant are dropped (arrival 0.0,
+    no delay contribution) — the timing view of the constant
+    propagation a truncation sweep performs during synthesis. A copy
+    of the baseline arrivals is replayed in place over the fan-out
+    cone of the dropped gates (:func:`delta_plan` from ``None``);
+    every other arrival is reused. ``cone_gates`` still reports the
+    structural fan-out cone of the tied inputs.
 
     Parameters
     ----------
@@ -738,7 +803,8 @@ def analyze_incremental(netlist, library, tied_pis, corners=(None,),
     with obs_trace.span("sta.analyze_incremental", design=netlist.name,
                         tied=len(tied), corners=len(labels)):
         plan = cone_plan(program, tied)
-        arr = replay_cone(plan, baseline.arrivals, baseline.delays)
+        arr = baseline.arrivals.copy()
+        replay_cone(delta_plan(program, None, plan), arr, baseline.delays)
         cp = _critical_paths(program, arr)
     fraction = plan.cone_gates / max(program.n_gates, 1)
     obs_metrics.inc(obs_metrics.STA_INCREMENTAL_RUNS)

@@ -16,8 +16,9 @@ Section-V slack rule. This package makes those equivalences executable:
     bytes, packed 64-way, event-driven and timed engines and diffing
     the outputs bit-exactly, with minimized counterexample reporting;
     also the byte-engine oracle of activity extraction, the
-    scalar-loop oracle of Monte Carlo STA and the whole-uniform
-    oracle of fault-mask sampling.
+    scalar-loop oracle of Monte Carlo STA, the structural-cone oracle
+    of the truncation replay and the whole-uniform oracle of
+    fault-mask sampling.
 ``optimize``
     The dict-walking optimization passes, oracle of the array optimizer.
 ``sizing``
@@ -53,7 +54,8 @@ from .oracles import (ENGINES, Counterexample, EngineMismatch, OracleReport,
                       analyze_mc_reference, bernoulli_masks_reference,
                       cross_engine_check,
                       diff_engines, engine_outputs,
-                      minimize_counterexample, simulate_activity_bytes)
+                      minimize_counterexample, simulate_activity_bytes,
+                      structural_replay)
 from .optimize import (constant_propagation, dead_gate_elimination,
                        reference_optimize, remove_inverter_pairs,
                        structural_hashing)
@@ -77,6 +79,7 @@ __all__ = [
     "reference_optimize", "reference_synthesize",
     "remove_inverter_pairs", "replay_corpus", "save_corpus_entry",
     "shrink_netlist", "simulate_activity_bytes", "structural_hashing",
+    "structural_replay",
     "upsize_critical_paths",
     "verify_component",
 ]

@@ -24,6 +24,10 @@ that disagrees — small enough to paste into a regression test.
 
 :func:`analyze_mc_reference` is the Monte Carlo engine's oracle: the
 per-sample scalar loop that :func:`repro.mc.analyze_mc` vectorizes.
+:func:`structural_replay` is the truncation replay's oracle: it
+re-propagates the whole structural fan-out cone of the tied inputs
+from the baseline, where :func:`repro.sta.engine.replay_cone` applies
+only the cone of the gates that drop, in place.
 :func:`bernoulli_masks_reference` is the fault-mask sampler's oracle:
 whole 24-bit uniforms compared against each threshold, with none of
 the kernel's bitwise comparison or early exits.
@@ -401,6 +405,37 @@ def analyze_mc_reference(netlist, library, corners, variation, samples,
         arr = _propagate(program, delays)
         cp[:, s] = _critical_paths(program, arr)
     return cp
+
+
+def structural_replay(program, tied_pis, baseline_arrivals, delays):
+    """Structural-cone oracle of :func:`repro.sta.engine.replay_cone`.
+
+    Returns a fresh arrival tensor for *tied_pis* tied low: starting
+    from *baseline_arrivals* (the untruncated propagation, ``(slots,
+    ...)``), every gate downstream of a tied input or a rail is
+    recomputed as ``max(inputs) + delay``, and a gate whose inputs are
+    all constant arrives at 0.0. Works on deterministic ``(slots, C)``
+    and sampled ``(slots, C, S)`` tensors alike.
+    """
+    const = np.zeros(program.slots, dtype=bool)
+    const[[0, 1]] = True
+    for net in tied_pis:
+        const[program.slot_of[net]] = True
+    changed = const.copy()
+    arr = baseline_arrivals.copy()
+    for level in program.levels:
+        touched = changed[level.in_slots].any(axis=1)
+        if not touched.any():
+            continue
+        ins = level.in_slots[touched]
+        outs = level.out_slots[touched]
+        all_const = const[ins].all(axis=1)
+        at = arr[ins].max(axis=1) + delays[level.rows[touched]]
+        at[all_const] = 0.0
+        arr[outs] = at
+        const[outs] = all_const
+        changed[outs] = True
+    return arr
 
 
 def bernoulli_masks_reference(seed, gate_uid, thresholds, words):

@@ -41,8 +41,10 @@ class TestKernelMatchesOracle:
     @given(seed=st.integers(0, 2**64 - 1), uid=st.integers(0, 2**40),
            thresholds=st.lists(THRESHOLDS, min_size=1, max_size=6),
            repeat=st.booleans(),
-           words=st.sampled_from((1, 63, CHUNK_WORDS, CHUNK_WORDS + 5,
-                                  2 * CHUNK_WORDS + 1)))
+           words=st.sampled_from((1, 2, 63, 255, 256, 4097,
+                                  CHUNK_WORDS - 1, CHUNK_WORDS,
+                                  CHUNK_WORDS + 5, 2 * CHUNK_WORDS + 1,
+                                  2 * CHUNK_WORDS + 4094)))
     def test_every_threshold_equals_the_oracle(self, seed, uid, thresholds,
                                                repeat, words):
         if repeat:                      # duplicates, out of order
@@ -53,6 +55,17 @@ class TestKernelMatchesOracle:
         for threshold, mask, ref in zip(thresholds, got, want):
             assert mask.dtype == np.uint64 and mask.shape == (words,)
             assert (mask == ref).all(), threshold
+
+    @pytest.mark.parametrize("words", [1, 3, 255, 256, 4097,
+                                       CHUNK_WORDS - 1])
+    def test_partial_chunk_is_prefix_of_full_chunk(self, words):
+        # A partial chunk draws only its own words and advances the
+        # stream past the rest: every plane stays where it was.
+        thresholds = [1, 0xABCDEF, PROB_ONE - 1, 5 << 20]
+        full = bernoulli_masks(3, 17, thresholds, CHUNK_WORDS)
+        short = bernoulli_masks(3, 17, thresholds, words)
+        for mask, ref in zip(short, full):
+            assert (mask == ref[:words]).all()
 
     def test_one_threshold_call_is_bernoulli_words(self):
         thresholds = [5 << 20, 1, 0xABCDEF, PROB_ONE - 1]
