@@ -9,8 +9,11 @@ plus the packed 64-way XOR injector
 scalar uint8 reference injector on a subsample. The acceptance target
 is >= 10^6 injected vectors per second end-to-end (masks + replay).
 It also times the packed-words path campaigns run: operands encoded
-straight into packed words, :func:`repro.sim.logic.evaluate_words`,
-outputs decoded straight to integers (``words_*`` rows).
+straight into packed words, a clean :func:`repro.sim.logic.evaluate_words`
+(``words_clean_eval``) and, per grid point, a replay of only the
+fan-out cone of the violating gates over the clean words it kept
+(:func:`repro.sim.logic.replay_words`), outputs decoded straight to
+integers (``words_inject_point``).
 
 Correctness is gated before anything is timed:
 
@@ -18,6 +21,8 @@ Correctness is gated before anything is timed:
   faultload (exactly zero injections);
 * packed and scalar injectors agree bit-for-bit on a subsample, and
   the packed-words path decodes the same integers there;
+* the cone replay equals the full masked ``evaluate_words`` on every
+  vector;
 * two campaign runs from the same spec + seed produce identical
   results (bit-reproducibility).
 
@@ -40,7 +45,7 @@ import bench_util
 from repro.cells import default_library
 from repro.core.specs import parse_scenario
 from repro.inject import CampaignSpec, build_faultload, run_campaign
-from repro.inject.inject_sim import (count_mask_bits,
+from repro.inject.inject_sim import (check_alignment, count_mask_bits,
                                      evaluate_bytes_injected,
                                      evaluate_packed_injected,
                                      unpack_op_masks)
@@ -50,10 +55,10 @@ from repro.obs import trace as obs_trace
 from repro.rtl import Multiplier
 from repro.sim import bitpack
 from repro.sim.activity import operand_stream_bits, operand_stream_words
-from repro.sim.logic import (bits_to_int, compile_netlist, evaluate_packed,
-                             evaluate_words)
+from repro.sim.logic import (bits_to_int, compile_netlist, cone_frontier,
+                             evaluate_packed, evaluate_words, replay_words)
 from repro.sim.stimuli import make_stimulus
-from repro.sta.engine import analyze_batch, compile_timing
+from repro.sta.engine import analyze_batch, compile_timing, fanout_rows
 from repro.synth import synthesize_netlist
 
 
@@ -140,6 +145,7 @@ def _run(args):
     netlist = synthesize_netlist(component, lib, effort=args.effort)
     compiled = compile_netlist(netlist, lib)
     program = compile_timing(netlist, lib)
+    check_alignment(compiled, program)
     batch = analyze_batch(netlist, lib, [parse_scenario("fresh"), scenario],
                           program=program)
     clock_ps = float(batch.critical_path_ps[0])
@@ -182,6 +188,16 @@ def _run(args):
                                bits_to_int(scalar_sub, signed=True))):
         raise SystemExit("packed-words path disagrees with the scalar "
                          "reference on a %d-vector subsample" % ref_n)
+    # The campaign's grid point replays the fan-out cone of the
+    # violating gates over the frontier its clean evaluation kept.
+    cone = fanout_rows(program, faultload.rows).tolist()
+    clean_words, kept = evaluate_words(compiled, pi_words,
+                                       keep=cone_frontier(compiled, cone))
+    if not np.array_equal(
+            replay_words(compiled, pi_words, kept, cone, masks, clean_words),
+            evaluate_words(compiled, pi_words, masks)):
+        raise SystemExit("cone replay of %d op(s) disagrees with the full "
+                         "masked evaluation" % len(cone))
 
     spec = CampaignSpec(component="multiplier", width=args.width,
                         scenarios=("fresh", args.scenario),
@@ -190,11 +206,12 @@ def _run(args):
     if run_campaign(spec).to_dict() != run_campaign(spec).to_dict():
         raise SystemExit("campaign is not bit-reproducible from its seed")
     print("correctness gates passed: fresh corner empty, packed == scalar "
-          "reference on %d vectors, campaign bit-reproducible" % ref_n)
+          "reference on %d vectors, cone replay == full replay, campaign "
+          "bit-reproducible" % ref_n)
     print("%d violating gate(s), %d faults injected over %d vectors "
-          "(%.4f faults/vector)"
+          "(%.4f faults/vector); the cone replay runs %d of %d ops"
           % (faultload.n_violating, injected, args.vectors,
-             injected / args.vectors))
+             injected / args.vectors, len(cone), program.n_gates))
 
     # -- timings -----------------------------------------------------------
     def clean_eval():
@@ -216,12 +233,13 @@ def _run(args):
         bitpack.unpack_ints(evaluate_words(compiled, pi_words), args.vectors)
 
     def words_inject_point():
-        # The campaign's grid point: masks, count, replay on packed
-        # stimulus, decode straight to integers.
+        # The campaign's grid point: masks, count, cone replay over the
+        # kept clean words, decode straight to integers.
         m = faultload.masks(args.seed, words)
         count_mask_bits(m, args.vectors)
-        bitpack.unpack_ints(evaluate_words(compiled, pi_words, m),
-                            args.vectors)
+        bitpack.unpack_ints(
+            replay_words(compiled, pi_words, kept, cone, m, clean_words),
+            args.vectors)
 
     def scalar_reference():
         evaluate_bytes_injected(compiled, ref_bits,

@@ -8,9 +8,16 @@ approximation — and puts the answer next to the two alternatives:
   point ``(scenario, clock scale)`` derives a faultload from batched
   STA arrivals (:mod:`repro.inject.faultload`), samples per-gate XOR
   masks (:mod:`repro.inject.masks`; a gate's bit-planes are drawn once
-  for every point of a worker's chunk) and replays the packed stimulus
-  through the packed evaluator with those masks
-  (:func:`repro.sim.logic.evaluate_words`).
+  for every point of a worker's chunk) and replays, with those masks,
+  only the fan-out cone of the point's violating gates
+  (:func:`repro.sim.logic.replay_words`): every other gate reads
+  unchanged inputs, so it keeps the value the chunk's one clean
+  evaluation gave it. That evaluation keeps the *frontier* slots the
+  chunk's cones read but do not write, within
+  :data:`KEPT_FRONTIER_BYTES`; a point whose frontier does not fit
+  re-runs every gate from the primary inputs. Either way the outputs
+  are bit-identical to a full replay
+  (:func:`repro.sim.logic.evaluate_words` with the masks).
 * **guardband-free + aging-induced approximation** — the paper's
   answer: the deepest precision whose *aged* critical path still meets
   the same clock (Eq. 2 on the shared :class:`~repro.core.grid.TimingGrid`,
@@ -50,10 +57,11 @@ from ..core.specs import GridResult, GridSpec, SpecError, parse_scenario
 from ..obs import logs, metrics as obs_metrics, trace as obs_trace
 from ..quality.metrics import error_summary
 from ..sim.activity import operand_stream_words
-from ..sim.bitpack import unpack_ints
-from ..sim.logic import compile_netlist, evaluate_words
+from ..sim.bitpack import unpack_ints, word_count
+from ..sim.logic import (compile_netlist, cone_frontier, evaluate_words,
+                         replay_words)
 from ..sim.stimuli import STIMULUS_NAMES, make_stimulus
-from ..sta.engine import corner_label
+from ..sta.engine import corner_label, fanout_rows
 from .faultload import DEFAULT_ACTIVITY, build_faultload, point_masks
 from .inject_sim import check_alignment, count_mask_bits
 
@@ -118,8 +126,16 @@ class CampaignResult(GridResult):
 # per-run prelude (stimulus + clean reference outputs on the shared grid)
 # ---------------------------------------------------------------------------
 
-#: A campaign's per-seed inputs on its shared timing grid.
-_Stimulus = namedtuple("_Stimulus", "grid compiled pi_words clean_ints peak")
+#: A campaign chunk's per-seed inputs on its shared timing grid: clean
+#: PO words and integers, the clean words of the *kept* frontier slots,
+#: and each point's faultload and replay rows.
+_Prelude = namedtuple("_Prelude", "grid compiled pi_words clean_words "
+                      "clean_ints kept peak points faultloads replays")
+
+#: Bytes of clean gate-output words a campaign chunk keeps for its
+#: points' cone replays (:func:`_replay_rows`). A point whose frontier
+#: does not fit re-runs every gate from the primary inputs instead.
+KEPT_FRONTIER_BYTES = 16 << 20
 
 
 def _stimulus_operands(spec, component):
@@ -138,23 +154,70 @@ def _stimulus_operands(spec, component):
         % (spec.stimulus, component.name, list(widths)))
 
 
-def _build_prelude(spec, library):
+def _build_prelude(spec, library, keys=()):
     """The campaign's per-seed inputs, built on its shared timing grid:
-    packed stimulus, clean outputs and the PSNR peak."""
+    the faultload and replay rows of each ``(scenario label, clock
+    scale)`` in *keys*, packed stimulus, clean outputs (keeping the
+    frontier those replays read) and the PSNR peak."""
     grid = timing_grid(spec.component, spec.width, spec.effort,
                        spec.scenarios, library)
     component = grid.component
     compiled = compile_netlist(grid.netlist, grid.library)
     check_alignment(compiled, grid.program)
+    by_key = {(p.label, p.clock_scale): p for p in
+              grid.points(spec.scenarios, spec.clock_scales)}
+    points = [by_key[key] for key in keys]
+    faultloads = [build_faultload(grid.program, grid.batch, point.label,
+                                  point.clock_ps, activity=spec.activity)
+                  for point in points]
+    replays, keep = _replay_rows(grid.program, compiled, faultloads,
+                                 word_count(spec.vectors))
     operands = _stimulus_operands(spec, component)
     # Stimulus stays packed from operands to metrics: a (vectors, n_pi)
     # byte matrix (and its transposes) would dominate peak memory.
     pi_words = operand_stream_words(operands, component.operand_widths)
-    clean_ints = unpack_ints(evaluate_words(compiled, pi_words),
-                             spec.vectors)
+    clean_words, kept = evaluate_words(compiled, pi_words, keep=keep)
+    clean_ints = unpack_ints(clean_words, spec.vectors)
     peak = float(2 ** (component.output_width - 1))
-    return _Stimulus(grid=grid, compiled=compiled, pi_words=pi_words,
-                     clean_ints=clean_ints, peak=peak)
+    return _Prelude(grid=grid, compiled=compiled, pi_words=pi_words,
+                    clean_words=clean_words, clean_ints=clean_ints,
+                    kept=kept, peak=peak, points=points,
+                    faultloads=faultloads, replays=replays)
+
+
+def _replay_rows(program, compiled, faultloads, words):
+    """Each faultload's replay rows, and the frontier slots the clean
+    evaluation keeps for them.
+
+    A point replays the fan-out cone of its faultload rows, the only
+    gates its masks can reach (:func:`repro.sta.engine.fanout_rows`;
+    timing rows are op rows, see :func:`check_alignment`). Points are
+    taken in order while the union of their frontiers
+    (:func:`repro.sim.logic.cone_frontier`) fits in
+    :data:`KEPT_FRONTIER_BYTES` at *words* words a slot; a point that
+    does not fit replays every gate, which reads no frontier.
+    """
+    room = KEPT_FRONTIER_BYTES // (8 * max(words, 1))
+    keep = set()
+    replays = []
+    for load in faultloads:
+        rows = fanout_rows(program, load.rows).tolist()
+        new = cone_frontier(compiled, rows) - keep
+        if len(keep) + len(new) <= room:
+            keep |= new
+        else:
+            rows = list(range(program.n_gates))
+        replays.append(rows)
+    return replays, keep
+
+
+def _replay(prelude, index, masks):
+    """Packed PO words of the chunk's point *index* under *masks*: a
+    replay of its rows over the clean words the prelude kept."""
+    rows = prelude.replays[index]
+    obs_metrics.inc(obs_metrics.INJECT_REPLAY_OPS, len(rows))
+    return replay_words(prelude.compiled, prelude.pi_words, prelude.kept,
+                        rows, masks, prelude.clean_words)
 
 
 # ---------------------------------------------------------------------------
@@ -171,17 +234,18 @@ def _quality_row(clean_ints, observed_ints, peak):
     }
 
 
-def _point_row(spec, prelude, point, faultload, masks_iter):
-    """One ladder row: masks -> injected replay -> metrics. The point's
-    masks are the next of *masks_iter* and are dropped after the
-    replay."""
+def _point_row(spec, prelude, index, masks_iter):
+    """The ladder row of the chunk's point *index*: masks -> injected
+    replay -> metrics. The point's masks are the next of *masks_iter*
+    and are dropped after the replay."""
     started = time.perf_counter()
+    point = prelude.points[index]
+    faultload = prelude.faultloads[index]
     masks = next(masks_iter)
     injected, faulted = count_mask_bits(masks, spec.vectors)
     if masks:
-        observed = unpack_ints(
-            evaluate_words(prelude.compiled, prelude.pi_words, masks),
-            spec.vectors)
+        observed = unpack_ints(_replay(prelude, index, masks),
+                               spec.vectors)
     else:
         observed = prelude.clean_ints
     del masks
@@ -261,29 +325,24 @@ def _inject_points(chunk):
 
     For each point task of *chunk* (see :func:`make_point_tasks`),
     returns ``(ladder row, approximation entry)``; the entry is
-    ``None`` at fresh points. The chunk's points share one prelude, and
-    each gate's fault-mask planes are drawn once for all of the chunk's
-    points that find it violating (:func:`point_masks`).
+    ``None`` at fresh points. The chunk's points share one prelude,
+    whose clean evaluation keeps the frontier of every point's cone
+    replay, and each gate's fault-mask planes are drawn once for all of
+    the chunk's points that find it violating (:func:`point_masks`).
     """
     tasks = chunk["tasks"]
     spec = CampaignSpec.from_dict(tasks[0]["spec"])
-    prelude = _build_prelude(spec, tasks[0].get("library"))
-    grid = prelude.grid
-    by_key = {(p.label, p.clock_scale): p for p in
-              grid.points(spec.scenarios, spec.clock_scales)}
-    points = [by_key[(task["scenario"], task["clock_scale"])]
-              for task in tasks]
-    faultloads = [build_faultload(grid.program, grid.batch, point.label,
-                                  point.clock_ps, activity=spec.activity)
-                  for point in points]
-    masks_iter = point_masks(faultloads, spec.seed,
+    prelude = _build_prelude(
+        spec, tasks[0].get("library"),
+        [(task["scenario"], task["clock_scale"]) for task in tasks])
+    masks_iter = point_masks(prelude.faultloads, spec.seed,
                              prelude.pi_words.shape[1])
     truncated = {}
     results = []
-    for point, faultload in zip(points, faultloads):
+    for index, point in enumerate(prelude.points):
         with obs_trace.span("inject.point", scenario=point.label,
                             clock_scale=point.clock_scale):
-            row = _point_row(spec, prelude, point, faultload, masks_iter)
+            row = _point_row(spec, prelude, index, masks_iter)
         entry = None
         if point.label != "fresh":
             with obs_trace.span("inject.arms", scenario=point.label,

@@ -3,11 +3,13 @@
 Injection is an XOR on a gate's freshly computed output before any
 reader consumes it: downstream gates then propagate (or logically mask)
 the corrupted value exactly as real silicon would. The packed variant
-(the *op_masks* argument of :func:`repro.sim.logic.evaluate_words`,
-the one packed evaluator) flips 64 vectors per word per mask word —
-this is what makes campaign throughput of millions of injected vectors
-per second possible — while the scalar uint8 variant is the slow
-reference the property tests compare against bit-for-bit.
+(the *op_masks* of the packed op loop: a full replay with
+:func:`repro.sim.logic.evaluate_words`, or the cone replay campaigns
+run with :func:`repro.sim.logic.replay_words`) flips 64 vectors per
+word per mask word — this is what makes campaign throughput of
+millions of injected vectors per second possible — while the scalar
+uint8 variant is the slow reference the property tests compare against
+bit-for-bit.
 
 Masks address ops by *row*: the index into ``compiled.ops``, which is
 also the row in :class:`repro.sta.engine.TimingProgram` (both orders
@@ -36,8 +38,7 @@ def evaluate_packed_injected(compiled, pi_bits, op_masks, release=True):
 
     *op_masks* maps op row -> ``(words,)`` uint64 fault mask. With an
     empty mapping this is bit-identical to the clean evaluator. A
-    bit-matrix wrapper of :func:`repro.sim.logic.evaluate_words`, which
-    campaigns call directly on packed stimulus.
+    bit-matrix wrapper of :func:`repro.sim.logic.evaluate_words`.
     """
     return evaluate_packed(compiled, pi_bits, release=release,
                            op_masks=op_masks)

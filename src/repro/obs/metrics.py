@@ -89,6 +89,7 @@ INJECT_FAULTED_VECTORS = "inject.faulted_vectors"
 INJECT_VECTORS_PER_SEC = "inject.vectors_per_sec"
 INJECT_VIOLATING_FRACTION = "inject.violating_gate_fraction"
 INJECT_MASK_STREAMS = "inject.mask_streams"
+INJECT_REPLAY_OPS = "inject.replay_ops"
 MC_RUNS = "mc.runs"
 MC_POINTS = "mc.points"
 MC_SAMPLES = "mc.samples"

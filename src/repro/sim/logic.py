@@ -16,7 +16,11 @@ Two engines share the compiled program:
   bitwise kernels — 64 vectors per gate-op, an 8th of the memory
   traffic. Its core :func:`evaluate_words` takes packed PI words (and
   optional XOR fault masks) and returns packed PO words;
-  :func:`evaluate_packed` wraps it for byte-matrix callers.
+  :func:`evaluate_packed` wraps it for byte-matrix callers. A faulty
+  evaluation need not re-run the whole program: :func:`replay_words`
+  re-runs only the fan-out cone of the masked ops, over the frontier
+  slots (:func:`cone_frontier`) a clean evaluation kept, through the
+  same op loop.
 """
 
 from dataclasses import dataclass
@@ -216,7 +220,8 @@ def all_net_values(compiled, pi_bits):
 # packed (64-way) engine
 # ---------------------------------------------------------------------------
 
-def evaluate_words(compiled, pi_words, op_masks=None, release=True):
+def evaluate_words(compiled, pi_words, op_masks=None, release=True,
+                   keep=None):
     """The packed evaluator core: packed PI words in, packed PO words out.
 
     *pi_words* is ``(n_pi, words)`` ``uint64`` in the
@@ -227,8 +232,60 @@ def evaluate_words(compiled, pi_words, op_masks=None, release=True):
     op row -> ``(words,)`` ``uint64`` XOR fault mask applied to that
     gate's output before any reader consumes it (see
     :mod:`repro.inject.inject_sim`); without masks this is the clean
-    evaluation.
+    evaluation. With a *keep* set of slots the result is ``(PO words,
+    {slot: words})``: those slots are exempt from *release* and
+    returned, e.g. the frontier a later :func:`replay_words` reads.
     """
+    values = _input_values(compiled, pi_words)
+    _run_ops(compiled, values, op_masks, release, keep=keep or ())
+    outs = np.empty((len(compiled.po_slots), values[0].shape[0]),
+                    dtype=np.uint64)
+    for row, slot in enumerate(compiled.po_slots):
+        outs[row] = values[slot]
+    if keep is None:
+        return outs
+    return outs, {slot: values[slot] for slot in keep}
+
+
+def cone_frontier(compiled, rows):
+    """The gate-output slots that op *rows* read but none of them
+    writes: what :func:`replay_words` needs from a clean evaluation
+    beyond the rails and primary inputs."""
+    ops = compiled.ops
+    inputs = {0, 1}.union(compiled.pi_slots)
+    read = {slot for row in rows for slot in ops[row][1]}
+    return read - inputs - {ops[row][2] for row in rows}
+
+
+def replay_words(compiled, pi_words, kept, rows, op_masks, clean_outs):
+    """PO words of a faulty evaluation that re-runs only op *rows*.
+
+    *rows* must hold every masked op and be closed under fan-out, in
+    topological order (e.g. :func:`repro.sta.engine.fanout_rows`, whose
+    rows equal op rows). *kept* maps at least the
+    :func:`cone_frontier` slots of *rows* to their clean words and
+    *clean_outs* holds the clean PO words (both from
+    ``evaluate_words(..., keep=...)``). A slot outside *rows* reads
+    unchanged inputs, so copying *clean_outs* and splicing in the PO
+    rows the replay writes equals
+    ``evaluate_words(compiled, pi_words, op_masks)`` bit for bit.
+    """
+    values = _input_values(compiled, pi_words)
+    for slot, words in kept.items():
+        values[slot] = words
+    # Every reader of a slot the rows write is in the rows (fan-out
+    # closure), so releasing at last use frees no value a row needs.
+    _run_ops(compiled, values, op_masks, release=True, rows=rows)
+    written = {compiled.ops[row][2] for row in rows}
+    outs = clean_outs.copy()
+    for row, slot in enumerate(compiled.po_slots):
+        if slot in written:
+            outs[row] = values[slot]
+    return outs
+
+
+def _input_values(compiled, pi_words):
+    """Per-slot value list holding the rails and the packed PI rows."""
     pi_words = np.asarray(pi_words, dtype=np.uint64)
     if pi_words.ndim != 2 or pi_words.shape[0] != len(compiled.pi_slots):
         raise ValueError(
@@ -240,11 +297,7 @@ def evaluate_words(compiled, pi_words, op_masks=None, release=True):
     values[1] = np.full(words, bitpack.ALL_ONES, dtype=np.uint64)
     for row, slot in enumerate(compiled.pi_slots):
         values[slot] = pi_words[row]
-    _run_ops(compiled, values, op_masks, release)
-    outs = np.empty((len(compiled.po_slots), words), dtype=np.uint64)
-    for row, slot in enumerate(compiled.po_slots):
-        outs[row] = values[slot]
-    return outs
+    return values
 
 
 def evaluate_packed(compiled, pi_bits, release=True, op_masks=None):
@@ -277,23 +330,30 @@ def all_net_values_packed(compiled, pi_bits):
     return values
 
 
-def _run_ops(compiled, values, masks=None, release=False):
-    """The packed engine's one op loop: apply every op's full-word
+def _run_ops(compiled, values, masks=None, release=False, rows=None,
+             keep=()):
+    """The packed engine's one op loop: apply each op's full-word
     kernel, in topological order, to *values* (by slot).
 
     *values* is a list of per-slot word arrays or a ``(slots, words)``
     matrix (rows assigned in place; *release* needs the list form).
     *masks* maps op row -> XOR mask applied to that op's output before
-    any reader consumes it (fault injection).
+    any reader consumes it (fault injection). *rows* restricts the loop
+    to those op rows (ascending; default every op) and *release* frees
+    no slot in *keep*.
     """
-    for idx, (__func, ins, out, __uid) in enumerate(compiled.ops):
-        value = compiled.packed_funcs[idx](*[values[s] for s in ins])
+    ops = compiled.ops
+    funcs = compiled.packed_funcs
+    for idx in range(len(ops)) if rows is None else rows:
+        __func, ins, out, __uid = ops[idx]
+        value = funcs[idx](*[values[s] for s in ins])
         if masks and idx in masks:
             value = value ^ masks[idx]
         values[out] = value
         if release:
             for slot in compiled.last_use[idx]:
-                values[slot] = None
+                if slot not in keep:
+                    values[slot] = None
 
 
 # ---------------------------------------------------------------------------

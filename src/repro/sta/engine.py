@@ -22,7 +22,9 @@ then:
   :func:`replay_cone` applies it to an arrival tensor in place. The
   same primitive turns the untruncated arrivals into a truncation's,
   or one precision's into the next (a Monte Carlo ladder); both kinds
-  of plan are memoized on the program;
+  of plan are memoized on the program. The same level walk gives the
+  fan-out cone of any gate rows (:func:`fanout_rows`), which is all a
+  fault-injection replay re-evaluates (:mod:`repro.inject.campaign`);
 * both :func:`_propagate` and :func:`replay_cone` are dimension-agnostic
   past the gate axis: :func:`corner_delays` with per-gate Vth draws
   (``dvth=``) emits a ``(gates, corners, samples)`` tensor and the same
@@ -621,8 +623,9 @@ class DeltaPlan:
     rows: int
 
 
-#: Per-program bound on memoized cone and delta plans (a sweep touches
-#: one plan per precision point).
+#: Per-program bound on memoized cone plans, delta plans and fan-out
+#: cones (a sweep touches one plan per precision point, a campaign one
+#: cone per grid point).
 _CONE_MEMO_LIMIT = 32
 
 
@@ -685,6 +688,39 @@ def _build_cone_plan(program, tied):
                     cone_gates=cone)
 
 
+def _fanout_levels(program, seeds):
+    """Walk the fan-out cone of the rows where *seeds* (``(n_gates,)``
+    bool) holds: yields ``(level, cone)`` for every level the cone
+    reaches, in propagation order, *cone* a bool over ``level.rows``.
+    A row is in the cone when it is a seed or reads a slot the cone
+    wrote at an earlier level."""
+    changed = np.zeros(program.slots, dtype=bool)
+    for level in program.levels:
+        cone = seeds[level.rows] | changed[level.in_slots].any(axis=1)
+        if cone.any():
+            changed[level.out_slots[cone]] = True
+            yield level, cone
+
+
+def fanout_rows(program, rows):
+    """Ascending gate rows of the fan-out cone of *rows*: the rows
+    themselves and every gate their outputs reach. Memoized on the
+    program by the rows' content; the result is shared, read-only."""
+    rows = np.unique(np.asarray(rows, dtype=np.int64))
+    if not rows.size:
+        return rows
+
+    def build():
+        seeds = np.zeros(program.n_gates, dtype=bool)
+        seeds[rows] = True
+        cone = np.zeros(program.n_gates, dtype=bool)
+        for level, hit in _fanout_levels(program, seeds):
+            cone[level.rows[hit]] = True
+        return np.flatnonzero(cone)
+
+    return _memoized(program, "_fanout_memo", rows.tobytes(), build)
+
+
 def delta_plan(program, reference, target):
     """Memoized :class:`DeltaPlan` from *reference* to *target*.
 
@@ -706,16 +742,10 @@ def _build_delta_plan(program, reference, target):
     none = np.zeros(program.n_gates, dtype=bool)
     ref = none if reference is None else reference.dropped
     tgt = none if target is None else target.dropped
-    flipped = ref ^ tgt
-    changed = np.zeros(program.slots, dtype=bool)
     steps = []
     total = 0
-    for level in program.levels:
-        cone = flipped[level.rows] | changed[level.in_slots].any(axis=1)
-        if not cone.any():
-            continue
+    for level, cone in _fanout_levels(program, ref ^ tgt):
         outs = level.out_slots[cone]
-        changed[outs] = True
         total += len(outs)
         # Only a flipped row can be dropped by the target: a row the
         # reference drops too reads no changed slot.

@@ -442,18 +442,18 @@ def check_injection(component, library, years=(1.0, 10.0),
       non-decreasing in lifetime at fixed clock, and in clock
       aggressiveness at fixed lifetime (the masks are nested — see
       :mod:`repro.inject.masks`);
-    * the packed XOR injector, fed the prelude's packed stimulus,
-      agrees bit-for-bit with the scalar uint8 reference injector on
-      the most aggressive grid point, and the prelude's clean integers
-      equal the byte engine's decoded outputs.
+    * the campaign's packed cone replay, fed the prelude's packed
+      stimulus and kept frontier, agrees bit-for-bit with the scalar
+      uint8 reference injector on the most aggressive grid point, and
+      the prelude's clean integers equal the byte engine's decoded
+      outputs.
     """
     from ..inject import CampaignSpec, run_campaign
     from ..core.specs import component_spec, parse_scenario
-    from ..inject.campaign import _build_prelude
-    from ..inject.faultload import build_faultload
+    from ..inject.campaign import _build_prelude, _replay
     from ..inject.inject_sim import evaluate_bytes_injected, unpack_op_masks
     from ..sim.bitpack import unpack_bits
-    from ..sim.logic import bits_to_int, evaluate, evaluate_words
+    from ..sim.logic import bits_to_int, evaluate
     from ..sta.engine import corner_label
 
     years = sorted(years)
@@ -512,16 +512,13 @@ def check_injection(component, library, years=(1.0, 10.0),
         "fault counts decrease with clock aggressiveness: %s"
         % "; ".join(bad)))
 
-    prelude = _build_prelude(spec, library)
+    # The campaign's own path: the point's prelude and cone replay.
     label = labels[-1]
-    clock = prelude.grid.fresh_clock_ps * scales[-1]
-    faultload = build_faultload(prelude.grid.program, prelude.grid.batch,
-                                label, clock, activity=spec.activity)
-    masks = faultload.masks(spec.seed, prelude.pi_words.shape[1])
+    prelude = _build_prelude(spec, library, [(label, scales[-1])])
+    masks = prelude.faultloads[0].masks(spec.seed,
+                                        prelude.pi_words.shape[1])
     pi_bits = unpack_bits(prelude.pi_words, spec.vectors)
-    packed = unpack_bits(
-        evaluate_words(prelude.compiled, prelude.pi_words, masks),
-        spec.vectors)
+    packed = unpack_bits(_replay(prelude, 0, masks), spec.vectors)
     reference = evaluate_bytes_injected(
         prelude.compiled, pi_bits, unpack_op_masks(masks, spec.vectors))
     agree = bool((packed == reference).all())
@@ -529,8 +526,9 @@ def check_injection(component, library, years=(1.0, 10.0),
         evaluate(prelude.compiled, pi_bits), signed=True)).all())
     results.append(_result(
         "inject_packed_matches_reference", agree and clean_agree,
-        "packed XOR injection bit-exact vs scalar reference (%d masked "
-        "gate(s), %d vectors)" % (len(masks), spec.vectors),
+        "packed cone replay bit-exact vs scalar reference (%d masked "
+        "gate(s), %d replayed op(s), %d vectors)"
+        % (len(masks), len(prelude.replays[0]), spec.vectors),
         "packed and scalar injectors disagree at %s x%g (masked=%d, "
         "clean_path_agrees=%s)" % (label, scales[-1], len(masks),
                                    clean_agree)))
