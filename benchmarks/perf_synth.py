@@ -18,7 +18,9 @@ and sized at full effort — two ways, both on the one array optimizer
   against it).
 
 So the speedup measures what a derive saves over a scratch synthesis
-(building and lowering the netlist), not an engine difference. Every
+(building the truncated RTL netlist and lowering it), not an engine
+difference. Neither side builds the synthesized netlist's gates: both
+return read-only netlists that build them on first read. Every
 precision point is cross-checked before anything is timed: against
 :func:`repro.verify.reference_synthesize` (the dict optimization passes
 and dict sizer), netlist content fingerprints must be identical and

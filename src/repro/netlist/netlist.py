@@ -11,7 +11,11 @@ the arithmetic components built on top.
 """
 
 from collections import deque
+from dataclasses import dataclass
 
+import numpy as np
+
+from ..obs import metrics as obs_metrics
 from .gate import FrozenGate, Gate
 from .net import CONST0, CONST1, FIRST_FREE_NET, is_const
 
@@ -34,6 +38,47 @@ class ReadOnlyList(list):
 
     def __reduce__(self):
         return ReadOnlyList, (list(self),)
+
+
+@dataclass(eq=False)
+class GateRows:
+    """The gates of a netlist as per-row arrays, rows in gate-list order:
+    ``cells`` are ids into ``cellnames``, row ``i`` reads the first
+    ``arity[i]`` pins of ``ins[i]`` and is named ``names[index[i]]``.
+    Plain data, so a netlist holding it pickles."""
+
+    uids: np.ndarray
+    cells: np.ndarray
+    cellnames: list
+    ins: np.ndarray        # (n, 3) input nets
+    arity: np.ndarray
+    outs: np.ndarray
+    names: list
+    index: np.ndarray
+
+    def cell_names(self):
+        names = self.cellnames
+        return [names[c] for c in self.cells.tolist()]
+
+    def pin_tuples(self):
+        """Input-net tuple of every row."""
+        arity = self.arity
+        order = np.argsort(arity, kind="stable")
+        ins = self.ins[order]
+        bounds = np.searchsorted(arity[order], [1, 2, 3, 4])
+        made = []
+        for k in (1, 2, 3):
+            made.extend(zip(*ins[bounds[k - 1]:bounds[k], :k].T.tolist()))
+        place = np.empty(len(arity), dtype=np.int64)
+        place[order] = np.arange(len(arity))
+        return [made[i] for i in place.tolist()]
+
+    def build(self):
+        """The :class:`~repro.netlist.gate.Gate` of every row."""
+        names = self.names
+        return list(map(Gate, self.uids.tolist(), self.cell_names(),
+                        self.pin_tuples(), self.outs.tolist(),
+                        [names[r] for r in self.index.tolist()]))
 
 
 class Netlist:
@@ -140,7 +185,8 @@ class Netlist:
 
     @property
     def num_gates(self):
-        return len(self.gates)
+        rows = self.__dict__.get("_rows")
+        return len(self.gates if rows is None else rows.uids)
 
     def nets(self):
         """Return the set of all net ids referenced by the netlist."""
@@ -322,7 +368,7 @@ class Netlist:
         self._topo_cache = None
         self._version += 1
 
-    def freeze(self, token):
+    def freeze(self, token, rows=None):
         """Make this netlist read-only and remember its content *token*.
 
         Synthesis freezes every netlist it returns: gate edits, the
@@ -330,11 +376,20 @@ class Netlist:
         raise, so the compile memos key it by *token* (see
         :func:`repro.core.cache.compile_token`) instead of walking its
         gates. :meth:`copy` returns an editable netlist.
+
+        With *rows* (:class:`GateRows`, in topological order) the
+        netlist holds only those arrays until its gates are first read
+        (see :class:`FrozenNetlist`).
         """
-        for gate in self.gates:
-            if not isinstance(gate, FrozenGate):
-                gate.__class__ = FrozenGate
-        self.gates = ReadOnlyList(self.gates)
+        if rows is None:
+            for gate in self.gates:
+                if not isinstance(gate, FrozenGate):
+                    gate.__class__ = FrozenGate
+            self.gates = ReadOnlyList(self.gates)
+        else:
+            for name in FrozenNetlist._LAZY:
+                self.__dict__.pop(name, None)
+            self._rows = rows
         self.primary_inputs = ReadOnlyList(self.primary_inputs)
         self.primary_outputs = ReadOnlyList(self.primary_outputs)
         self._token = token
@@ -356,16 +411,41 @@ class Netlist:
 
     def __repr__(self):
         return ("Netlist(%r, gates=%d, inputs=%d, outputs=%d)"
-                % (self.name, len(self.gates), len(self.primary_inputs),
+                % (self.name, self.num_gates, len(self.primary_inputs),
                    len(self.primary_outputs)))
 
 
 class FrozenNetlist(Netlist):
-    """A netlist after :meth:`Netlist.freeze`: read-only."""
+    """A netlist after :meth:`Netlist.freeze`: read-only.
+
+    A synthesized netlist is frozen with its :class:`GateRows` and
+    builds its gates (counted as ``synth.netlists_materialized``) on the
+    first read of ``gates``, ``_driver`` or ``topological_gates()``;
+    its name, interface, token and ``num_gates`` do not build them.
+    """
 
     _STRUCTURE = frozenset((
         "name", "gates", "primary_inputs", "primary_outputs", "net_names",
-        "_driver", "_next_net", "_next_gate_uid", "_version", "_token"))
+        "_driver", "_next_net", "_next_gate_uid", "_version", "_token",
+        "_rows"))
+    _LAZY = ("gates", "_driver", "_topo_cache")
+
+    def __getattr__(self, name):
+        # Reached only for attributes the instance lacks.
+        state = self.__dict__
+        rows = state.get("_rows")
+        if rows is None or name not in self._LAZY:
+            raise AttributeError("%r object has no attribute %r"
+                                 % (type(self).__name__, name))
+        gates = rows.build()
+        for gate in gates:
+            gate.__class__ = FrozenGate
+        state["gates"] = ReadOnlyList(gates)
+        state["_driver"] = dict(zip(rows.outs.tolist(), gates))
+        state["_topo_cache"] = gates
+        del state["_rows"]
+        obs_metrics.inc(obs_metrics.SYNTH_NETLISTS_MATERIALIZED)
+        return state[name]
 
     def __setattr__(self, name, value):
         if name in self._STRUCTURE:

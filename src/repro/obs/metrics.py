@@ -65,6 +65,7 @@ SYNTH_SWEEP_DERIVES = "synth.sweep.derives"
 SYNTH_SWEEP_CONE_GATES = "synth.sweep.cone_gates"
 SYNTH_SWEEP_BASE_MEMO_HITS = "synth.sweep.base_memo_hits"
 SYNTH_SWEEP_BASE_MEMO_EVICTIONS = "synth.sweep.base_memo_evictions"
+SYNTH_NETLISTS_MATERIALIZED = "synth.netlists_materialized"
 STA_RUNS = "sta.runs"
 STA_BATCH_RUNS = "sta.batch.runs"
 STA_BATCH_CORNERS = "sta.batch.corners"

@@ -86,9 +86,6 @@ class TimingProgram:
         The source netlist (kept for metadata).
     slots / slot_of:
         Dense re-indexing of net ids (constants, PIs, gate outputs).
-    gates:
-        Gate objects in topological order; row ``i`` of every per-gate
-        array refers to ``gates[i]``.
     gate_uids:
         Per-row gate uid (for reconstructing scalar reports).
     out_slots:
@@ -112,7 +109,6 @@ class TimingProgram:
     netlist: object
     slots: int
     slot_of: Dict[int, int]
-    gates: Tuple
     gate_uids: np.ndarray
     out_slots: np.ndarray
     base_delay_ps: np.ndarray
@@ -125,7 +121,17 @@ class TimingProgram:
 
     @property
     def n_gates(self):
-        return len(self.gates)
+        return len(self.gate_uids)
+
+    @property
+    def gates(self):
+        """Gate objects in topological order (row ``i`` of every per-gate
+        array refers to ``gates[i]``), read from the netlist on first
+        use: only per-gate (``ActualStress``) corners need them."""
+        got = self.__dict__.get("_gates")
+        if got is None:
+            got = self._gates = tuple(self.netlist.topological_gates())
+        return got
 
     @property
     def depth(self):
@@ -262,10 +268,8 @@ def _compile_timing(netlist, library):
     po_slots = np.asarray([slot_of[net] for net in netlist.primary_outputs],
                           dtype=np.int64)
     return TimingProgram(netlist=netlist, slots=len(slot_of),
-                         slot_of=slot_of, gates=tuple(order),
-                         gate_uids=uids, out_slots=out_slot,
-                         base_delay_ps=base, loads=loads,
-                         cells=cells,
+                         slot_of=slot_of, gate_uids=uids, out_slots=out_slot,
+                         base_delay_ps=base, loads=loads, cells=cells,
                          cell_index=cell_index, levels=levels,
                          pi_slots=pi_slots, po_slots=po_slots)
 

@@ -11,7 +11,7 @@ axis of the paper's Fig. 8(c) comparison.
 from dataclasses import dataclass
 
 from ..aging.bti import DEFAULT_BTI
-from .fastsize import critical_path, propagate_full, sizer_for, upsize_fast
+from .fastsize import fresh_critical_path, sizer_for, upsize_fast
 from .optimize import lower, run
 from .sizing import SizingReport
 from .sweep import memoized_base
@@ -102,7 +102,7 @@ def _harden(netlist, program, library, scenario, target_ps, bti,
     gate order) against aged timing, then freeze it and seed its timing
     program."""
     if target_ps is None:
-        target_ps = critical_path(program, propagate_full(program))
+        target_ps = fresh_critical_path(program)
     area_budget = None
     if area_budget_ratio is not None:
         area_budget = area_budget_ratio * program.area()
@@ -110,8 +110,9 @@ def _harden(netlist, program, library, scenario, target_ps, bti,
                                    scenario=scenario, bti=bti,
                                    degradation=degradation,
                                    max_area_um2=area_budget)
+    netlist.freeze(program.token())
     seal(netlist, program, library)
     return AgingAwareResult(
         netlist=netlist,
-        fresh_delay_ps=critical_path(program, propagate_full(program)),
+        fresh_delay_ps=fresh_critical_path(program),
         aged_delay_ps=aged, target_ps=target_ps, sizing=sizing)

@@ -6,11 +6,13 @@ aging-aware baseline [4] — runs here, on a :class:`SizerProgram`:
 * the program is built from the optimizer's arrays
   (:func:`sizer_for`, or :func:`compile_sizer` for a netlist, which
   lowers it with :func:`repro.synth.optimize.lower`): dense slots,
-  levels, a CSR reader index and the per-row loads and delays, all
-  computed as array passes;
-* arrivals are re-propagated **incrementally** per round: only upsized
-  gates, their fan-in drivers (whose loads changed) and the slots
-  downstream of them are recomputed; slacks are vectorized level sweeps;
+  a CSR reader index, the per-row loads and delays and one **level
+  schedule** (:meth:`SizerProgram.finish`), all computed as array
+  passes;
+* each round recomputes the loads and delays of the upsized gates and
+  their fan-in drivers, re-propagates with the STA kernel
+  :func:`repro.sta.engine._propagate` over the schedule and takes
+  slacks in one reverse level sweep over per-level reader segments;
 * sizing may run under an **aged corner** (uniform or per-gate
   :class:`~repro.aging.stress.ActualStress`) and an **area budget**;
 * the final program is **lowered** into the netlist's
@@ -35,10 +37,11 @@ import numpy as np
 
 from ..aging.bti import DEFAULT_BTI
 from ..aging.delay import _stress_multiplier
+from ..aging.stress import UniformStress
 from ..netlist.net import CONST0, CONST1
 from ..netlist.netlist import NetlistError
 from ..obs import metrics as obs_metrics
-from ..sta.engine import TimingProgram, _Level
+from ..sta.engine import TimingProgram, _Level, _propagate
 from .optimize import lower
 from .sizing import SizingReport
 
@@ -58,6 +61,10 @@ class SizerProgram:
     CONST0, CONST1, the primary inputs, then one output slot per row.
     ``rd_ptr`` / ``rd_row`` / ``rd_pins`` index the readers of a slot
     (CSR, readers in row order, each ``(row, pins read)`` once).
+    :meth:`finish` builds the level schedule: ``levels``, the STA
+    engine's :class:`~repro.sta.engine._Level` list, and per level
+    ``readers`` ``(read, rows, starts)``: the level positions whose
+    output is read, and their readers' rows as ``reduceat`` segments.
     :func:`upsize_fast` mutates exactly ``cell`` / ``incap`` / ``loads``
     / ``delay``; ``netlist`` is the netlist the program times, set by
     whoever materializes it.
@@ -84,20 +91,14 @@ class SizerProgram:
     rd_ptr: np.ndarray                # (slots + 1,)
     rd_row: np.ndarray
     rd_pins: np.ndarray
-    level_order: np.ndarray = field(default=None)   # rows by (level, pos)
-    level_bounds: List = field(default=None)        # [(start, end)] slices
+    levels: List = field(default=None)      # [_Level] in propagation order
+    readers: List = field(default=None)     # per level (read, rows, starts)
 
     @property
     def cellnames(self):
         """Per-row cell names."""
         names = self.table.names
         return [names[c] for c in self.cell.tolist()]
-
-    @property
-    def cells(self):
-        """Per-row :class:`~repro.cells.cell.Cell` objects."""
-        cells = self.table.electrical()[0]
-        return [cells[c] for c in self.cell.tolist()]
 
     def area(self):
         """Cell area summed over rows in order (the gate order of every
@@ -106,22 +107,31 @@ class SizerProgram:
         return sum(self.table.electrical()[1][self.cell, 3].tolist())
 
     def finish(self):
-        """(Re)build the level schedule from ``row_level``."""
+        """Build the level schedule from ``row_level`` and the CSR."""
+        self.levels, self.readers = [], []
+        if not self.n:
+            return self
         order = np.argsort(self.row_level, kind="stable").astype(np.int64)
-        self.level_order = order
-        bounds = []
-        if self.n:
-            lv = self.row_level[order]
-            cut = np.flatnonzero(lv[1:] != lv[:-1]) + 1
-            starts = np.concatenate(([0], cut))
-            ends = np.concatenate((cut, [self.n]))
-            bounds = list(zip(starts.tolist(), ends.tolist()))
-        self.level_bounds = bounds
+        lv = self.row_level[order]
+        for rows in np.split(order, np.flatnonzero(lv[1:] != lv[:-1]) + 1):
+            width = max(int(self.arity[rows].max()), 1)
+            out = self.out_slot[rows]
+            self.levels.append(_Level(rows=rows,
+                                      in_slots=self.in_slots[rows, :width],
+                                      out_slots=out))
+            start = self.rd_ptr[out]
+            count = self.rd_ptr[out + 1] - start
+            first = np.cumsum(count) - count
+            reads = (np.arange(int(count.sum()))
+                     - np.repeat(first - start, count))
+            read = np.flatnonzero(count)
+            self.readers.append((read, self.rd_row[reads], first[read]))
         return self
 
     def clone(self):
-        """Copy with private cells/loads/delays (structure shared), so a
-        sizing pass on the clone leaves this program unsized."""
+        """Copy with private cells/loads/delays (structure and level
+        schedule shared), so a sizing pass on the clone leaves this
+        program unsized."""
         return dataclasses.replace(
             self, cell=self.cell.copy(), incap=self.incap.copy(),
             loads=self.loads.copy(), delay=self.delay.copy())
@@ -250,43 +260,6 @@ def compile_sizer(netlist, library):
     return program
 
 
-def propagate_full(program, delay=None):
-    """Levelized arrival propagation (same arithmetic as the STA engine).
-
-    *delay* overrides the program's fresh per-row delays (aged sizing).
-    """
-    delay = program.delay if delay is None else delay
-    arr = np.zeros(program.slots, dtype=np.float64)
-    order = program.level_order
-    for start, end in program.level_bounds:
-        rows = order[start:end]
-        at = arr[program.in_slots[rows]].max(axis=1) + delay[rows]
-        arr[program.out_slot[rows]] = at
-    return arr
-
-
-def _propagate_masked(program, arr, forced_rows, delay):
-    """Re-propagate only rows whose delay or any input arrival changed.
-
-    Skipped rows would recompute the identical float, so the result is
-    bit-equal to :func:`propagate_full` on the updated program.
-    """
-    changed = np.zeros(program.slots, dtype=bool)
-    order = program.level_order
-    for start, end in program.level_bounds:
-        rows = order[start:end]
-        touched = forced_rows[rows] | changed[program.in_slots[rows]].any(axis=1)
-        if not touched.any():
-            continue
-        rr = rows[touched]
-        at = arr[program.in_slots[rr]].max(axis=1) + delay[rr]
-        outs = program.out_slot[rr]
-        diff = at != arr[outs]
-        arr[outs] = at
-        changed[outs[diff]] = True
-    return arr
-
-
 def critical_path(program, arr):
     """Critical path as the STA engine computes it (clipped at 0)."""
     if not len(program.po_slots):
@@ -294,43 +267,64 @@ def critical_path(program, arr):
     return float(np.maximum(arr[program.po_slots].max(), 0.0))
 
 
+def fresh_critical_path(program):
+    """Critical path of *program*'s current cells, fresh."""
+    return critical_path(program, _propagate(program, program.delay))
+
+
 def _slacks(program, arr, constraint, delay):
-    """Per-row slack, float-identical to ``sizing.gate_slacks``."""
-    req = np.full(program.slots, np.inf, dtype=np.float64)
-    np.minimum.at(req, program.po_slots, constraint)
-    order = program.level_order
-    for start, end in reversed(program.level_bounds):
-        rows = order[start:end]
-        budget = req[program.out_slot[rows]] - delay[rows]
-        np.minimum.at(req, program.in_slots[rows],
-                      np.broadcast_to(budget[:, None],
-                                      (len(rows), _MAX_PINS)))
-    return req[program.out_slot] - arr[program.out_slot]
+    """Per-row slack, float-identical to ``sizing.gate_slacks``: in
+    reverse level order, a row's required time is the minimum of its
+    readers' budgets (their required time less their delay) and, at a
+    primary output, *constraint*."""
+    po_req = np.full(program.slots, np.inf, dtype=np.float64)
+    po_req[program.po_slots] = constraint
+    req = np.empty(program.n, dtype=np.float64)
+    budget = np.empty(program.n, dtype=np.float64)
+    for level, (read, readers, starts) in zip(reversed(program.levels),
+                                              reversed(program.readers)):
+        got = po_req[level.out_slots]
+        if len(read):
+            got[read] = np.minimum(
+                got[read], np.minimum.reduceat(budget[readers], starts))
+        req[level.rows] = got
+        budget[level.rows] = got - delay[level.rows]
+    return req - arr[program.out_slot]
 
 
 def _aging(netlist, program, scenario, bti, degradation):
-    """Per-row aged delay under *scenario* (None when fresh): fresh delay
-    times the stress multiplier of the row's current cell, the product
-    :func:`repro.sta.engine.corner_delays` forms."""
+    """Aged delays under *scenario* (None when fresh): ``aged(rows)``
+    is each row's fresh delay times the stress multiplier of its current
+    cell, the product :func:`repro.sta.engine.corner_delays` forms: one
+    multiplier per cell id under uniform stress, per gate under
+    :class:`~repro.aging.stress.ActualStress` (which reads *netlist*'s
+    gates)."""
     if scenario is None or scenario.is_fresh:
         return None
     years = scenario.years
     cells = program.table.electrical()[0]
     cell = program.cell
     fresh = program.delay
+    if isinstance(scenario.stress, UniformStress):
+        s = scenario.stress.s
+        per_cell = np.full(len(cells), np.nan)
+
+        def aged(rows):
+            ids = cell[rows]
+            for c in np.unique(ids[np.isnan(per_cell[ids])]).tolist():
+                per_cell[c] = _stress_multiplier(cells[c], s, s, years, bti,
+                                                 degradation)
+            return fresh[rows] * per_cell[ids]
+        return aged
     gate_of = {g.uid: g for g in netlist.gates}
     stress = [scenario.gate_stress(gate_of[uid])
               for uid in program.uids.tolist()]
-    memo = {}   # (cell id, sp, sn) -> multiplier
 
-    def aged(row):
-        sp, sn = stress[row]
-        key = (cell[row], sp, sn)
-        mult = memo.get(key)
-        if mult is None:
-            mult = memo[key] = _stress_multiplier(
-                cells[cell[row]], sp, sn, years, bti, degradation)
-        return fresh[row] * mult
+    def aged(rows):
+        return fresh[rows] * np.asarray(
+            [_stress_multiplier(cells[cell[row]], *stress[row], years, bti,
+                                degradation) for row in rows.tolist()],
+            dtype=np.float64)
     return aged
 
 
@@ -362,9 +356,7 @@ def upsize_fast(netlist, library, target_ps, program=None, scenario=None,
     fresh = program.delay
     __, params, up = program.table.electrical()
     aged = _aging(netlist, program, scenario, bti, degradation)
-    delay = (fresh if aged is None
-             else np.asarray([aged(row) for row in range(program.n)],
-                             dtype=np.float64))
+    delay = fresh if aged is None else aged(np.arange(program.n))
     area_rows = None
     if max_area_um2 is not None:
         area_rows = np.arange(program.n)
@@ -372,7 +364,7 @@ def upsize_fast(netlist, library, target_ps, program=None, scenario=None,
             row_of = _row_of(program)
             area_rows = np.asarray([row_of[g.uid] for g in netlist.gates],
                                    dtype=np.int64)
-    arr = propagate_full(program, delay)
+    arr = _propagate(program, delay)
     cp = critical_path(program, arr)
     slot_row = program.slot_row
     while rounds < max_rounds:
@@ -404,19 +396,15 @@ def upsize_fast(netlist, library, target_ps, program=None, scenario=None,
         rounds += 1
         # Upsized cells change their own delay directly and — via input
         # capacitance — the load (hence delay) of their fan-in drivers;
-        # everything else recomputes to the identical float.
+        # everything else keeps the identical float.
         fanin = slot_row[program.in_slots[changed]]
         fanin = np.unique(fanin[fanin >= 0])
         loads[fanin] = _loads(program, fanin)
-        forced = np.zeros(program.n, dtype=bool)
-        forced[changed] = True
-        forced[fanin] = True
-        rows = np.flatnonzero(forced)
+        rows = np.union1d(changed, fanin)
         fresh[rows] = _fresh_delays(program, rows)
         if aged is not None:
-            for row in rows.tolist():
-                delay[row] = aged(row)
-        arr = _propagate_masked(program, arr, forced, delay)
+            delay[rows] = aged(rows)
+        arr = _propagate(program, delay)
         cp = critical_path(program, arr)
     # Only the final cells are observable; apply them once at the end.
     if upsized and netlist is not None:
@@ -448,22 +436,14 @@ def timing_program(program):
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order))
     cells = program.table.electrical()[0]
-    arity = program.arity
-    levels = []
-    for start, end in program.level_bounds:
-        rows = program.level_order[start:end]
-        width = max(int(arity[rows].max()), 1)
-        levels.append(_Level(rows=rows,
-                             in_slots=program.in_slots[rows, :width],
-                             out_slots=program.out_slot[rows]))
     return TimingProgram(
         netlist=netlist, slots=program.slots, slot_of=program.slot_of,
-        gates=tuple(netlist.topological_gates()),
         gate_uids=program.uids.copy(), out_slots=program.out_slot.copy(),
         base_delay_ps=program.delay.copy(),
         loads=program.loads.copy(),
         cells=[cells[c] for c in distinct[order].tolist()],
-        cell_index=rank[index.reshape(-1)].astype(np.int64), levels=levels,
+        cell_index=rank[index.reshape(-1)].astype(np.int64),
+        levels=program.levels,
         pi_slots=np.asarray([program.slot_of[net]
                              for net in netlist.primary_inputs],
                             dtype=np.int64),

@@ -44,9 +44,9 @@ from itertools import chain, product
 import numpy as np
 
 from ..cells.cell import CELL_KINDS, cell_function
-from ..netlist.gate import Gate, split_cell
+from ..netlist.gate import split_cell
 from ..netlist.net import CONST0, CONST1, const_value, is_const
-from ..netlist.netlist import Netlist, NetlistError
+from ..netlist.netlist import GateRows, Netlist, NetlistError
 from ..obs import metrics as obs_metrics
 
 
@@ -607,45 +607,36 @@ class Optimized:
         del self.rep
         return self
 
-    def cell_names(self):
-        names = self.low.table.names
-        return [names[c] for c in self.cell[self.rows].tolist()]
-
-    def pin_tuples(self):
-        """Input-net tuple of every surviving row."""
-        rows = self.rows
-        arity = self.low.table.arrays()[5][self.cell[rows]]
-        order = np.argsort(arity, kind="stable")
-        ins = self.ins[rows[order]]
-        bounds = np.searchsorted(arity[order], [1, 2, 3, 4])
-        made = []
-        for k in (1, 2, 3):
-            made.extend(zip(*ins[bounds[k - 1]:bounds[k], :k].T.tolist()))
-        place = np.empty(len(rows), dtype=np.int64)
-        place[order] = np.arange(len(rows))
-        return [made[i] for i in place.tolist()]
-
-    def netlist(self, cellnames=None, name=None):
-        """Materialize the optimized netlist, with cells *cellnames*
-        (default: the engine's own)."""
+    def gate_rows(self, cell=None):
+        """The surviving rows as :class:`~repro.netlist.netlist.GateRows`,
+        with per-row cell ids *cell* (default: the engine's own)."""
         low = self.low
-        raw = low.netlist
         rows = self.rows
-        if cellnames is None:
-            cellnames = self.cell_names()
-        outs = low.out[rows].tolist()
-        names = low.names
-        gates = list(map(Gate, low.uid[rows].tolist(), cellnames,
-                         self.pin_tuples(), outs,
-                         [names[r] for r in rows.tolist()]))
+        if cell is None:
+            cell = self.cell[rows]
+        return GateRows(low.uid[rows], cell, low.table.names, self.ins[rows],
+                        low.table.arrays()[5][cell], low.out[rows], low.names,
+                        rows)
+
+    def netlist(self, cell=None, name=None, token=None):
+        """The optimized netlist, with per-row cell ids *cell* (default:
+        the engine's own), named *name* (default: the source's). With a
+        content *token* it is read-only and builds its gates on first
+        read (:meth:`~repro.netlist.netlist.Netlist.freeze`); without,
+        it is editable and built at once."""
+        raw = self.low.netlist
+        rows = self.gate_rows(cell)
         nl = Netlist(raw.name if name is None else name)
         nl._next_net = raw._next_net
         nl._next_gate_uid = raw._next_gate_uid
         nl.net_names = dict(raw.net_names)
         nl.primary_inputs = list(raw.primary_inputs)
         nl.primary_outputs = self.po.tolist()
+        if token is not None:
+            return nl.freeze(token, rows)
+        gates = rows.build()
         nl.gates = gates
-        nl._driver = dict(zip(outs, gates))
+        nl._driver = dict(zip(rows.outs.tolist(), gates))
         nl._topo_cache = list(gates)
         return nl
 
@@ -673,9 +664,10 @@ def optimize(netlist, library, max_rounds=8):
     cells and inputs rewritten. Returns *netlist*."""
     opt = run(lower(netlist, library), max_rounds)
     gates = opt.low.gates
+    rows = opt.gate_rows()
     kept = []
-    for row, cell, pins in zip(opt.rows.tolist(), opt.cell_names(),
-                               opt.pin_tuples()):
+    for row, cell, pins in zip(opt.rows.tolist(), rows.cell_names(),
+                               rows.pin_tuples()):
         gate = gates[row]
         if gate.cell != cell:
             gate.cell = cell

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 from ..obs import logs, metrics as obs_metrics, trace as obs_trace
 from ..sta.engine import seed_timing
-from .fastsize import (critical_path, propagate_full, sizer_for,
-                       timing_program, upsize_fast)
+from .fastsize import (fresh_critical_path, sizer_for, timing_program,
+                       upsize_fast)
 from .optimize import lower, run
 
 _log = logs.get_logger("synth")
@@ -90,18 +90,19 @@ def synthesize(source, library, effort="ultra", target_ps=None):
 
 def finish(opt, library, effort, target_ps, name=None, program=None):
     """Size an optimizer result (at "ultra", on its pre-sizing sizer
-    *program*, built if omitted), materialize it as a read-only netlist
-    named *name* (default: the source's) and seed its timing program,
-    lowered from the sizer, into :func:`repro.sta.engine.
-    compile_timing`'s memo."""
+    *program*, built if omitted), wrap it as a read-only netlist named
+    *name* (default: the source's) that builds its gates on first read,
+    and seed its timing program, lowered from the sizer, into
+    :func:`repro.sta.engine.compile_timing`'s memo."""
     if program is None:
         program = sizer_for(opt, library)
     if EFFORTS[effort][1]:
         goal = 0.0 if target_ps is None else target_ps
         __, __, delay = upsize_fast(None, library, goal, program)
     else:
-        delay = critical_path(program, propagate_full(program))
-    netlist = opt.netlist(program.cellnames, name=name)
+        delay = fresh_critical_path(program)
+    netlist = opt.netlist(program.cell.copy(), name=name,
+                          token=program.token())
     area, leakage = seal(netlist, program, library).cell_totals()
     result = SynthesisResult(
         netlist=netlist, delay_ps=delay, area_um2=area, leakage_nw=leakage,
@@ -113,10 +114,9 @@ def finish(opt, library, effort, target_ps, name=None, program=None):
 
 
 def seal(netlist, program, library):
-    """Freeze *netlist*, timed by sizer *program*, under the program's
-    content token, and seed its timing program; returns that program."""
+    """Seed the timing program of read-only *netlist*, timed by sizer
+    *program*; returns that program."""
     program.netlist = netlist
-    netlist.freeze(program.token())
     timing = timing_program(program)
     seed_timing(netlist, library, timing)
     return timing

@@ -4,8 +4,9 @@
 synthesis, sweep derivations and the aging-aware baseline — and must
 reproduce :func:`repro.verify.upsize_critical_paths` exactly: the same
 final cells and the same ``SizingReport`` (``met``, ``achieved_ps``,
-``upsized``, ``rounds``) on fresh, uniformly aged, per-gate
-``ActualStress``-aged and area-budgeted runs. The timing program it
+``upsized``, ``rounds``) on fresh, uniformly aged (worst and balanced
+stress), per-gate ``ActualStress``-aged and area-budgeted runs, with
+aged delays bit-identical to the STA engine's ``corner_delays``. The timing program it
 lowers from its final sizer program must equal a fresh
 ``compile_timing(..., memo=False)`` array for array.
 """
@@ -15,20 +16,21 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.aging import AgingScenario, worst_case
+from repro.aging import AgingScenario, balance_case, worst_case
+from repro.aging.bti import DEFAULT_BTI
 from repro.aging.stress import ActualStress
 from repro.cells import default_library
 from repro.core.cache import netlist_fingerprint
 from repro.core.specs import parse_component
-from repro.sta.engine import analyze_batch, compile_timing
+from repro.sta.engine import analyze_batch, compile_timing, corner_delays
 from repro.synth import (aging_aware_synthesize, clear_sweep_memo, optimize,
                          sweep_for, synthesize, upsize_fast)
-from repro.synth.fastsize import compile_sizer, timing_program
+from repro.synth.fastsize import _aging, compile_sizer, timing_program
 from repro.synth.synthesize import EFFORTS
 from repro.verify import random_netlist, upsize_critical_paths
 
 LIB = default_library()
-MODES = ("fresh", "uniform", "actual", "budget")
+MODES = ("fresh", "uniform", "balance", "actual", "budget")
 
 
 @pytest.fixture(autouse=True)
@@ -58,6 +60,8 @@ def _sizing_args(netlist, mode, seed):
         return 0.0, {}
     if mode == "uniform":
         return fresh_cp, {"scenario": worst_case(10.0)}
+    if mode == "balance":
+        return fresh_cp, {"scenario": balance_case(10.0)}
     if mode == "actual":
         scenario = AgingScenario(10.0, _random_stress(netlist, seed))
         return fresh_cp, {"scenario": scenario}
@@ -170,3 +174,34 @@ def test_aging_aware_matches_oracle_flow(spec):
     # The shared sweep base was copied, not sized in place.
     base = sweep_for(component, LIB, effort="ultra")
     assert base.base_result.netlist is not got.netlist
+
+
+def _corner(name, netlist):
+    if name == "actual10y":
+        return AgingScenario(10.0, _random_stress(netlist, 5))
+    return {"worst1y": worst_case(1.0), "worst10y": worst_case(10.0),
+            "balance10y": balance_case(10.0)}[name]
+
+
+@pytest.mark.parametrize("corner", ["worst1y", "worst10y", "balance10y",
+                                    "actual10y"])
+@pytest.mark.parametrize("spec", ["mult8", "adder8"])
+def test_aged_sizing_corners_match_oracle(spec, corner):
+    """Aged delays (one multiplier per cell id under uniform stress, per
+    gate under ``ActualStress``) equal the STA engine's products bit
+    for bit, and sizing against them matches the oracle."""
+    netlist = synthesize(parse_component(spec), LIB, effort="high").netlist
+    scenario = _corner(corner, netlist)
+    program = compile_sizer(netlist, LIB)
+    aged = _aging(netlist, program, scenario, DEFAULT_BTI, None)
+    rows = np.arange(program.n)
+    expected = corner_delays(compile_timing(netlist, LIB), [scenario])[:, 0]
+    assert np.array_equal(aged(rows), expected)
+    assert np.array_equal(aged(rows[::-3]), expected[::-3])
+    target = _fresh_cp(netlist)
+    fast_net, ref_net = netlist.copy(), netlist.copy()
+    fast = upsize_fast(fast_net, LIB, target, scenario=scenario)[0]
+    ref = upsize_critical_paths(ref_net, LIB, target, scenario=scenario)
+    assert fast == ref and fast.upsized > 0
+    assert ([(g.uid, g.cell) for g in fast_net.gates]
+            == [(g.uid, g.cell) for g in ref_net.gates])
