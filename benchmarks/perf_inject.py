@@ -5,9 +5,11 @@ Times the fault-injection campaign workload on the paper's 16-bit
 multiplier at the guardband-free operating point (fresh clock, aged
 gates): per-gate Bernoulli mask sampling (:mod:`repro.inject.masks`)
 plus the packed 64-way XOR injector
-(:func:`repro.inject.inject_sim.evaluate_packed_injected`), against the
-scalar uint8 reference injector on a subsample. The acceptance target
-is >= 10^6 injected vectors per second end-to-end (masks + replay).
+(:func:`repro.sim.logic.evaluate_packed` with ``op_masks``), against the
+scalar uint8 reference injector
+(:func:`repro.verify.evaluate_bytes_injected`) on a subsample. The
+acceptance target is >= 10^6 injected vectors per second end-to-end
+(masks + replay).
 It also times the packed-words path campaigns run: operands encoded
 straight into packed words, a clean :func:`repro.sim.logic.evaluate_words`
 (``words_clean_eval``) and, per grid point, a replay of only the
@@ -45,10 +47,7 @@ import bench_util
 from repro.cells import default_library
 from repro.core.specs import parse_scenario
 from repro.inject import CampaignSpec, build_faultload, run_campaign
-from repro.inject.inject_sim import (check_alignment, count_mask_bits,
-                                     evaluate_bytes_injected,
-                                     evaluate_packed_injected,
-                                     unpack_op_masks)
+from repro.inject.inject_sim import count_mask_bits, unpack_op_masks
 from repro.obs import manifest as obs_manifest
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
@@ -60,6 +59,7 @@ from repro.sim.logic import (bits_to_int, compile_netlist, cone_frontier,
 from repro.sim.stimuli import make_stimulus
 from repro.sta.engine import analyze_batch, compile_timing, fanout_rows
 from repro.synth import synthesize_netlist
+from repro.verify import evaluate_bytes_injected
 
 
 def best_time(fn, repeats):
@@ -145,7 +145,9 @@ def _run(args):
     netlist = synthesize_netlist(component, lib, effort=args.effort)
     compiled = compile_netlist(netlist, lib)
     program = compile_timing(netlist, lib)
-    check_alignment(compiled, program)
+    if compiled.program is not program:
+        raise SystemExit("simulator and STA rows come from different "
+                         "timing programs")
     batch = analyze_batch(netlist, lib, [parse_scenario("fresh"), scenario],
                           program=program)
     clock_ps = float(batch.critical_path_ps[0])
@@ -175,7 +177,7 @@ def _run(args):
     ref_words = bitpack.word_count(ref_n)
     ref_bits = pi_bits[:ref_n]
     ref_masks = {row: mask[:ref_words] for row, mask in masks.items()}
-    packed_sub = evaluate_packed_injected(compiled, ref_bits, ref_masks)
+    packed_sub = evaluate_packed(compiled, ref_bits, op_masks=ref_masks)
     scalar_sub = evaluate_bytes_injected(
         compiled, ref_bits, unpack_op_masks(ref_masks, ref_n))
     if not (packed_sub == scalar_sub).all():
@@ -221,13 +223,13 @@ def _run(args):
         faultload.masks(args.seed, words)
 
     def injected_eval():
-        evaluate_packed_injected(compiled, pi_bits, masks)
+        evaluate_packed(compiled, pi_bits, op_masks=masks)
 
     def inject_point():
         # End-to-end grid point: sample masks, replay, count faults.
         m = faultload.masks(args.seed, words)
         count_mask_bits(m, args.vectors)
-        evaluate_packed_injected(compiled, pi_bits, m)
+        evaluate_packed(compiled, pi_bits, op_masks=m)
 
     def words_clean_eval():
         bitpack.unpack_ints(evaluate_words(compiled, pi_words), args.vectors)

@@ -34,10 +34,10 @@ from repro.obs import manifest as obs_manifest
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.rtl import Multiplier
-from repro.sim import (compile_netlist, evaluate, evaluate_packed,
-                       operand_stream_bits, simulate_activity)
+from repro.sim import (compile_netlist, evaluate_packed, operand_stream_bits,
+                       simulate_activity)
 from repro.synth import synthesize_netlist
-from repro.verify import simulate_activity_bytes
+from repro.verify import evaluate_bytes, simulate_activity_bytes
 
 
 def best_time(fn, repeats):
@@ -122,7 +122,7 @@ def _run(args):
 
     # Correctness gate: never benchmark two engines that disagree.
     sample = bits[:4096]
-    if not np.array_equal(evaluate(compiled, sample),
+    if not np.array_equal(evaluate_bytes(compiled, sample),
                           evaluate_packed(compiled, sample)):
         raise SystemExit("packed/bytes engines disagree on outputs")
     ref = simulate_activity_bytes(netlist, lib, sample)
@@ -137,7 +137,7 @@ def _run(args):
          lambda: simulate_activity_bytes(netlist, lib, bits)),
         ("activity_packed",
          lambda: simulate_activity(netlist, lib, bits)),
-        ("evaluate_bytes", lambda: evaluate(compiled, bits)),
+        ("evaluate_bytes", lambda: evaluate_bytes(compiled, bits)),
         ("evaluate_packed", lambda: evaluate_packed(compiled, bits)),
     ]:
         with obs_trace.span("bench." + label, repeats=args.repeats):

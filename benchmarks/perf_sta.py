@@ -15,9 +15,12 @@ corners — three ways:
   addressed memo lowers each netlist once and every later guardband /
   invariant / sizing analysis reuses it);
 * **incremental**: the truncation sweep re-done on the *full-precision*
-  netlist by tying operand LSBs low and re-propagating only their
-  fan-out cone (:func:`repro.sta.engine.analyze_incremental`), against
-  scalar STA of the explicitly swept netlists.
+  netlist by tying operand LSBs low and replaying only the fan-out cone
+  of the gates that drop (:func:`repro.sta.engine.cone_plan`, then
+  :func:`repro.sta.engine.delta_plan` from the untruncated netlist, then
+  :func:`repro.sta.engine.replay_cone` on a copy of the batch arrivals,
+  as the timing grid runs it), against scalar STA of the explicitly
+  swept netlists.
 
 Every grid point is cross-checked bit-exactly against the scalar oracle
 before anything is timed. Results append to ``BENCH_sta.json`` (see
@@ -44,9 +47,9 @@ from repro.obs import manifest as obs_manifest
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.rtl import Multiplier
-from repro.sta.engine import (analyze_batch, analyze_incremental,
-                              compile_timing, tie_low,
-                              truncated_input_nets)
+from repro.sta.engine import (_critical_paths, analyze_batch,
+                              compile_timing, cone_plan, delta_plan,
+                              replay_cone, tie_low, truncated_input_nets)
 from repro.sta.sta import analyze
 from repro.synth import synthesize_netlist
 
@@ -70,6 +73,17 @@ def traced_peak(fn):
     finally:
         tracemalloc.stop()
     return peak
+
+
+def replay_truncation(batch, tied):
+    """Arrivals and critical paths of *batch* with *tied* tied low: the
+    cone plan, the delta plan from the untruncated netlist and its
+    replay on a copy of the batch arrivals."""
+    program = batch.program
+    plan = cone_plan(program, tied)
+    arrivals = batch.arrivals.copy()
+    replay_cone(delta_plan(program, None, plan), arrivals, batch.delays)
+    return plan, arrivals, _critical_paths(program, arrivals)
 
 
 def main(argv=None):
@@ -156,16 +170,18 @@ def _run(args):
                                  % (netlist.name, corner.label))
     full_netlist = variants[0][1]
     baseline = analyze_batch(full_netlist, lib, corners)
+    uids = baseline.program.gate_uids.tolist()
     for precision in precisions[1:]:
         tied = truncated_input_nets(component, full_netlist, precision)
-        inc = analyze_incremental(full_netlist, lib, tied, corners=corners,
-                                  baseline=baseline)
+        plan, __, cps = replay_truncation(baseline, tied)
         swept = tie_low(full_netlist, tied)
         for idx, corner in enumerate(corners):
             scalar = analyze(swept, lib, scenario=corner)
-            got = inc.report(idx)
-            if (got.critical_path_ps != scalar.critical_path_ps
-                    or got.gate_delays != scalar.gate_delays):
+            delays = {uid: float(baseline.delays[row, idx])
+                      for row, uid in enumerate(uids)
+                      if not plan.dropped[row]}
+            if (float(cps[idx]) != scalar.critical_path_ps
+                    or delays != scalar.gate_delays):
                 raise SystemExit("incremental STA diverges from tie_low "
                                  "oracle at precision %d/%s"
                                  % (precision, corner.label))
@@ -204,8 +220,7 @@ def _run(args):
         base = analyze_batch(full_netlist, lib, corners, program=program)
         for precision in precisions[1:]:
             tied = truncated_input_nets(component, full_netlist, precision)
-            analyze_incremental(full_netlist, lib, tied, corners=corners,
-                                baseline=base, program=program)
+            replay_truncation(base, tied)
 
     results = {}
     for label, fn in [

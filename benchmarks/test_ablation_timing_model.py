@@ -17,9 +17,10 @@ import pytest
 
 from repro.aging import worst_case
 from repro.rtl import KoggeStoneAdder
-from repro.sim import EventSimulator, TimedSimulator, int_to_bits
+from repro.sim import TimedSimulator, int_to_bits
 from repro.sta import critical_path_delay
 from repro.synth import synthesize_netlist
+from repro.verify import EventSimulator
 
 VECTORS = 6000
 EVENT_SAMPLE = 250

@@ -24,9 +24,10 @@ import numpy as np
 from repro import (Adder, default_library, synthesize_netlist, worst_case)
 from repro.cells import to_liberty
 from repro.netlist import from_verilog, to_verilog
-from repro.sim import (EventSimulator, bits_to_int, compile_netlist,
-                       evaluate, int_to_bits)
+from repro.sim import (bits_to_int, compile_netlist, evaluate_packed,
+                       int_to_bits)
 from repro.sta import analyze, gate_delays_from_sdf, to_sdf
+from repro.verify import EventSimulator
 
 WIDTH = 12
 SCENARIO = worst_case(10)
@@ -60,8 +61,10 @@ def main():
     a, b = component.random_operands(2000, rng=42)
     bits = np.concatenate([int_to_bits(a, WIDTH), int_to_bits(b, WIDTH)],
                           axis=1)
-    original = bits_to_int(evaluate(compile_netlist(netlist, lib), bits))
-    roundtrip = bits_to_int(evaluate(compile_netlist(reloaded, lib), bits))
+    original = bits_to_int(evaluate_packed(compile_netlist(netlist, lib),
+                                           bits))
+    roundtrip = bits_to_int(evaluate_packed(compile_netlist(reloaded, lib),
+                                            bits))
     print("verilog round-trip functional match: %s"
           % bool(np.array_equal(original, roundtrip)))
 

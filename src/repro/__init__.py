@@ -48,9 +48,9 @@ from .rtl import (Adder, ArrayMultiplier, BoothMultiplier,
 from .synth import (aging_aware_synthesize, synthesize, synthesize_netlist,
                     upsize_fast)
 from .sta import analyze, critical_path, critical_path_delay, logic_depth
-from .sim import (EventSimulator, TimedSimulator, bits_to_int,
-                  compile_netlist, evaluate, evaluate_packed,
-                  extract_stress, int_to_bits, simulate_activity)
+from .sim import (TimedSimulator, bits_to_int, compile_netlist,
+                  evaluate_packed, extract_stress, int_to_bits,
+                  simulate_activity)
 from .approx import (ComponentArithmetic, ExactArithmetic,
                      GateLevelArithmetic, TimedComponentModel,
                      TruncatedArithmetic, truncate_lsbs)
@@ -88,9 +88,8 @@ __all__ = [
     # sta
     "analyze", "critical_path", "critical_path_delay", "logic_depth",
     # sim
-    "EventSimulator", "TimedSimulator", "bits_to_int", "compile_netlist",
-    "evaluate", "evaluate_packed", "extract_stress", "int_to_bits",
-    "simulate_activity",
+    "TimedSimulator", "bits_to_int", "compile_netlist", "evaluate_packed",
+    "extract_stress", "int_to_bits", "simulate_activity",
     # approx
     "ComponentArithmetic", "ExactArithmetic", "GateLevelArithmetic",
     "TimedComponentModel", "TruncatedArithmetic", "truncate_lsbs",

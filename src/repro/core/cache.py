@@ -148,28 +148,26 @@ def library_fingerprint(library):
 
 
 def library_memo_key(library):
-    """Key of *library* in the per-netlist compile memos.
+    """Key of *library* in the per-netlist compile memo.
 
     A :class:`~repro.cells.library.CellLibrary` is keyed by its content
     fingerprint, so equal libraries (such as the copy each pool task
     unpickles) share the programs compiled or seeded under either. A
-    stand-in that is not a library is keyed by weak reference, or by
-    ``id`` if it cannot be weakly referenced.
+    stand-in that is not a library is keyed by weak reference (the
+    lowering's cell table holds it weakly too, so it must allow one).
     """
     from ..cells.library import CellLibrary
 
     if isinstance(library, CellLibrary):
         return library_fingerprint(library)
-    try:
-        return weakref.ref(library)
-    except TypeError:  # e.g. a dict
-        return id(library)
+    return weakref.ref(library)
 
 
 def compile_token(netlist, library):
-    """Content token of *netlist* under *library* in the compile memos
-    (:func:`repro.sim.logic.compile_netlist`,
-    :func:`repro.sta.engine.compile_timing`): the library's memo key,
+    """Content token of *netlist* under *library* in the compile memo
+    (:func:`repro.sta.engine.compile_timing`, whose program
+    :func:`repro.sim.logic.compile_netlist` also reads): the library's
+    memo key,
     the PI/PO orders and every gate's cell, pins and output, so any
     mutation, including in-place ``gate.cell`` edits, recompiles. A
     read-only netlist (:meth:`~repro.netlist.netlist.Netlist.freeze`,

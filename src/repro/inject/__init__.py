@@ -12,9 +12,7 @@ from .crosscheck import (CrosscheckReport, Disagreement,
                          crosscheck_violations, minimize_disagreement)
 from .faultload import (DEFAULT_ACTIVITY, Faultload, build_faultload,
                         point_masks)
-from .inject_sim import (check_alignment, count_mask_bits,
-                         evaluate_bytes_injected, evaluate_packed_injected,
-                         unpack_op_masks)
+from .inject_sim import count_mask_bits, unpack_op_masks
 from .masks import (CHUNK_WORDS, PROB_BITS, PROB_ONE, bernoulli_masks,
                     bernoulli_words, flip_threshold, flip_thresholds,
                     gate_stream)
@@ -24,8 +22,7 @@ __all__ = [
     "CrosscheckReport", "Disagreement", "crosscheck_violations",
     "minimize_disagreement",
     "DEFAULT_ACTIVITY", "Faultload", "build_faultload", "point_masks",
-    "check_alignment", "count_mask_bits", "evaluate_bytes_injected",
-    "evaluate_packed_injected", "unpack_op_masks",
+    "count_mask_bits", "unpack_op_masks",
     "CHUNK_WORDS", "PROB_BITS", "PROB_ONE", "bernoulli_masks",
     "bernoulli_words", "flip_threshold", "flip_thresholds", "gate_stream",
 ]

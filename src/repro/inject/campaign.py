@@ -63,7 +63,7 @@ from ..sim.logic import (compile_netlist, cone_frontier, evaluate_words,
 from ..sim.stimuli import STIMULUS_NAMES, make_stimulus
 from ..sta.engine import corner_label, fanout_rows
 from .faultload import DEFAULT_ACTIVITY, build_faultload, point_masks
-from .inject_sim import check_alignment, count_mask_bits
+from .inject_sim import count_mask_bits
 
 _log = logs.get_logger("inject.campaign")
 
@@ -163,7 +163,6 @@ def _build_prelude(spec, library, keys=()):
                        spec.scenarios, library)
     component = grid.component
     compiled = compile_netlist(grid.netlist, grid.library)
-    check_alignment(compiled, grid.program)
     by_key = {(p.label, p.clock_scale): p for p in
               grid.points(spec.scenarios, spec.clock_scales)}
     points = [by_key[key] for key in keys]
@@ -191,7 +190,7 @@ def _replay_rows(program, compiled, faultloads, words):
 
     A point replays the fan-out cone of its faultload rows, the only
     gates its masks can reach (:func:`repro.sta.engine.fanout_rows`;
-    timing rows are op rows, see :func:`check_alignment`). Points are
+    timing rows are simulator rows). Points are
     taken in order while the union of their frontiers
     (:func:`repro.sim.logic.cone_frontier`) fits in
     :data:`KEPT_FRONTIER_BYTES` at *words* words a slot; a point that

@@ -21,6 +21,12 @@ bits (:func:`repro.inject.masks.flip_thresholds`); because ``p`` is
 non-decreasing in lifetime (arrivals grow under aging) and in clock
 aggressiveness (smaller ``clock_ps``), thresholds are too, which the
 mask layer turns into exactly monotone injected-fault counts.
+
+A faultload names gates by row of the netlist's
+:class:`~repro.sta.engine.TimingProgram`. The packed simulator runs on
+that same program (:func:`repro.sim.logic.compile_netlist` derives its
+:class:`~repro.sim.logic.CompiledNetlist` from it), so a faultload row
+is the simulator row whose output a mask flips, with no mapping.
 """
 
 from dataclasses import dataclass
@@ -39,11 +45,8 @@ class Faultload:
     """Violating gates of one ``(corner, clock)`` point.
 
     All arrays are aligned: entry *i* describes the same gate. ``rows``
-    are indices into the topological gate order shared by
-    :class:`repro.sta.engine.TimingProgram` and
-    :class:`repro.sim.logic.CompiledNetlist` (both derive from
-    ``netlist.topological_gates()``), so a row addresses the packed-eval
-    op to XOR directly.
+    are timing-program rows, which are the packed simulator's rows, so
+    a row addresses the row output to XOR directly.
     """
 
     clock_ps: float
@@ -71,7 +74,7 @@ class Faultload:
         return float(self.flip_probability.mean())
 
     def masks(self, seed, words):
-        """Per-op packed fault masks: ``{op row: (words,) uint64}``.
+        """Per-row packed fault masks: ``{row: (words,) uint64}``.
 
         Masks come from the per-``(seed, gate uid)`` streams of
         :mod:`repro.inject.masks`, so they are independent of which

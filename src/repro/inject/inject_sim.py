@@ -1,58 +1,26 @@
-"""Fault-injecting twins of the :mod:`repro.sim.logic` evaluators.
+"""Fault-mask helpers of the packed evaluator's injection path.
 
 Injection is an XOR on a gate's freshly computed output before any
 reader consumes it: downstream gates then propagate (or logically mask)
-the corrupted value exactly as real silicon would. The packed variant
-(the *op_masks* of the packed op loop: a full replay with
-:func:`repro.sim.logic.evaluate_words`, or the cone replay campaigns
-run with :func:`repro.sim.logic.replay_words`) flips 64 vectors per
-word per mask word — this is what makes campaign throughput of
-millions of injected vectors per second possible — while the scalar
-uint8 variant is the slow reference the property tests compare against
-bit-for-bit.
+the corrupted value exactly as real silicon would. The packed engine
+applies it through the *op_masks* of its row loop (a full replay with
+:func:`repro.sim.logic.evaluate_words` or
+:func:`repro.sim.logic.evaluate_packed`, or the cone replay campaigns
+run with :func:`repro.sim.logic.replay_words`), flipping 64 vectors per
+word per mask word — this is what makes campaign throughput of millions
+of injected vectors per second possible. The scalar uint8 reference the
+property tests compare against bit for bit is
+:func:`repro.verify.reference_sim.evaluate_bytes_injected`.
 
-Masks address ops by *row*: the index into ``compiled.ops``, which is
-also the row in :class:`repro.sta.engine.TimingProgram` (both orders
-come from ``netlist.topological_gates()``;
-:func:`check_alignment` asserts it via gate uids).
+Masks address gates by *row*: a simulator row is the same row of the
+netlist's :class:`repro.sta.engine.TimingProgram`, because the
+simulator program is derived from it
+(:func:`repro.sim.logic.compile_netlist`).
 """
 
 import numpy as np
 
 from ..sim import bitpack
-from ..sim.logic import evaluate, evaluate_packed
-
-
-def check_alignment(compiled, program):
-    """Assert sim ops and STA rows describe the same gate order."""
-    sim_uids = [op[3] for op in compiled.ops]
-    sta_uids = np.asarray(program.gate_uids).tolist()
-    if sim_uids != sta_uids:
-        raise AssertionError(
-            "compiled netlist and timing program disagree on gate order "
-            "(%d vs %d gates)" % (len(sim_uids), len(sta_uids)))
-
-
-def evaluate_packed_injected(compiled, pi_bits, op_masks, release=True):
-    """:func:`repro.sim.logic.evaluate_packed` with XOR fault masks.
-
-    *op_masks* maps op row -> ``(words,)`` uint64 fault mask. With an
-    empty mapping this is bit-identical to the clean evaluator. A
-    bit-matrix wrapper of :func:`repro.sim.logic.evaluate_words`.
-    """
-    return evaluate_packed(compiled, pi_bits, release=release,
-                           op_masks=op_masks)
-
-
-def evaluate_bytes_injected(compiled, pi_bits, op_mask_bits):
-    """Scalar uint8 reference injector (one byte per vector per net).
-
-    *op_mask_bits* maps op row -> ``(batch,)`` uint8 0/1 flip flags —
-    the unpacked form of the packed masks (:func:`unpack_op_masks`).
-    Exists purely as the independent oracle for the packed injector:
-    the byte engine (:func:`repro.sim.logic.evaluate`) with flips.
-    """
-    return evaluate(compiled, pi_bits, op_mask_bits=op_mask_bits)
 
 
 def unpack_op_masks(op_masks, batch):

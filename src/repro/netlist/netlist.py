@@ -40,6 +40,20 @@ class ReadOnlyList(list):
         return ReadOnlyList, (list(self),)
 
 
+def pin_tuples(ins, arity):
+    """Row ``i``'s first ``arity[i]`` entries of the ``(n, 3)`` matrix
+    *ins*, as a tuple of ints, for every row."""
+    order = np.argsort(arity, kind="stable")
+    ins = ins[order]
+    bounds = np.searchsorted(arity[order], [1, 2, 3, 4])
+    made = []
+    for k in (1, 2, 3):
+        made.extend(zip(*ins[bounds[k - 1]:bounds[k], :k].T.tolist()))
+    place = np.empty(len(arity), dtype=np.int64)
+    place[order] = np.arange(len(arity))
+    return [made[i] for i in place.tolist()]
+
+
 @dataclass(eq=False)
 class GateRows:
     """The gates of a netlist as per-row arrays, rows in gate-list order:
@@ -62,16 +76,7 @@ class GateRows:
 
     def pin_tuples(self):
         """Input-net tuple of every row."""
-        arity = self.arity
-        order = np.argsort(arity, kind="stable")
-        ins = self.ins[order]
-        bounds = np.searchsorted(arity[order], [1, 2, 3, 4])
-        made = []
-        for k in (1, 2, 3):
-            made.extend(zip(*ins[bounds[k - 1]:bounds[k], :k].T.tolist()))
-        place = np.empty(len(arity), dtype=np.int64)
-        place[order] = np.arange(len(arity))
-        return [made[i] for i in place.tolist()]
+        return pin_tuples(self.ins, self.arity)
 
     def build(self):
         """The :class:`~repro.netlist.gate.Gate` of every row."""

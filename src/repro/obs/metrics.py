@@ -69,8 +69,6 @@ SYNTH_NETLISTS_MATERIALIZED = "synth.netlists_materialized"
 STA_RUNS = "sta.runs"
 STA_BATCH_RUNS = "sta.batch.runs"
 STA_BATCH_CORNERS = "sta.batch.corners"
-STA_INCREMENTAL_RUNS = "sta.incremental.runs"
-STA_INCREMENTAL_CONE_FRACTION = "sta.incremental.cone_fraction"
 STA_CONE_PLAN_HITS = "sta.cone_plan_hits"
 STA_REPLAY_ROWS = "sta.replay_rows"
 TIMING_MEMO_HITS = "cache.timing_memo_hits"

@@ -65,20 +65,22 @@ def dynamic_power_uw(netlist, library, toggle_rates, clock_ps, vdd=None):
     vdd:
         Supply voltage; defaults to the library's.
 
-    The per-gate loads come from the netlist's timing program
-    (:func:`~repro.sta.engine.compile_timing`, a memo hit for every
-    synthesized netlist), equal to :meth:`Netlist.load_caps`; the sum
-    runs in ``netlist.gates`` order.
+    The per-gate loads and output nets come from the netlist's timing
+    program (:func:`~repro.sta.engine.compile_timing`, a memo hit for
+    every synthesized netlist), equal to :meth:`Netlist.load_caps`; the
+    sum runs in gate-list order, without reading the netlist's gates.
     """
     if vdd is None:
         vdd = library.vdd
     freq_hz = 1e12 / clock_ps
     program = compile_timing(netlist, library)
-    loads = dict(zip(program.gate_uids.tolist(), program.loads.tolist()))
+    net_of = {slot: net for net, slot in program.slot_of.items()}
+    outs = program.out_slots.tolist()
+    loads = program.loads.tolist()
     watts = 0.0
-    for gate in netlist.gates:
-        alpha = toggle_rates.get(gate.output, 0.0)
-        cap_f = loads[gate.uid] * 1e-15
+    for row in program.gate_order.tolist():
+        alpha = toggle_rates.get(net_of[outs[row]], 0.0)
+        cap_f = loads[row] * 1e-15
         watts += 0.5 * cap_f * vdd * vdd * alpha * freq_hz
     return watts * 1e6
 

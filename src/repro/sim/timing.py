@@ -24,10 +24,10 @@ e.g. an AND gate passes glitches on one input while the other input is
 always active. The output's possible-transition time is
 ``max(arrival of contributing active inputs) + gate delay``.
 
-The exact event-driven simulator in :mod:`repro.sim.event` quantifies
-this approximation on small circuits, and static arrival times from
-:mod:`repro.sta` upper-bound these dynamic arrivals — both properties
-are enforced by the test suite.
+The exact event-driven simulator in :mod:`repro.verify.reference_sim`
+quantifies this approximation on small circuits, and static arrival
+times from :mod:`repro.sta` upper-bound these dynamic arrivals — both
+properties are enforced by the test suite.
 """
 
 from dataclasses import dataclass
@@ -125,22 +125,22 @@ class TimedSimulator:
         self.compiled = compile_netlist(netlist, library)
         delays = gate_delays(netlist, library, scenario=scenario, bti=bti,
                              degradation=degradation)
-        # Align per-gate delays with the compiled op order.
+        # Align per-gate delays with the compiled rows.
         self._op_delays = np.array(
-            [delays[uid] for __f, __i, __o, uid in self.compiled.ops],
-            dtype=np.float64)
+            [delays[uid] for uid in self.compiled.uids], dtype=np.float64)
         self.max_batch = int(max_batch)
-        # Per-op constant metadata, hoisted out of the per-chunk batch
-        # loop: ``probe`` marks ops that need the Boolean-difference
+        # Per-row constant metadata, hoisted out of the per-chunk batch
+        # loop: ``probe`` marks rows that need the Boolean-difference
         # sensitization probe (only the "sensitization" model on
-        # multi-input gates), ``always`` marks ops whose inputs always
+        # multi-input gates), ``always`` marks rows whose inputs always
         # contribute activity (1-input gates are trivially sensitive;
         # the pessimistic model propagates everything).
         self._op_meta = []
-        for func, ins, out, __uid in self.compiled.ops:
+        for cell, ins, out in zip(self.compiled.cells, self.compiled.ins,
+                                  self.compiled.outs):
             always = glitch_model == "pessimistic" or len(ins) == 1
             probe = glitch_model == "sensitization" and len(ins) > 1
-            self._op_meta.append((func, ins, out, probe, always))
+            self._op_meta.append((cell.function, ins, out, probe, always))
 
     # ------------------------------------------------------------------
     def run_bits(self, prev_bits, cur_bits):

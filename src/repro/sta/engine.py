@@ -3,19 +3,24 @@
 Scalar :func:`repro.sta.sta.analyze` re-walks the gate list and
 recomputes load-dependent base delays for every ``(netlist, scenario)``
 pair, even though a characterization grid analyzes one netlist under
-dozens of aging corners. This module lowers a netlist **once** into a
-levelized :class:`TimingProgram` — topological order, dense net slots,
-per-gate base delays and per-level gather/scatter index arrays — and
-then:
+dozens of aging corners. :func:`compile_timing` lowers a netlist
+**once** into a levelized :class:`TimingProgram` — topological order,
+dense net slots, per-gate loads and base delays and per-level
+gather/scatter index arrays. It is the netlist's one array lowering:
+the sizer's (:func:`repro.synth.fastsize.compile_sizer`, itself built
+on :func:`repro.synth.optimize.lower`, which reads a synthesized
+netlist's rows without building its gates), and the packed simulator
+runs on the same program (:func:`repro.sim.logic.compile_netlist`).
+Then:
 
 * :func:`analyze_batch` propagates arrival times for *all* corners of a
   ``scenario x lifetime`` grid in one vectorized pass: aging only scales
   per-gate delay columns, so each logic level is a single NumPy
   gather / max / add / scatter over a ``(gates, pins, corners)`` block;
-* :func:`analyze_incremental` re-analyzes a truncation (``K`` LSB inputs
-  tied low) against the cached baseline arrivals. Which gates drop
-  (all inputs constant) is captured once per tied set as a structural
-  :class:`ConePlan`. Tying an input changes no arrival by itself —
+* a truncation (``K`` LSB inputs tied low) is re-analyzed against the
+  untruncated arrivals. Which gates drop (all inputs constant) is
+  captured once per tied set as a structural :class:`ConePlan`
+  (:func:`cone_plan`). Tying an input changes no arrival by itself —
   inputs and rails arrive at 0.0 — so only a dropped gate and its
   fan-out change: a :class:`DeltaPlan` (:func:`delta_plan`) holds the
   fan-out cone of the gates dropped by exactly one of two plans, and
@@ -31,20 +36,20 @@ then:
   level loop propagates thousands of Monte Carlo variation samples in
   one pass (see :mod:`repro.mc`).
 
-Both paths are **bit-identical** to the scalar engine: base delays come
-from the same ``cell.delay_ps(load)`` calls, aging multipliers from the
-same memoized closed-form/table lookups (:mod:`repro.aging.delay`), and
-float64 ``max``/``+``/``*`` are the same IEEE-754 operations the scalar
-loop performs. ``tests/test_sta_engine.py`` and the ``verify``
+Both paths are **bit-identical** to the scalar engine: loads are summed
+in :meth:`~repro.netlist.netlist.Netlist.load_caps` order, base delays
+use the ``cell.delay_ps(load)`` formula, aging multipliers come from
+the same memoized closed-form/table lookups (:mod:`repro.aging.delay`),
+and float64 ``max``/``+``/``*`` are the same IEEE-754 operations the
+scalar loop performs. ``tests/test_sta_engine.py`` and the ``verify``
 invariants enforce exact equality, and :func:`tie_low` provides the
-explicit netlist transform that serves as the incremental path's scalar
-oracle; :func:`repro.verify.structural_replay` re-propagates the whole
-structural cone as the replay's array oracle.
+explicit netlist transform that serves as the truncation replay's
+scalar oracle; :func:`repro.verify.structural_replay` re-propagates the
+whole structural cone as the replay's array oracle.
 
-Programs are memoized on the netlist instance exactly like
-:func:`repro.sim.logic.compile_netlist` (content token + library
-fingerprint, bounded LRU), so repeated analyses of an unchanged
-netlist skip the lowering entirely.
+Programs are memoized on the netlist instance (content token + library
+fingerprint, bounded LRU), so repeated analyses and simulations of an
+unchanged netlist skip the lowering entirely.
 """
 
 from dataclasses import dataclass
@@ -57,7 +62,7 @@ from ..aging.delay import _stress_multiplier
 from ..aging.stress import UniformStress
 from ..netlist.gate import Gate
 from ..netlist.net import CONST0, CONST1
-from ..netlist.netlist import Netlist, NetlistError
+from ..netlist.netlist import Netlist
 from ..obs import metrics as obs_metrics, trace as obs_trace
 from .sta import TimingReport
 
@@ -102,6 +107,11 @@ class TimingProgram:
         delays per cell under uniform stress).
     levels:
         :class:`_Level` groups in propagation order.
+    gate_order:
+        The rows in the netlist's gate-list order, the order
+        :meth:`~repro.netlist.netlist.Netlist.area`,
+        :meth:`~repro.netlist.netlist.Netlist.leakage` and
+        :meth:`~repro.netlist.netlist.Netlist.load_caps` sum in.
     pi_slots / po_slots:
         Slot arrays for the interface nets.
     """
@@ -116,6 +126,7 @@ class TimingProgram:
     cells: List
     cell_index: np.ndarray
     levels: List[_Level]
+    gate_order: np.ndarray
     pi_slots: np.ndarray
     po_slots: np.ndarray
 
@@ -139,14 +150,15 @@ class TimingProgram:
         return len(self.levels)
 
     def cell_totals(self):
-        """``(area_um2, leakage_nw)`` of the per-row cells, summed in row
-        order (for a synthesized netlist its gate order, so the floats
-        equal :meth:`~repro.netlist.netlist.Netlist.area` /
+        """``(area_um2, leakage_nw)`` of the per-row cells, summed in
+        gate-list order (so the floats equal
+        :meth:`~repro.netlist.netlist.Netlist.area` /
         :meth:`~repro.netlist.netlist.Netlist.leakage`); memoized."""
         got = self.__dict__.get("_cell_totals")
         if got is None:
             cells = self.cells
-            rows = [cells[i] for i in self.cell_index.tolist()]
+            rows = [cells[i] for i in
+                    self.cell_index[self.gate_order].tolist()]
             got = self._cell_totals = (sum(c.area for c in rows),
                                        sum(c.leakage_nw for c in rows))
         return got
@@ -159,14 +171,15 @@ _TIMING_MEMO_LIMIT = 8
 def compile_timing(netlist, library, memo=True):
     """Lower *netlist* into a :class:`TimingProgram`.
 
-    Memoized on the netlist instance with the same content token as
-    :func:`repro.sim.logic.compile_netlist` (library fingerprint +
-    interface + every gate's cell/pins), so all corner batches of one
-    sweep share a single lowering while any structural mutation —
-    including in-place ``gate.cell`` edits by the sizing passes —
-    recompiles. Synthesis
-    seeds the memo with the program it lowers from its sizer
-    (:func:`seed_timing`). Pass ``memo=False`` to force a fresh lowering.
+    Memoized on the netlist instance by its content token (library
+    fingerprint + interface + every gate's cell/pins, see
+    :func:`repro.core.cache.compile_token`), so all corner batches of
+    one sweep, and the packed simulator
+    (:func:`repro.sim.logic.compile_netlist`), share a single lowering
+    while any structural mutation — including in-place ``gate.cell``
+    edits — recompiles. Synthesis seeds the memo with the program it
+    lowers from its sizer (:func:`seed_timing`). Pass ``memo=False`` to
+    force a fresh lowering.
     """
     if not memo:
         return _compile_timing(netlist, library)
@@ -206,72 +219,11 @@ def _remember(cache, token, program):
 
 
 def _compile_timing(netlist, library):
-    order = netlist.topological_gates()
-    slot_of = {CONST0: 0, CONST1: 1}
-    for net in netlist.primary_inputs:
-        slot_of.setdefault(net, len(slot_of))
-    for gate in order:
-        slot_of.setdefault(gate.output, len(slot_of))
-    for net in netlist.primary_outputs:
-        if net not in slot_of:
-            raise NetlistError(
-                "primary output %d is undriven (not a PI, constant or "
-                "gate output)" % net)
+    # The sizer's lowering is the one array lowering of a netlist; its
+    # unsized program is the netlist's timing program.
+    from ..synth import fastsize
 
-    load_of = netlist.load_caps(library, wire_cap_ff=library.wire_cap_ff)
-    n = len(order)
-    base = np.empty(n, dtype=np.float64)
-    loads = np.empty(n, dtype=np.float64)
-    uids = np.empty(n, dtype=np.int64)
-    out_slot = np.empty(n, dtype=np.int64)
-    cell_index = np.empty(n, dtype=np.int64)
-    cells = []
-    cell_row = {}
-    level_of = {}          # slot -> logic level (PIs/constants at 0)
-    gate_level = np.empty(n, dtype=np.int64)
-    for row, gate in enumerate(order):
-        cell = library[gate.cell]
-        idx = cell_row.get(gate.cell)
-        if idx is None:
-            idx = cell_row[gate.cell] = len(cells)
-            cells.append(cell)
-        cell_index[row] = idx
-        loads[row] = load = load_of[gate.uid]
-        base[row] = cell.delay_ps(load)
-        uids[row] = gate.uid
-        level = 0
-        for net in gate.inputs:
-            level = max(level, level_of.get(slot_of[net], 0))
-        level += 1
-        out_slot[row] = slot = slot_of[gate.output]
-        level_of[slot] = level
-        gate_level[row] = level
-
-    levels = []
-    if n:
-        rows_by_level = {}
-        for row in range(n):
-            rows_by_level.setdefault(int(gate_level[row]), []).append(row)
-        for level in sorted(rows_by_level):
-            rows = np.asarray(rows_by_level[level], dtype=np.int64)
-            arity = max(len(order[r].inputs) for r in rows_by_level[level])
-            arity = max(arity, 1)
-            in_slots = np.zeros((len(rows), arity), dtype=np.int64)
-            for i, row in enumerate(rows_by_level[level]):
-                for pin, net in enumerate(order[row].inputs):
-                    in_slots[i, pin] = slot_of[net]
-            levels.append(_Level(rows=rows, in_slots=in_slots,
-                                 out_slots=out_slot[rows]))
-
-    pi_slots = np.asarray([slot_of[net] for net in netlist.primary_inputs],
-                          dtype=np.int64)
-    po_slots = np.asarray([slot_of[net] for net in netlist.primary_outputs],
-                          dtype=np.int64)
-    return TimingProgram(netlist=netlist, slots=len(slot_of),
-                         slot_of=slot_of, gate_uids=uids, out_slots=out_slot,
-                         base_delay_ps=base, loads=loads, cells=cells,
-                         cell_index=cell_index, levels=levels,
-                         pi_slots=pi_slots, po_slots=po_slots)
+    return fastsize.timing_program(fastsize.compile_sizer(netlist, library))
 
 
 # ---------------------------------------------------------------------------
@@ -530,59 +482,8 @@ def analyze_batch(netlist, library, corners, bti=DEFAULT_BTI,
 
 
 # ---------------------------------------------------------------------------
-# incremental cone re-analysis (truncation sweeps)
+# truncation cone replay (precision sweeps)
 # ---------------------------------------------------------------------------
-
-@dataclass
-class IncrementalTimingReport(CornerLabels):
-    """Result of re-analyzing a truncation against cached arrivals.
-
-    ``dropped`` marks gates whose inputs all became constant (they
-    vanish under constant propagation and contribute no delay);
-    ``const_slots`` marks nets that are constant after the tie. Arrival
-    values are bit-identical to scalar STA on the :func:`tie_low`
-    transform of the netlist.
-    """
-
-    program: TimingProgram
-    baseline: BatchTimingReport
-    tied: Tuple[int, ...]
-    labels: Tuple[str, ...]
-    arrivals: np.ndarray
-    critical_path_ps: np.ndarray
-    dropped: np.ndarray
-    const_slots: np.ndarray
-    cone_gates: int
-
-    @property
-    def cone_fraction(self):
-        """Fraction of gates inside the re-propagated fan-out cone."""
-        return self.cone_gates / max(self.program.n_gates, 1)
-
-    @property
-    def critical_paths_ps(self):
-        return [float(v) for v in self.critical_path_ps]
-
-    def report(self, corner=0):
-        """Scalar :class:`~repro.sta.sta.TimingReport` of one corner.
-
-        Arrivals cover every net of the *original* netlist (constant
-        nets, including tied PIs and dropped-gate outputs, arrive at
-        0.0); ``gate_delays`` covers only the surviving gates — exactly
-        the gate set of the :func:`tie_low` netlist, under the same
-        uids.
-        """
-        corner = self._corner(corner)
-        arrivals = {net: float(self.arrivals[slot, corner])
-                    for net, slot in self.program.slot_of.items()}
-        gate_delays = {int(uid): float(self.baseline.delays[row, corner])
-                       for row, uid in enumerate(self.program.gate_uids)
-                       if not self.dropped[row]}
-        return TimingReport(arrivals=arrivals, gate_delays=gate_delays,
-                            critical_path_ps=float(
-                                self.critical_path_ps[corner]),
-                            scenario_label=self.labels[corner])
-
 
 @dataclass
 class ConePlan:
@@ -789,70 +690,6 @@ def replay_cone(delta, arrivals, delays):
     obs_metrics.inc(obs_metrics.STA_REPLAY_ROWS, delta.rows)
 
 
-def analyze_incremental(netlist, library, tied_pis, corners=(None,),
-                        bti=DEFAULT_BTI, degradation=None, baseline=None,
-                        program=None):
-    """Re-analyze *netlist* with *tied_pis* tied to constant 0.
-
-    Gates whose inputs all become constant are dropped (arrival 0.0,
-    no delay contribution) — the timing view of the constant
-    propagation a truncation sweep performs during synthesis. A copy
-    of the baseline arrivals is replayed in place over the fan-out
-    cone of the dropped gates (:func:`delta_plan` from ``None``);
-    every other arrival is reused. ``cone_gates`` still reports the
-    structural fan-out cone of the tied inputs.
-
-    Parameters
-    ----------
-    tied_pis:
-        Primary-input net ids to tie low (e.g. the K LSBs of each
-        operand; see :func:`truncated_input_nets`).
-    corners:
-        Corner grid, as in :func:`analyze_batch`; ignored when
-        *baseline* is given (its corners are reused).
-    baseline:
-        A :class:`BatchTimingReport` of the same program to re-analyze
-        against; computed on the fly when omitted.
-
-    Returns
-    -------
-    IncrementalTimingReport
-    """
-    if program is None:
-        program = compile_timing(netlist, library)
-    tied = tuple(dict.fromkeys(tied_pis))
-    stray = [net for net in tied if net not in program.slot_of
-             or net not in netlist.primary_inputs]
-    if stray:
-        raise ValueError("tied nets %s are not primary inputs of %s"
-                         % (stray[:5], netlist.name))
-    if baseline is None:
-        baseline = analyze_batch(netlist, library, corners, bti=bti,
-                                 degradation=degradation, program=program)
-    elif baseline.program is not program:
-        raise ValueError("baseline was computed for a different "
-                         "timing program")
-    labels = baseline.labels
-
-    with obs_trace.span("sta.analyze_incremental", design=netlist.name,
-                        tied=len(tied), corners=len(labels)):
-        plan = cone_plan(program, tied)
-        arr = baseline.arrivals.copy()
-        replay_cone(delta_plan(program, None, plan), arr, baseline.delays)
-        cp = _critical_paths(program, arr)
-    fraction = plan.cone_gates / max(program.n_gates, 1)
-    obs_metrics.inc(obs_metrics.STA_INCREMENTAL_RUNS)
-    obs_metrics.observe(obs_metrics.STA_INCREMENTAL_CONE_FRACTION,
-                        fraction,
-                        boundaries=obs_metrics.FRACTION_BOUNDARIES)
-    return IncrementalTimingReport(program=program, baseline=baseline,
-                                   tied=plan.tied, labels=labels,
-                                   arrivals=arr, critical_path_ps=cp,
-                                   dropped=plan.dropped,
-                                   const_slots=plan.const_slots,
-                                   cone_gates=plan.cone_gates)
-
-
 # ---------------------------------------------------------------------------
 # truncation helpers + scalar oracle transform
 # ---------------------------------------------------------------------------
@@ -891,9 +728,10 @@ def tie_low(netlist, tied_pis):
     Gate uids and net ids are preserved, so per-gate annotations (e.g.
     :class:`~repro.aging.stress.ActualStress`) remain valid.
 
-    This is the *scalar oracle* for :func:`analyze_incremental`: running
-    plain :func:`repro.sta.sta.analyze` on the transformed netlist gives
-    float-identical arrivals for every surviving net.
+    This is the *scalar oracle* of the truncation replay
+    (:func:`cone_plan` -> :func:`delta_plan` -> :func:`replay_cone`):
+    running plain :func:`repro.sta.sta.analyze` on the transformed
+    netlist gives float-identical arrivals for every surviving net.
     """
     tied = set(tied_pis)
     stray = tied - set(netlist.primary_inputs)

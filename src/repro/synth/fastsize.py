@@ -60,7 +60,8 @@ class SizerProgram:
     ``table`` (:class:`repro.synth.optimize.CellTable`). Slots are dense:
     CONST0, CONST1, the primary inputs, then one output slot per row.
     ``rd_ptr`` / ``rd_row`` / ``rd_pins`` index the readers of a slot
-    (CSR, readers in row order, each ``(row, pins read)`` once).
+    (CSR, readers in gate-list order, each ``(row, pins read)`` once)
+    and ``order`` lists the rows in gate-list order.
     :meth:`finish` builds the level schedule: ``levels``, the STA
     engine's :class:`~repro.sta.engine._Level` list, and per level
     ``readers`` ``(read, rows, starts)``: the level positions whose
@@ -91,6 +92,7 @@ class SizerProgram:
     rd_ptr: np.ndarray                # (slots + 1,)
     rd_row: np.ndarray
     rd_pins: np.ndarray
+    order: np.ndarray                 # (n,) rows in gate-list order
     levels: List = field(default=None)      # [_Level] in propagation order
     readers: List = field(default=None)     # per level (read, rows, starts)
 
@@ -101,10 +103,10 @@ class SizerProgram:
         return [names[c] for c in self.cell.tolist()]
 
     def area(self):
-        """Cell area summed over rows in order (the gate order of every
-        synthesized netlist, hence the float :meth:`Netlist.area`
-        returns)."""
-        return sum(self.table.electrical()[1][self.cell, 3].tolist())
+        """Cell area summed in gate-list order (the float
+        :meth:`Netlist.area` returns)."""
+        return sum(self.table.electrical()[1][self.cell[self.order],
+                                              3].tolist())
 
     def finish(self):
         """Build the level schedule from ``row_level`` and the CSR."""
@@ -182,10 +184,11 @@ def _fresh_delays(program, rows):
     return params[cell, 1] + params[cell, 2] * program.loads[rows]
 
 
-def _build(library, table, uids, cell, ins, out, level, pis, po, pad):
+def _build(library, table, uids, cell, ins, out, level, pos, pis, po, pad):
     """A :class:`SizerProgram` (fresh delays) from optimizer arrays:
     per-row *uids*, cell ids of *table*, input nets (*pad*-padded),
-    output nets and longest-path levels, plus the interface nets."""
+    output nets, longest-path levels and gate-list positions, plus the
+    interface nets."""
     n = len(uids)
     slot_of = {CONST0: 0, CONST1: 1}
     for net in pis:
@@ -214,14 +217,15 @@ def _build(library, table, uids, cell, ins, out, level, pis, po, pad):
     arity = table.arrays()[5][cell]
 
     # Readers: each row once per distinct slot it reads, with the number
-    # of pins reading it; CSR by slot, readers in row order.
+    # of pins reading it; CSR by slot, readers in gate-list order (the
+    # order load_caps sums them in).
     used = np.arange(_MAX_PINS)[None, :] < arity[:, None]
     same = in_slots[:, :, None] == in_slots[:, None, :]
     same &= used[:, :, None] & used[:, None, :]
     head = used & ~np.tril(same, k=-1).any(axis=2)
     rows_r, cols_r = np.nonzero(head)
     sl = in_slots[rows_r, cols_r]
-    order = np.argsort(sl, kind="stable")
+    order = np.lexsort((pos[rows_r], sl))
     slot_row = np.full(slots, -1, dtype=np.int64)
     slot_row[out_slot] = np.arange(n)
     program = SizerProgram(
@@ -234,7 +238,8 @@ def _build(library, table, uids, cell, ins, out, level, pis, po, pad):
         rd_ptr=np.concatenate(([0], np.cumsum(np.bincount(
             sl, minlength=slots)))),
         rd_row=rows_r[order],
-        rd_pins=same.sum(axis=2)[rows_r, cols_r][order])
+        rd_pins=same.sum(axis=2)[rows_r, cols_r][order],
+        order=np.argsort(pos, kind="stable"))
     rows = np.arange(n)
     program.loads = _loads(program, rows)
     program.delay = _fresh_delays(program, rows)
@@ -247,15 +252,15 @@ def sizer_for(opt, library):
     low = opt.low
     rows = opt.rows
     return _build(library, low.table, low.uid[rows], opt.cell[rows],
-                  opt.ins[rows], low.out[rows], opt.level[rows], low.pis,
-                  opt.po, low.pad)
+                  opt.ins[rows], low.out[rows], opt.level[rows],
+                  np.arange(len(rows)), low.pis, opt.po, low.pad)
 
 
 def compile_sizer(netlist, library):
     """Lower *netlist* into a :class:`SizerProgram` (fresh delays)."""
     low = lower(netlist, library)
     program = _build(library, low.table, low.uid, low.cell, low.ins,
-                     low.out, low.level, low.pis, low.po, low.pad)
+                     low.out, low.level, low.pos, low.pis, low.po, low.pad)
     program.netlist = netlist
     return program
 
@@ -357,13 +362,7 @@ def upsize_fast(netlist, library, target_ps, program=None, scenario=None,
     __, params, up = program.table.electrical()
     aged = _aging(netlist, program, scenario, bti, degradation)
     delay = fresh if aged is None else aged(np.arange(program.n))
-    area_rows = None
-    if max_area_um2 is not None:
-        area_rows = np.arange(program.n)
-        if netlist is not None:
-            row_of = _row_of(program)
-            area_rows = np.asarray([row_of[g.uid] for g in netlist.gates],
-                                   dtype=np.int64)
+    area_rows = None if max_area_um2 is None else program.order
     arr = _propagate(program, delay)
     cp = critical_path(program, arr)
     slot_row = program.slot_row
@@ -408,7 +407,7 @@ def upsize_fast(netlist, library, target_ps, program=None, scenario=None,
         cp = critical_path(program, arr)
     # Only the final cells are observable; apply them once at the end.
     if upsized and netlist is not None:
-        row_of = _row_of(program)
+        row_of = dict(zip(program.uids.tolist(), range(program.n)))
         names = program.cellnames
         for g in netlist.gates:
             g.cell = names[row_of[g.uid]]
@@ -418,16 +417,12 @@ def upsize_fast(netlist, library, target_ps, program=None, scenario=None,
             arr, cp)
 
 
-def _row_of(program):
-    """Gate uid -> program row."""
-    return dict(zip(program.uids.tolist(), range(program.n)))
-
-
 def timing_program(program):
-    """The :class:`~repro.sta.engine.TimingProgram` ``_compile_timing``
-    would build for ``program.netlist``, from the sizer's current arrays
-    (after :func:`upsize_fast`, or unsized) instead of a gate walk; the
-    sizer's dense slots are the timing program's."""
+    """The :class:`~repro.sta.engine.TimingProgram` of
+    ``program.netlist``, from the sizer's current arrays (after
+    :func:`upsize_fast`, or unsized): the sizer's dense slots, rows and
+    level schedule are the timing program's.
+    :func:`repro.sta.engine.compile_timing` lowers every netlist here."""
     netlist = program.netlist
     # Distinct cells in order of first appearance.
     distinct, first, index = np.unique(program.cell, return_index=True,
@@ -443,7 +438,7 @@ def timing_program(program):
         loads=program.loads.copy(),
         cells=[cells[c] for c in distinct[order].tolist()],
         cell_index=rank[index.reshape(-1)].astype(np.int64),
-        levels=program.levels,
+        levels=program.levels, gate_order=program.order,
         pi_slots=np.asarray([program.slot_of[net]
                              for net in netlist.primary_inputs],
                             dtype=np.int64),

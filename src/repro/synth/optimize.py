@@ -38,6 +38,7 @@ the sweep base and its truncated derivations
 :func:`optimize`.
 """
 
+import operator
 import weakref
 from itertools import chain, product
 
@@ -341,36 +342,60 @@ def cell_table(library):
 class Lowered:
     """A netlist lowered to arrays, rows in ``topological_gates()`` order.
 
-    ``ins`` pads unused pins with ``pad``, a net id no gate drives or
-    reads; ``driver`` maps a net to its row (-1 for primary inputs,
-    constants and the pad); ``level`` holds longest-path levels
-    (primary inputs and constants at 0) and ``groups`` the rows of each
-    level, ascending.
+    A synthesized netlist whose gates are not built yet is read from its
+    :class:`~repro.netlist.netlist.GateRows` (already in that order)
+    without building them. ``ins`` pads unused pins with ``pad``, a net
+    id no gate drives or reads; ``driver`` maps a net to its row (-1 for
+    primary inputs, constants and the pad); ``pos`` holds each row's
+    position in the netlist's gate list (the order
+    :meth:`~repro.netlist.netlist.Netlist.load_caps` sums fan-out in);
+    ``level`` holds longest-path levels (primary inputs and constants at
+    0) and ``groups`` the rows of each level, ascending.
     """
 
     def __init__(self, netlist, table):
-        gates = netlist.topological_gates()
-        n = len(gates)
+        rows = netlist.__dict__.get("_rows")
+        if rows is None:
+            gates = netlist.topological_gates()
+            n = len(gates)
+            arity = np.fromiter((len(g.inputs) for g in gates),
+                                dtype=np.int64, count=n)
+            if n and arity.max() > 3:
+                raise NetlistError("a gate has more than three inputs")
+            flat = np.fromiter(chain.from_iterable(g.inputs for g in gates),
+                               dtype=np.int64, count=int(arity.sum()))
+            self.out = np.fromiter((g.output for g in gates),
+                                   dtype=np.int64, count=n)
+            self.uid = np.fromiter((g.uid for g in gates), dtype=np.int64,
+                                   count=n)
+            names = [g.cell for g in gates]
+            for name in set(names).difference(table.ids):
+                table.id_of(name)
+            self.cell = np.fromiter(map(table.ids.__getitem__, names),
+                                    dtype=np.int64, count=n)
+            self.names = [g.name for g in gates]
+            listed = netlist.gates
+            if len(listed) == n and all(map(operator.is_, gates, listed)):
+                self.pos = np.arange(n)
+            else:
+                at = {id(g): i for i, g in enumerate(listed)}
+                self.pos = np.fromiter((at[id(g)] for g in gates),
+                                       dtype=np.int64, count=n)
+        else:
+            n = len(rows.uids)
+            arity = rows.arity
+            flat = rows.ins[np.arange(3)[None, :] < arity[:, None]]
+            self.out = rows.outs
+            self.uid = rows.uids
+            ids = np.zeros(len(rows.cellnames), dtype=np.int64)
+            for c in np.unique(rows.cells).tolist():
+                ids[c] = table.id_of(rows.cellnames[c])
+            self.cell = ids[rows.cells]
+            self.names = [rows.names[i] for i in rows.index.tolist()]
+            self.pos = np.arange(n)
         self.netlist = netlist
-        self.gates = gates
         self.table = table
         self.n = n
-        pins = [g.inputs for g in gates]
-        arity = np.fromiter(map(len, pins), dtype=np.int64, count=n)
-        if n and arity.max() > 3:
-            raise NetlistError("a gate has more than three inputs")
-        flat = np.fromiter(chain.from_iterable(pins), dtype=np.int64,
-                           count=int(arity.sum()))
-        self.out = np.fromiter((g.output for g in gates), dtype=np.int64,
-                               count=n)
-        self.uid = np.fromiter((g.uid for g in gates), dtype=np.int64,
-                               count=n)
-        names = [g.cell for g in gates]
-        for name in set(names).difference(table.ids):
-            table.id_of(name)
-        self.cell = np.fromiter(map(table.ids.__getitem__, names),
-                                dtype=np.int64, count=n)
-        self.names = [g.name for g in gates]
         self.pis = list(netlist.primary_inputs)
         pis = np.asarray(self.pis, dtype=np.int64)
         self.po = np.asarray(netlist.primary_outputs, dtype=np.int64)
@@ -663,7 +688,7 @@ def optimize(netlist, library, max_rounds=8):
     rounds), in place: the surviving gates keep their objects, with
     cells and inputs rewritten. Returns *netlist*."""
     opt = run(lower(netlist, library), max_rounds)
-    gates = opt.low.gates
+    gates = netlist.topological_gates()
     rows = opt.gate_rows()
     kept = []
     for row, cell, pins in zip(opt.rows.tolist(), rows.cell_names(),

@@ -19,6 +19,10 @@ Section-V slack rule. This package makes those equivalences executable:
     scalar-loop oracle of Monte Carlo STA, the structural-cone oracle
     of the truncation replay and the whole-uniform oracle of
     fault-mask sampling.
+``reference_sim``
+    The reference simulators: the ``uint8`` byte engine (with fault
+    flips, the scalar oracle of injection) and the event-driven
+    simulator that walks the netlist itself.
 ``optimize``
     The dict-walking optimization passes, oracle of the array optimizer.
 ``sizing``
@@ -59,21 +63,25 @@ from .oracles import (ENGINES, Counterexample, EngineMismatch, OracleReport,
 from .optimize import (constant_propagation, dead_gate_elimination,
                        reference_optimize, remove_inverter_pairs,
                        structural_hashing)
+from .reference_sim import (EventSimulator, Waveform, all_net_values,
+                            evaluate_bytes, evaluate_bytes_injected)
 from .shrink import shrink_netlist
 from .sizing import reference_synthesize, upsize_critical_paths
 from .verify import VerificationReport, verify_component
 
 __all__ = [
-    "ENGINES", "Counterexample", "EngineMismatch", "FuzzReport",
-    "GoldenMismatch", "InvariantResult", "OracleReport",
-    "VerificationReport", "analyze_mc_reference",
+    "ENGINES", "Counterexample", "EngineMismatch", "EventSimulator",
+    "FuzzReport", "GoldenMismatch", "InvariantResult", "OracleReport",
+    "VerificationReport", "Waveform", "all_net_values",
+    "analyze_mc_reference",
     "bernoulli_masks_reference",
     "check_characterization", "check_error_shape",
     "check_golden", "check_injection", "check_mc",
     "check_psnr_endpoints", "check_slack_rule",
     "check_sta_engine", "check_synth_sweep", "constant_propagation",
     "cross_engine_check", "dead_gate_elimination", "diff_engines",
-    "engine_outputs", "fuzz_engines",
+    "engine_outputs", "evaluate_bytes", "evaluate_bytes_injected",
+    "fuzz_engines",
     "golden_model", "load_corpus", "minimize_counterexample",
     "netlist_from_dict", "netlist_to_dict", "random_netlist",
     "reference_optimize", "reference_synthesize",

@@ -312,7 +312,8 @@ def check_golden(component, library=None, vectors=64, rng=None,
     import numpy as np
 
     from ..sim.activity import operand_stream_bits
-    from ..sim.logic import bits_to_int, compile_netlist, evaluate
+    from ..sim.logic import bits_to_int, compile_netlist
+    from .reference_sim import evaluate_bytes
 
     rng = np.random.default_rng(rng)
     operands = component.random_operands(vectors, rng=rng)
@@ -338,7 +339,8 @@ def check_golden(component, library=None, vectors=64, rng=None,
         netlist = synthesize_netlist(component, library, effort=effort)
     if netlist is not None and library is not None:
         bits = operand_stream_bits(columns, component.operand_widths)
-        out = evaluate(compile_netlist(netlist, library, memo=False), bits)
+        out = evaluate_bytes(compile_netlist(netlist, library, memo=False),
+                             bits)
         net_values = bits_to_int(out)
 
     mismatches = []

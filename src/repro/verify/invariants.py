@@ -373,12 +373,18 @@ def check_sta_engine(netlist, library, scenarios, bti=None,
     * ``analyze_batch`` over the fresh corner plus *scenarios* must
       reproduce :func:`repro.sta.sta.analyze` arrivals, gate delays and
       the critical path float-for-float per corner;
-    * ``analyze_incremental`` with the first half of the primary inputs
-      tied low must match the scalar analysis of the explicitly swept
-      netlist (:func:`repro.sta.engine.tie_low`).
+    * the truncation replay with the first half of the primary inputs
+      tied low — :func:`~repro.sta.engine.cone_plan`, then
+      :func:`~repro.sta.engine.delta_plan` from the untruncated
+      netlist, then :func:`~repro.sta.engine.replay_cone` on a copy of
+      the batch arrivals, as :meth:`repro.core.grid.TimingGrid.critical_paths`
+      runs it — must match the scalar analysis of the explicitly swept
+      netlist (:func:`repro.sta.engine.tie_low`): the critical path,
+      the delays of the gates that survive and every arrival.
     """
     from ..aging.bti import DEFAULT_BTI
-    from ..sta.engine import analyze_batch, analyze_incremental, tie_low
+    from ..sta.engine import (_critical_paths, analyze_batch, cone_plan,
+                              delta_plan, replay_cone, tie_low)
     from ..sta.sta import analyze
 
     if bti is None:
@@ -402,20 +408,24 @@ def check_sta_engine(netlist, library, scenarios, bti=None,
 
     tied = list(netlist.primary_inputs[:max(1, len(netlist.primary_inputs)
                                             // 2)])
-    inc = analyze_incremental(netlist, library, tied, corners=corners,
-                              bti=bti, degradation=degradation,
-                              baseline=batch)
+    program = batch.program
+    plan = cone_plan(program, tied)
+    arrivals = batch.arrivals.copy()
+    replay_cone(delta_plan(program, None, plan), arrivals, batch.delays)
+    cps = _critical_paths(program, arrivals)
     swept = tie_low(netlist, tied)
+    kept = [(row, uid) for row, uid in enumerate(program.gate_uids.tolist())
+            if not plan.dropped[row]]
     bad = []
     for idx, corner in enumerate(corners):
         scalar = analyze(swept, library, scenario=corner, bti=bti,
                          degradation=degradation)
-        got = inc.report(idx)
-        if (got.critical_path_ps != scalar.critical_path_ps
-                or got.gate_delays != scalar.gate_delays
-                or any(got.arrivals[n] != a
+        delays = {uid: float(batch.delays[row, idx]) for row, uid in kept}
+        if (float(cps[idx]) != scalar.critical_path_ps
+                or delays != scalar.gate_delays
+                or any(float(arrivals[program.slot_of[n], idx]) != a
                        for n, a in scalar.arrivals.items())):
-            bad.append(got.scenario_label)
+            bad.append(batch.labels[idx])
     results.append(_result(
         "sta_incremental_bit_exact", not bad,
         "cone re-analysis of %d tied input(s) matches swept-netlist STA"
@@ -451,9 +461,10 @@ def check_injection(component, library, years=(1.0, 10.0),
     from ..inject import CampaignSpec, run_campaign
     from ..core.specs import component_spec, parse_scenario
     from ..inject.campaign import _build_prelude, _replay
-    from ..inject.inject_sim import evaluate_bytes_injected, unpack_op_masks
+    from ..inject.inject_sim import unpack_op_masks
     from ..sim.bitpack import unpack_bits
-    from ..sim.logic import bits_to_int, evaluate
+    from ..sim.logic import bits_to_int
+    from .reference_sim import evaluate_bytes, evaluate_bytes_injected
     from ..sta.engine import corner_label
 
     years = sorted(years)
@@ -523,7 +534,7 @@ def check_injection(component, library, years=(1.0, 10.0),
         prelude.compiled, pi_bits, unpack_op_masks(masks, spec.vectors))
     agree = bool((packed == reference).all())
     clean_agree = bool((prelude.clean_ints == bits_to_int(
-        evaluate(prelude.compiled, pi_bits), signed=True)).all())
+        evaluate_bytes(prelude.compiled, pi_bits), signed=True)).all())
     results.append(_result(
         "inject_packed_matches_reference", agree and clean_agree,
         "packed cone replay bit-exact vs scalar reference (%d masked "

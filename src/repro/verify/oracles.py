@@ -4,11 +4,12 @@ The codebase grew four ways to compute what a combinational netlist
 settles to:
 
 * ``bytes`` — the vectorized ``uint8`` reference engine
-  (:func:`repro.sim.logic.evaluate`),
+  (:func:`repro.verify.reference_sim.evaluate_bytes`),
 * ``packed`` — the 64-way bit-parallel engine
   (:func:`repro.sim.logic.evaluate_packed`),
 * ``event`` — the scalar event-driven simulator
-  (:class:`repro.sim.event.EventSimulator`), whose quiescent values are
+  (:class:`repro.verify.reference_sim.EventSimulator`), whose quiescent
+  values are
   produced by a completely different mechanism (a delay-ordered event
   queue),
 * ``timed`` — the vectorized timed simulator
@@ -45,12 +46,11 @@ import numpy as np
 
 from ..aging.bti import DEFAULT_BTI
 from ..sim.activity import ActivityReport
-from ..sim.event import EventSimulator
-from ..sim.logic import (all_net_values, compile_netlist, evaluate,
-                         evaluate_packed)
+from ..sim.logic import compile_netlist, evaluate_packed
 from ..sim.timing import TimedSimulator
 from ..sta.engine import (_critical_paths, _propagate, compile_timing,
                           corner_stress)
+from .reference_sim import EventSimulator, all_net_values, evaluate_bytes
 
 #: Engine names, in reporting order; ``bytes`` is the reference.
 ENGINES = ("bytes", "packed", "event", "timed")
@@ -111,7 +111,7 @@ def engine_outputs(netlist, library, pi_bits, engine):
     pi_bits = np.asarray(pi_bits, dtype=np.uint8)
     if engine == "bytes":
         compiled = compile_netlist(netlist, library, memo=False)
-        return evaluate(compiled, pi_bits)
+        return evaluate_bytes(compiled, pi_bits)
     if engine == "packed":
         compiled = compile_netlist(netlist, library, memo=False)
         return evaluate_packed(compiled, pi_bits)

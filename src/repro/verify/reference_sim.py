@@ -1,19 +1,99 @@
-"""Exact event-driven gate-level simulator (reference model).
+"""Reference simulators: the oracles of the production engines.
 
-A classic transport-delay event simulator used as the ground truth for
-the vectorized timed simulator on small circuits: it reproduces glitches
-and exact per-net settle times. It is deliberately simple and scalar —
-use :mod:`repro.sim.timing` for anything larger than a few hundred gates.
+* The **byte engine** (:func:`evaluate_bytes`, :func:`all_net_values`)
+  runs the same :class:`~repro.sim.logic.CompiledNetlist` rows as the
+  packed engine, one simulated bit per ``uint8`` byte, through each
+  cell's byte-level function and its own loop, so a fault in the packed
+  kernels or row loop (:mod:`repro.sim.logic`) cannot hide in both.
+  :func:`evaluate_bytes_injected` adds XOR fault flips, the scalar
+  reference of fault injection (:mod:`repro.inject`).
+* The **event-driven simulator** (:class:`EventSimulator`) walks the
+  netlist itself: a classic transport-delay event queue that reproduces
+  glitches and exact per-net settle times. It is the ground truth of
+  the vectorized timed simulator (:mod:`repro.sim.timing`) on small
+  circuits, deliberately simple and scalar.
 """
 
 import heapq
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import List, Tuple
+
+import numpy as np
 
 from ..aging.bti import DEFAULT_BTI
 from ..aging.delay import gate_delays
 from ..netlist.net import CONST0, CONST1
+from ..sim.logic import check_pi_bits
+
+
+def evaluate_bytes(compiled, pi_bits, release=True, op_mask_bits=None):
+    """Evaluate a compiled netlist on a batch of input vectors, bytewise.
+
+    Parameters
+    ----------
+    compiled:
+        :class:`~repro.sim.logic.CompiledNetlist` from
+        :func:`~repro.sim.logic.compile_netlist`.
+    pi_bits:
+        ``uint8`` array of shape ``(batch, n_primary_inputs)`` holding
+        one bit per input, in the netlist's PI order.
+    release:
+        Free dead intermediate arrays eagerly (bounds peak memory).
+    op_mask_bits:
+        Optional row -> ``(batch,)`` ``uint8`` 0/1 flip flags.
+
+    Returns
+    -------
+    numpy.ndarray
+        ``uint8`` array of shape ``(batch, n_primary_outputs)``.
+    """
+    pi_bits = check_pi_bits(compiled, pi_bits)
+    batch = pi_bits.shape[0]
+    values = [None] * compiled.slots
+    values[0] = np.zeros(batch, dtype=np.uint8)
+    values[1] = np.ones(batch, dtype=np.uint8)
+    for col, slot in enumerate(compiled.pi_slots):
+        values[slot] = np.ascontiguousarray(pi_bits[:, col])
+    flips = op_mask_bits or {}
+    for idx, (cell, ins, out) in enumerate(zip(compiled.cells, compiled.ins,
+                                               compiled.outs)):
+        value = cell.function(*[values[s] for s in ins])
+        values[out] = value ^ flips[idx] if idx in flips else value
+        if release:
+            for slot in compiled.last_use[idx]:
+                values[slot] = None
+    outs = np.empty((batch, len(compiled.po_slots)), dtype=np.uint8)
+    for col, slot in enumerate(compiled.po_slots):
+        outs[:, col] = values[slot]
+    return outs
+
+
+def evaluate_bytes_injected(compiled, pi_bits, op_mask_bits):
+    """Scalar uint8 reference injector (one byte per vector per net).
+
+    *op_mask_bits* maps row -> ``(batch,)`` uint8 0/1 flip flags — the
+    unpacked form of the packed masks
+    (:func:`repro.inject.inject_sim.unpack_op_masks`). The independent
+    oracle of the packed injector: :func:`evaluate_bytes` with flips.
+    """
+    return evaluate_bytes(compiled, pi_bits, op_mask_bits=op_mask_bits)
+
+
+def all_net_values(compiled, pi_bits):
+    """Evaluate bytewise and return the values of *every* net.
+
+    Returns a ``(batch, slots)`` uint8 array (column ``s`` is slot
+    ``s``); the reference of activity extraction, which needs internal
+    nets.
+    """
+    pi_bits = check_pi_bits(compiled, pi_bits)
+    values = np.zeros((compiled.slots, pi_bits.shape[0]), dtype=np.uint8)
+    values[1] = 1
+    values[compiled.pi_slots] = pi_bits.T
+    for cell, ins, out in zip(compiled.cells, compiled.ins, compiled.outs):
+        values[out] = cell.function(*[values[s] for s in ins])
+    return values.T
 
 
 @dataclass

@@ -2,7 +2,8 @@
 
 import numpy as np
 
-from repro.sim import bits_to_int, compile_netlist, evaluate, int_to_bits
+from repro.sim import (bits_to_int, compile_netlist, evaluate_packed,
+                       int_to_bits)
 from repro.synth import synthesize_netlist
 
 
@@ -13,5 +14,5 @@ def run_netlist(component, lib, operands, netlist=None):
     parts = [int_to_bits(np.asarray(vals), width)
              for vals, width in zip(operands, component.operand_widths)]
     bits = np.concatenate(parts, axis=1)
-    out = evaluate(compile_netlist(netlist, lib), bits)
+    out = evaluate_packed(compile_netlist(netlist, lib), bits)
     return bits_to_int(out)

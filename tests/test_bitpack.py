@@ -14,12 +14,12 @@ from hypothesis import given, strategies as st
 from repro.cells import default_library
 from repro.cells.cell import CELL_KINDS
 from repro.netlist import CONST0, CONST1, NetlistBuilder
-from repro.sim import (bits_to_int, compile_netlist, evaluate,
-                       evaluate_packed, evaluate_words, int_to_bits,
-                       pack_bits, pack_ints, popcount, simulate_activity,
-                       unpack_bits, unpack_ints)
+from repro.sim import (bits_to_int, compile_netlist, evaluate_packed,
+                       evaluate_words, int_to_bits, pack_bits, pack_ints,
+                       popcount, simulate_activity, unpack_bits, unpack_ints)
 from repro.sim import bitpack
-from repro.verify import load_corpus, simulate_activity_bytes
+from repro.verify import (evaluate_bytes, load_corpus,
+                          simulate_activity_bytes)
 
 LIB = default_library()
 
@@ -192,7 +192,7 @@ class TestEngineEquivalence:
             compiled = compile_netlist(netlist, lib)
             bits = rng.integers(
                 0, 2, (batch, len(compiled.pi_slots))).astype(np.uint8)
-            ref = evaluate(compiled, bits)
+            ref = evaluate_bytes(compiled, bits)
             got = evaluate_packed(compiled, bits)
             assert got.shape == ref.shape
             assert np.array_equal(got, ref)
@@ -282,7 +282,7 @@ def test_engines_agree_on_random_netlists(netlist, batch, seed):
     bits = stim_rng.integers(0, 2, (batch, 4)).astype(np.uint8)
     compiled = compile_netlist(netlist, LIB)
     assert np.array_equal(evaluate_packed(compiled, bits),
-                          evaluate(compiled, bits))
+                          evaluate_bytes(compiled, bits))
     ref = simulate_activity_bytes(netlist, LIB, bits)
     got = simulate_activity(netlist, LIB, bits)
     assert got.signal_probability == ref.signal_probability

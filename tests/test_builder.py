@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro.netlist import CONST0, CONST1, NetlistBuilder
-from repro.sim import compile_netlist, evaluate
+from repro.sim import compile_netlist, evaluate_packed
 
 
 def truth_table(lib, build, n_inputs):
@@ -21,7 +21,7 @@ def truth_table(lib, build, n_inputs):
     net = builder.outputs([out])
     rows = np.array(list(itertools.product((0, 1), repeat=n_inputs)),
                     dtype=np.uint8)
-    result = evaluate(compile_netlist(net, lib), rows)
+    result = evaluate_packed(compile_netlist(net, lib), rows)
     return {tuple(int(v) for v in row): int(result[i, 0])
             for i, row in enumerate(rows)}
 
@@ -85,7 +85,7 @@ class TestArithmeticBricks:
         net = builder.outputs([s, c])
         rows = np.array(list(itertools.product((0, 1), repeat=2)),
                         dtype=np.uint8)
-        out = evaluate(compile_netlist(net, lib), rows)
+        out = evaluate_packed(compile_netlist(net, lib), rows)
         for i, (x, y) in enumerate(rows):
             assert int(out[i, 0]) == (x ^ y)
             assert int(out[i, 1]) == (x & y)
@@ -97,7 +97,7 @@ class TestArithmeticBricks:
         net = builder.outputs([s, c])
         rows = np.array(list(itertools.product((0, 1), repeat=3)),
                         dtype=np.uint8)
-        out = evaluate(compile_netlist(net, lib), rows)
+        out = evaluate_packed(compile_netlist(net, lib), rows)
         for i, (x, y, z) in enumerate(rows):
             total = int(x) + int(y) + int(z)
             assert int(out[i, 0]) == total % 2

@@ -20,15 +20,13 @@ from repro.cells import default_library
 from repro.core.grid import timing_grid
 from repro.inject import CampaignSpec, build_faultload, run_campaign
 from repro.inject import campaign
-from repro.inject.inject_sim import (check_alignment,
-                                     evaluate_bytes_injected,
-                                     unpack_op_masks)
+from repro.inject.inject_sim import unpack_op_masks
 from repro.obs import metrics as obs_metrics
 from repro.sim import bitpack
 from repro.sim.logic import (compile_netlist, cone_frontier, evaluate_words,
                              replay_words)
 from repro.sta.engine import compile_timing, fanout_rows
-from repro.verify import random_netlist
+from repro.verify import evaluate_bytes_injected, random_netlist
 
 LIB = default_library()
 
@@ -41,17 +39,17 @@ MASK_KINDS = ("empty", "po", "leaf", "overlap", "all", "random")
 
 
 def _mask_rows(kind, compiled, program, rng):
-    """Op rows to mask: none, PO drivers, rows without readers, a row
+    """Rows to mask: none, PO drivers, rows without readers, a row
     plus rows of its own cone, every row, or a random subset."""
-    n = len(compiled.ops)
+    n = len(compiled.outs)
     if kind == "empty":
         return []
     if kind == "po":
         drives = set(compiled.po_slots)
-        return [r for r, op in enumerate(compiled.ops) if op[2] in drives]
+        return [r for r, out in enumerate(compiled.outs) if out in drives]
     if kind == "leaf":
-        read = {s for op in compiled.ops for s in op[1]}
-        return [r for r, op in enumerate(compiled.ops) if op[2] not in read]
+        read = {s for ins in compiled.ins for s in ins}
+        return [r for r, out in enumerate(compiled.outs) if out not in read]
     if kind == "overlap":
         first = int(rng.integers(n))
         cone = fanout_rows(program, [first]).tolist()
@@ -77,7 +75,7 @@ def test_cone_replay_matches_full_and_scalar(seed, vectors, kind):
     netlist = random_netlist(rng, n_inputs=5, max_gates=30, n_outputs=4)
     compiled = compile_netlist(netlist, LIB)
     program = compile_timing(netlist, LIB)
-    check_alignment(compiled, program)
+    assert compiled.program is program
     words = bitpack.word_count(vectors)
     masks = {row: rng.integers(0, 2**64, size=words, dtype=np.uint64)
              for row in _mask_rows(kind, compiled, program, rng)}
@@ -94,9 +92,9 @@ def test_cone_replay_matches_full_and_scalar(seed, vectors, kind):
                               unpack_op_masks(masks, vectors)))
     # The cone holds the masked rows and every reader of what it writes.
     assert set(masks) <= set(rows)
-    written = {compiled.ops[r][2] for r in rows}
-    assert all(r in rows for r, op in enumerate(compiled.ops)
-               if written.intersection(op[1]))
+    written = {compiled.outs[r] for r in rows}
+    assert all(r in rows for r, ins in enumerate(compiled.ins)
+               if written.intersection(ins))
 
 
 def test_cone_is_faultload_on_grids():
@@ -156,7 +154,7 @@ def test_frontier_budget_does_not_change_rows(deep_reference, monkeypatch,
             for task in campaign.make_point_tasks(DEEP)]
     prelude = campaign._build_prelude(DEEP, None, keys)
     assert len(prelude.kept) <= slots
-    n_ops = len(prelude.compiled.ops)
+    n_ops = len(prelude.compiled.outs)
     assert all(len(rows) == n_ops for rows in prelude.replays)
     assert run_campaign(DEEP, jobs=1).to_dict() == deep_reference
 

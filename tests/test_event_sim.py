@@ -6,9 +6,10 @@ import pytest
 from repro.aging import worst_case
 from repro.netlist import NetlistBuilder
 from repro.rtl import Adder
-from repro.sim import EventSimulator, TimedSimulator, int_to_bits
+from repro.sim import TimedSimulator, int_to_bits
 from repro.sta import analyze
 from repro.synth import synthesize_netlist
+from repro.verify import EventSimulator
 
 
 def inv_chain(length):

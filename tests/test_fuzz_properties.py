@@ -12,7 +12,7 @@ from hypothesis import given, strategies as st
 from repro.aging import worst_case
 from repro.cells import default_library
 from repro.netlist import CONST0, CONST1, NetlistBuilder
-from repro.sim import TimedSimulator, compile_netlist, evaluate
+from repro.sim import TimedSimulator, compile_netlist, evaluate_packed
 from repro.sta import analyze
 from repro.synth import optimize, upsize_fast
 
@@ -50,7 +50,7 @@ ALL_INPUTS = np.array([[b >> i & 1 for i in range(4)]
 
 
 def truth_vector(netlist):
-    return evaluate(compile_netlist(netlist, LIB), ALL_INPUTS)
+    return evaluate_packed(compile_netlist(netlist, LIB), ALL_INPUTS)
 
 
 @given(netlist=random_netlists())

@@ -17,10 +17,7 @@ from repro import cli
 from repro.inject import (CampaignSpec, DEFAULT_ACTIVITY, build_faultload,
                           run_campaign)
 from repro.inject.campaign import make_point_tasks
-from repro.inject.inject_sim import (check_alignment, count_mask_bits,
-                                     evaluate_bytes_injected,
-                                     evaluate_packed_injected,
-                                     unpack_op_masks)
+from repro.inject.inject_sim import count_mask_bits, unpack_op_masks
 from repro.inject.masks import (CHUNK_WORDS, PROB_BITS, PROB_ONE,
                                 bernoulli_words, flip_threshold, gate_stream)
 from repro.core.specs import SpecError, component_spec, parse_scenario
@@ -30,6 +27,7 @@ from repro.rtl import Adder, Multiplier
 from repro.sim import bitpack
 from repro.sim.logic import compile_netlist, evaluate_packed
 from repro.sta.engine import analyze_batch, compile_timing
+from repro.verify import evaluate_bytes_injected
 
 
 def row_at(result, scenario, clock_scale):
@@ -144,11 +142,11 @@ class TestInjectedEval:
     def test_empty_masks_match_clean(self, lib, adder8, rng):
         compiled = compile_netlist(adder8, lib)
         program = compile_timing(adder8, lib)
-        check_alignment(compiled, program)
+        assert compiled.program is program
         vectors = 200
         pi_bits = rng.integers(0, 2, size=(vectors, len(
             adder8.primary_inputs)), dtype=np.uint8)
-        assert (evaluate_packed_injected(compiled, pi_bits, {})
+        assert (evaluate_packed(compiled, pi_bits, op_masks={})
                 == evaluate_packed(compiled, pi_bits)).all()
 
     def test_packed_matches_scalar_reference(self, lib, adder8, rng):
@@ -158,8 +156,8 @@ class TestInjectedEval:
         pi_bits = rng.integers(0, 2, size=(vectors, len(
             adder8.primary_inputs)), dtype=np.uint8)
         op_masks = {row: bernoulli_words(3, row, flip_threshold(0.2), words)
-                    for row in range(0, len(compiled.ops), 3)}
-        packed = evaluate_packed_injected(compiled, pi_bits, op_masks)
+                    for row in range(0, len(compiled.outs), 3)}
+        packed = evaluate_packed(compiled, pi_bits, op_masks=op_masks)
         scalar = evaluate_bytes_injected(
             compiled, pi_bits, unpack_op_masks(op_masks, vectors))
         assert (packed == scalar).all()

@@ -14,13 +14,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.cells import default_library
-from repro.inject.inject_sim import (count_mask_bits,
-                                     evaluate_bytes_injected,
-                                     evaluate_packed_injected,
-                                     unpack_op_masks)
+from repro.inject.inject_sim import count_mask_bits, unpack_op_masks
 from repro.inject.masks import (PROB_ONE, bernoulli_words, flip_threshold)
-from repro.sim import bitpack, compile_netlist, evaluate
-from repro.verify import load_corpus, random_netlist
+from repro.sim import bitpack, compile_netlist, evaluate_packed
+from repro.verify import (evaluate_bytes, evaluate_bytes_injected,
+                          load_corpus, random_netlist)
 from repro.verify.pytest_plugin import CORPUS_DIRNAME
 
 LIB = default_library()
@@ -29,10 +27,10 @@ _CORPUS = load_corpus(CORPUS_DIR)
 
 
 def _random_masks(compiled, vectors, rng, seed):
-    """Masks for a random subset of op rows at random probabilities."""
+    """Masks for a random subset of rows at random probabilities."""
     words = bitpack.word_count(vectors)
     op_masks = {}
-    for row in range(len(compiled.ops)):
+    for row in range(len(compiled.outs)):
         if rng.random() < 0.4:
             threshold = flip_threshold(float(rng.random()))
             op_masks[row] = bernoulli_words(seed, row, threshold, words)
@@ -44,13 +42,13 @@ def _assert_packed_matches_scalar(netlist, vectors, rng, seed):
     pi_bits = rng.integers(0, 2, size=(vectors, len(
         netlist.primary_inputs)), dtype=np.uint8)
     op_masks = _random_masks(compiled, vectors, rng, seed)
-    packed = evaluate_packed_injected(compiled, pi_bits, op_masks)
+    packed = evaluate_packed(compiled, pi_bits, op_masks=op_masks)
     scalar = evaluate_bytes_injected(
         compiled, pi_bits, unpack_op_masks(op_masks, vectors))
     assert packed.shape == scalar.shape
     assert (packed == scalar).all()
     if not op_masks:
-        assert (packed == evaluate(compiled, pi_bits)).all()
+        assert (packed == evaluate_bytes(compiled, pi_bits)).all()
     injected, faulted = count_mask_bits(op_masks, vectors)
     assert faulted <= min(injected, vectors)
 

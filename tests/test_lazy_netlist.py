@@ -186,3 +186,34 @@ def test_characterize_builds_no_netlist():
         assert netlist.topological_gates() and netlist.driver_of(
             netlist.primary_outputs[-1]) is not None
         assert registry.value(obs_metrics.SYNTH_NETLISTS_MATERIALIZED) == 1
+
+
+def test_cold_paper_pipeline_builds_no_gates(tmp_path, monkeypatch):
+    """Guardband removal and the Fig. 8(c) baseline comparison of the
+    smallest IDCT: simulating the activity of "ours" and the hardened
+    baseline (two netlists each) runs on the timing programs synthesis
+    seeded, so no netlist builds its gates."""
+    from repro import (AgingApproximationLibrary, compare_with_baseline,
+                       idct_microarchitecture, remove_guardband)
+    from repro.core.cache import cache_enabled
+    from repro.sim import activity, logic
+
+    simulated = []
+
+    def recording(netlist, library, memo=True):
+        compiled = logic.compile_netlist(netlist, library, memo)
+        simulated.append((netlist, library, compiled))
+        return compiled
+
+    monkeypatch.setattr(activity, "compile_netlist", recording)
+    micro = idct_microarchitecture(width=4)
+    with cache_enabled(str(tmp_path)), obs_metrics.scoped() as registry:
+        report = remove_guardband(
+            micro, LIB, worst_case(10.0),
+            approx_library=AgingApproximationLibrary(), jobs=1)
+        compare_with_baseline(micro, report.outcome, LIB, worst_case(10.0))
+        assert registry.value(obs_metrics.SYNTH_NETLISTS_MATERIALIZED) == 0
+    assert len(simulated) == 4
+    for netlist, library, compiled in simulated:
+        assert compiled.program is compile_timing(netlist, library)
+    assert all(unread(netlist) for netlist, __, __ in simulated[:2])

@@ -6,8 +6,9 @@ from hypothesis import given, strategies as st
 
 from repro.netlist import NetlistBuilder
 from repro.rtl import Adder
-from repro.sim import (all_net_values, bits_to_int, compile_netlist,
-                       evaluate, int_to_bits)
+from repro.sim import bits_to_int, compile_netlist, int_to_bits
+from repro.sta.engine import compile_timing
+from repro.verify import all_net_values, evaluate_bytes
 
 
 class TestBitCodecs:
@@ -50,7 +51,7 @@ class TestBitCodecs:
 class TestCompilation:
     def test_compiled_op_count(self, lib, adder8):
         compiled = compile_netlist(adder8, lib)
-        assert len(compiled.ops) == adder8.num_gates
+        assert len(compiled.outs) == adder8.num_gates
         assert len(compiled.pi_slots) == 16
         assert len(compiled.po_slots) == 8
 
@@ -63,7 +64,7 @@ class TestCompilation:
     def test_shape_validation(self, lib, adder8):
         compiled = compile_netlist(adder8, lib)
         with pytest.raises(ValueError, match="shape"):
-            evaluate(compiled, np.zeros((4, 3), dtype=np.uint8))
+            evaluate_bytes(compiled, np.zeros((4, 3), dtype=np.uint8))
 
 
 class TestEvaluation:
@@ -72,14 +73,14 @@ class TestEvaluation:
         component = Adder(8)
         a, b = component.random_operands(500, rng=rng)
         bits = np.concatenate([int_to_bits(a, 8), int_to_bits(b, 8)], axis=1)
-        out = bits_to_int(evaluate(compiled, bits))
+        out = bits_to_int(evaluate_bytes(compiled, bits))
         assert np.array_equal(out, component.exact(a, b))
 
     def test_release_flag_equivalence(self, lib, adder8, rng):
         compiled = compile_netlist(adder8, lib)
         bits = rng.integers(0, 2, (64, 16)).astype(np.uint8)
-        assert np.array_equal(evaluate(compiled, bits, release=True),
-                              evaluate(compiled, bits, release=False))
+        assert np.array_equal(evaluate_bytes(compiled, bits, release=True),
+                              evaluate_bytes(compiled, bits, release=False))
 
     def test_constants_available(self, lib):
         builder = NetlistBuilder(name="c")
@@ -87,7 +88,7 @@ class TestEvaluation:
         out = builder.or2(a, builder.const1)
         net = builder.outputs([out])
         compiled = compile_netlist(net, lib)
-        result = evaluate(compiled, np.array([[0], [1]], dtype=np.uint8))
+        result = evaluate_bytes(compiled, np.array([[0], [1]], dtype=np.uint8))
         assert result[:, 0].tolist() == [1, 1]
 
     def test_all_net_values_includes_internal_nets(self, lib):
@@ -108,7 +109,7 @@ class TestEvaluation:
         inv = builder.inv(a)
         net = builder.outputs([a, inv])
         compiled = compile_netlist(net, lib)
-        out = evaluate(compiled, np.array([[1]], dtype=np.uint8))
+        out = evaluate_bytes(compiled, np.array([[1]], dtype=np.uint8))
         assert out[0].tolist() == [1, 0]
 
 
@@ -130,7 +131,9 @@ class TestCompileMemo:
         memoized = compile_netlist(adder8, lib)
         fresh = compile_netlist(adder8, lib, memo=False)
         assert fresh is not memoized
-        assert fresh.ops == memoized.ops
+        assert fresh.program is not memoized.program
+        assert (fresh.ins, fresh.outs, fresh.uids) == \
+            (memoized.ins, memoized.outs, memoized.uids)
         assert fresh.pi_slots == memoized.pi_slots
 
     def test_mutation_invalidates(self, lib):
@@ -139,7 +142,7 @@ class TestCompileMemo:
         netlist.add_gate("INV_X1", [netlist.primary_outputs[0]])
         second = compile_netlist(netlist, lib)
         assert second is not first
-        assert len(second.ops) == len(first.ops) + 1
+        assert len(second.outs) == len(first.outs) + 1
 
     def test_in_place_gate_mutation_recompiles(self, lib):
         # Regression: the memo used to key on gate *count*, so editing a
@@ -149,11 +152,11 @@ class TestCompileMemo:
         a, b = builder.inputs(2, "i")
         netlist = builder.outputs([builder.and2(a, b)])
         bits = np.array([[0, 0], [1, 0], [0, 1], [1, 1]], dtype=np.uint8)
-        before = evaluate(compile_netlist(netlist, lib), bits)
+        before = evaluate_bytes(compile_netlist(netlist, lib), bits)
         assert before[:, 0].tolist() == [0, 0, 0, 1]
         gate = netlist.gates[0]
         gate.cell = gate.cell.replace("AND2", "OR2")
-        after = evaluate(compile_netlist(netlist, lib), bits)
+        after = evaluate_bytes(compile_netlist(netlist, lib), bits)
         assert after[:, 0].tolist() == [0, 1, 1, 1]
 
     def test_rewired_input_recompiles(self, lib):
@@ -161,9 +164,9 @@ class TestCompileMemo:
         a, b = builder.inputs(2, "i")
         netlist = builder.outputs([builder.inv(a)])
         bits = np.array([[1, 0]], dtype=np.uint8)
-        assert evaluate(compile_netlist(netlist, lib), bits)[0, 0] == 0
+        assert evaluate_bytes(compile_netlist(netlist, lib), bits)[0, 0] == 0
         netlist.gates[0].inputs = (b,)
-        assert evaluate(compile_netlist(netlist, lib), bits)[0, 0] == 1
+        assert evaluate_bytes(compile_netlist(netlist, lib), bits)[0, 0] == 1
 
     def test_different_library_compiles_separately(self, adder8):
         from repro.cells import nangate45
@@ -173,15 +176,15 @@ class TestCompileMemo:
             compile_netlist(adder8, lib_b)
 
     def test_memo_evicts_single_lru_entry(self):
-        from repro.sim import logic
+        from repro.sta import engine
         netlist = Adder(4).build()
         # The memo keys libraries by content: each one must differ.
         libs = [_renamed_library("lru%d" % i)
-                for i in range(logic._COMPILE_MEMO_LIMIT + 1)]
+                for i in range(engine._TIMING_MEMO_LIMIT + 1)]
         programs = [compile_netlist(netlist, lib) for lib in libs]
-        cache = netlist._compiled_memo
+        cache = netlist._timing_memo
         # Overflow evicted exactly one entry (the oldest), not the lot.
-        assert len(cache) == logic._COMPILE_MEMO_LIMIT
+        assert len(cache) == engine._TIMING_MEMO_LIMIT
         assert compile_netlist(netlist, libs[1]) is programs[1]
         assert compile_netlist(netlist, libs[0]) is not programs[0]
 
@@ -210,10 +213,37 @@ class TestCompileMemo:
 
     def test_library_stand_in_keyed_by_identity(self, adder8):
         from repro.cells import nangate45
-        stand_in = {cell.name: cell for cell in nangate45()}
+        stand_in = _StandIn(nangate45())
         first = compile_netlist(adder8, stand_in)
         assert compile_netlist(adder8, stand_in) is first
-        assert compile_netlist(adder8, dict(stand_in)) is not first
+        assert compile_netlist(adder8, _StandIn(stand_in.library)) \
+            is not first
+
+    def test_one_lowering_for_simulation_and_timing(self, lib, adder8):
+        compiled = compile_netlist(adder8, lib)
+        program = compile_timing(adder8, lib)
+        assert compiled.program is program
+        assert compiled.uids == program.gate_uids.tolist()
+        assert compiled.outs == program.out_slots.tolist()
+        assert compiled.slot_of is program.slot_of
+        assert compiled.po_slots == program.po_slots.tolist()
+
+
+class _StandIn:
+    """A library stand-in that is not a CellLibrary: it delegates to
+    *library* and is keyed by identity."""
+
+    def __init__(self, library):
+        self.library = library
+
+    def __getattr__(self, name):
+        return getattr(self.library, name)
+
+    def __getitem__(self, name):
+        return self.library[name]
+
+    def __contains__(self, name):
+        return name in self.library
 
 
 def _renamed_library(name):

@@ -253,7 +253,7 @@ class TestSharedWorkerTelemetry:
     spans and counters are neither dropped nor absorbed twice."""
 
     COUNTERS = ("synth.runs", "sim.vectors", "stress.extractions",
-                "sta.batch.runs", "sta.incremental.runs", "inject.vectors",
+                "sta.batch.runs", "sta.replay_rows", "inject.vectors",
                 "inject.faults", "mc.samples", "mc.blocks")
 
     #: kind -> (its worker span, a counter its workers must report)

@@ -1,4 +1,4 @@
-"""Tests for the vectorized batched/incremental STA engine.
+"""Tests for the vectorized batched STA engine and its truncation replay.
 
 The engine's contract is *bit-exactness* against the scalar oracle
 (`repro.sta.analyze`): every comparison here is ``==`` on floats, no
@@ -19,10 +19,10 @@ from repro.cells import DegradationAwareLibrary
 from repro.core.characterize import characterize, truncation_screen
 from repro.obs import metrics as obs_metrics
 from repro.rtl import Adder, Multiplier
-from repro.sta import analyze
-from repro.sta.engine import (analyze_batch, analyze_incremental,
-                              compile_timing, tie_low,
-                              truncated_input_nets)
+from repro.sta import TimingReport, analyze
+from repro.sta.engine import (_critical_paths, analyze_batch,
+                              compile_timing, cone_plan, delta_plan,
+                              replay_cone, tie_low, truncated_input_nets)
 from repro.synth import synthesize_netlist
 from repro.verify import load_corpus
 
@@ -38,6 +38,28 @@ def assert_report_equal(got, want):
     for net, arrival in want.arrivals.items():
         assert got.arrivals[net] == arrival
     assert got.scenario_label == want.scenario_label
+
+
+def replayed(batch, tied):
+    """The truncation replay of *tied* on *batch*, as the timing grid
+    runs it: ``cone_plan`` -> ``delta_plan`` from the untruncated
+    netlist -> ``replay_cone`` on a copy of the batch arrivals. Returns
+    the plan, the critical paths and each corner's report: arrivals of
+    every net of the original netlist, delays of the surviving gates."""
+    program = batch.program
+    plan = cone_plan(program, tied)
+    arr = batch.arrivals.copy()
+    replay_cone(delta_plan(program, None, plan), arr, batch.delays)
+    cps = [float(v) for v in _critical_paths(program, arr)]
+    kept = [(row, uid) for row, uid in enumerate(program.gate_uids.tolist())
+            if not plan.dropped[row]]
+    reports = [TimingReport(
+        arrivals={net: float(arr[slot, c])
+                  for net, slot in program.slot_of.items()},
+        gate_delays={uid: float(batch.delays[row, c]) for row, uid in kept},
+        critical_path_ps=cps[c], scenario_label=label)
+        for c, label in enumerate(batch.labels)]
+    return plan, cps, reports
 
 
 class TestBatchBitExact:
@@ -130,57 +152,52 @@ class TestProgramMemo:
 
     def test_metrics_emitted(self, lib, adder8):
         with obs_metrics.scoped() as reg:
-            analyze_batch(adder8, lib, CORNERS)
-            tied = adder8.primary_inputs[:4]
-            analyze_incremental(adder8, lib, tied,
-                                corners=[None, worst_case(10.0)])
+            batch = analyze_batch(adder8, lib, CORNERS)
+            # The low four bits of both operands: their gates drop.
+            tied = adder8.primary_inputs[:4] + adder8.primary_inputs[8:12]
+            plan, __, __ = replayed(batch, tied)
+            replayed(batch, tied)
         assert reg.value(obs_metrics.STA_BATCH_RUNS) >= 1
         assert reg.value(obs_metrics.STA_BATCH_CORNERS) >= len(CORNERS)
-        assert reg.value(obs_metrics.STA_INCREMENTAL_RUNS) == 1
-        hist = reg.get(obs_metrics.STA_INCREMENTAL_CONE_FRACTION)
-        assert hist is not None and hist.count == 1
+        rows = delta_plan(batch.program, None, plan).rows
+        assert rows > 0
+        assert reg.value(obs_metrics.STA_REPLAY_ROWS) == 2 * rows
+        assert reg.value(obs_metrics.STA_CONE_PLAN_HITS) >= 1
 
 
 class TestIncremental:
     def test_matches_tie_low_oracle(self, lib, mult6):
         tied = mult6.primary_inputs[:6]
-        inc = analyze_incremental(mult6, lib, tied, corners=CORNERS)
+        __, __, reports = replayed(analyze_batch(mult6, lib, CORNERS), tied)
         swept = tie_low(mult6, tied)
         for idx, corner in enumerate(CORNERS):
             scalar = analyze(swept, lib, scenario=corner)
-            assert_report_equal(inc.report(idx), scalar)
+            assert_report_equal(reports[idx], scalar)
 
     def test_dropped_matches_swept_gate_count(self, lib, mult6):
         tied = mult6.primary_inputs[:8]
-        inc = analyze_incremental(mult6, lib, tied)
+        plan, __, __ = replayed(analyze_batch(mult6, lib, [None]), tied)
         swept = tie_low(mult6, tied)
-        assert int(inc.dropped.sum()) == mult6.num_gates - swept.num_gates
-        assert 0.0 < inc.cone_fraction <= 1.0
+        assert int(plan.dropped.sum()) == mult6.num_gates - swept.num_gates
+        assert 0 < plan.cone_gates <= mult6.num_gates
 
     def test_no_tied_inputs_is_baseline(self, lib, adder8):
         baseline = analyze_batch(adder8, lib, CORNERS)
-        inc = analyze_incremental(adder8, lib, [], baseline=baseline,
-                                  program=baseline.program)
-        assert inc.critical_paths_ps == baseline.critical_paths_ps
-        assert inc.cone_fraction == 0.0
+        plan, cps, __ = replayed(baseline, [])
+        assert cps == baseline.critical_paths_ps
+        assert plan.cone_gates == 0
 
     def test_all_tied_zeroes_everything(self, lib, adder8):
-        inc = analyze_incremental(adder8, lib, adder8.primary_inputs)
-        assert inc.critical_paths_ps == [0.0]
-        assert bool(inc.dropped.all())
+        plan, cps, __ = replayed(analyze_batch(adder8, lib, [None]),
+                                 adder8.primary_inputs)
+        assert cps == [0.0]
+        assert bool(plan.dropped.all())
 
     def test_stray_net_rejected(self, lib, adder8):
         with pytest.raises(ValueError, match="not primary inputs"):
-            analyze_incremental(adder8, lib, [999999])
+            cone_plan(compile_timing(adder8, lib), [999999])
         with pytest.raises(ValueError, match="not primary inputs"):
             tie_low(adder8, [999999])
-
-    def test_foreign_baseline_rejected(self, lib, adder8, mult6):
-        baseline = analyze_batch(mult6, lib, [None])
-        with pytest.raises(ValueError, match="different .* program"):
-            analyze_incremental(adder8, lib, adder8.primary_inputs[:1],
-                                baseline=baseline,
-                                program=compile_timing(adder8, lib))
 
     def test_tie_low_preserves_uids_and_annotations(self, lib, mult6):
         tied = mult6.primary_inputs[:4]
@@ -316,7 +333,7 @@ _CORPUS = load_corpus(CORPUS_DIR)
 @pytest.mark.skipif(not _CORPUS, reason="no fuzz corpus committed")
 @given(data=st.data())
 def test_engine_matches_scalar_on_corpus(lib, data):
-    """Batched + incremental == scalar, on every corpus netlist."""
+    """Batched + truncation replay == scalar, on every corpus netlist."""
     __, netlist = data.draw(st.sampled_from(_CORPUS))
     years = data.draw(st.sampled_from([0.0, 1.0, 5.0, 10.0]))
     factory = data.draw(st.sampled_from([worst_case, balance_case]))
@@ -332,12 +349,11 @@ def test_engine_matches_scalar_on_corpus(lib, data):
     pis = list(netlist.primary_inputs)
     tied = data.draw(st.lists(st.sampled_from(pis), unique=True,
                               max_size=len(pis))) if pis else []
-    inc = analyze_incremental(netlist, lib, tied, corners=corners,
-                              baseline=batch, program=batch.program)
+    __, __, reports = replayed(batch, tied)
     swept = tie_low(netlist, tied)
     for idx, corner in enumerate(corners):
         scalar = analyze(swept, lib, scenario=corner)
-        got = inc.report(idx)
+        got = reports[idx]
         assert got.critical_path_ps == scalar.critical_path_ps
         assert got.gate_delays == scalar.gate_delays
         for net, arrival in scalar.arrivals.items():

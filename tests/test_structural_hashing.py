@@ -5,7 +5,7 @@ import pytest
 
 from repro.netlist import NetlistBuilder
 from repro.rtl import Multiplier
-from repro.sim import compile_netlist, evaluate
+from repro.sim import compile_netlist, evaluate_packed
 from repro.verify import dead_gate_elimination, structural_hashing
 
 
@@ -47,10 +47,10 @@ def test_function_preserved_on_real_component(lib, rng):
     component = Multiplier(5)
     net = component.build().copy()
     stim = rng.integers(0, 2, (128, 10)).astype(np.uint8)
-    before = evaluate(compile_netlist(net, lib), stim)
+    before = evaluate_packed(compile_netlist(net, lib), stim)
     structural_hashing(net, lib)
     net.validate()
-    after = evaluate(compile_netlist(net, lib), stim)
+    after = evaluate_packed(compile_netlist(net, lib), stim)
     assert np.array_equal(before, after)
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from repro.netlist import CONST0, CONST1, NetlistBuilder
 from repro.rtl import Adder, Multiplier
-from repro.sim import compile_netlist, evaluate
+from repro.sim import compile_netlist, evaluate_packed
 from repro.sta import critical_path_delay
 from repro.synth import EFFORTS, optimize, synthesize, synthesize_netlist
 from repro.verify import (constant_propagation, dead_gate_elimination,
@@ -33,7 +33,7 @@ def random_netlist(rng, n_inputs=6, n_gates=40, tie_consts=True):
 
 
 def outputs_of(net, lib, stim):
-    return evaluate(compile_netlist(net, lib), stim)
+    return evaluate_packed(compile_netlist(net, lib), stim)
 
 
 class TestConstantPropagation:

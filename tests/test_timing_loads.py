@@ -1,21 +1,24 @@
 """Per-gate loads come from the timing program, bit for bit.
 
 :attr:`repro.sta.engine.TimingProgram.loads` is the one source of
-per-gate output loads: ``_compile_timing`` takes them from
-:meth:`Netlist.load_caps` and ``fastsize.timing_program`` copies the
-sizer's, which it sums in the same order. Dynamic power reads them from
-the (memoized) program instead of walking the netlist, so every Fig.
-8(c) float must equal the old ``load_caps``-based formula exactly.
+per-gate output loads: every timing program is lowered by the sizer
+(``fastsize.timing_program``), which sums each driver's readers in the
+order :meth:`Netlist.load_caps` does, the gate-list order, even when
+that order is not topological. Dynamic power reads them from the
+(memoized) program instead of walking the netlist, so every Fig. 8(c)
+float must equal the old ``load_caps``-based formula exactly.
 """
 
 import numpy as np
 import pytest
 
-from repro.aging import worst_case
+from repro.aging import balance_case, worst_case
 from repro.power import dynamic_power_uw
 from repro.rtl import Adder, Multiplier
-from repro.sta.engine import compile_timing
+from repro.sta import analyze
+from repro.sta.engine import analyze_batch, compile_timing
 from repro.synth import aging_aware_synthesize, clear_sweep_memo, synthesize
+from repro.synth.fastsize import compile_sizer, timing_program
 from repro.synth.synthesize import EFFORTS
 from repro.synth.sweep import sweep_for
 from repro.verify import load_corpus
@@ -105,8 +108,8 @@ def test_corpus(lib, corpus_dir):
     corpus = load_corpus(corpus_dir)
     assert corpus
     for seed, (path, netlist) in enumerate(corpus):
-        # Raw entries: compiled from load_caps (constants, duplicate
-        # pins and any gate-list order survive).
+        # Raw entries: constants, duplicate pins and any gate-list
+        # order survive the lowering.
         raw = netlist.copy()
         assert_loads_exact(compile_timing(raw, lib, memo=False), raw, lib)
         assert_power_exact(raw, lib, seed)
@@ -115,3 +118,38 @@ def test_corpus(lib, corpus_dir):
             assert_seeded_loads(synthesized, lib, seed)
         hardened = aging_aware_synthesize(netlist, lib, worst_case(10.0))
         assert_seeded_loads(hardened.netlist, lib, seed)
+
+
+def shuffled_copies(netlist, seeds):
+    """Editable copies of *netlist* with the gate list shuffled."""
+    for seed in seeds:
+        copy = netlist.copy()
+        gates = list(copy.gates)
+        np.random.default_rng(seed).shuffle(gates)
+        copy.rebuild(gates)
+        yield copy
+
+
+@pytest.mark.parametrize("component", [Multiplier(8), Adder(8),
+                                       Multiplier(12)],
+                         ids=lambda c: c.name)
+def test_shuffled_gate_list(lib, component):
+    """On a gate list that is not topological, rows (topological) and
+    the gate list disagree; loads still follow the gate list, so
+    batched STA equals scalar STA bit for bit. Sized ("ultra") cells
+    differ in input cap, so a reordered sum differs in the last ulp."""
+    netlist = synthesize(component, lib, effort="ultra").netlist
+    corners = [None, worst_case(10.0), balance_case(1.0)]
+    for shuffled in shuffled_copies(netlist, range(5)):
+        assert not shuffled._list_is_topological()
+        assert_loads_exact(timing_program(compile_sizer(shuffled, lib)),
+                           shuffled, lib)
+        program = compile_timing(shuffled, lib)
+        assert_loads_exact(program, shuffled, lib)
+        batch = analyze_batch(shuffled, lib, corners, program=program)
+        for idx, corner in enumerate(corners):
+            scalar = analyze(shuffled, lib, scenario=corner)
+            got = batch.report(idx)
+            assert got.arrivals == scalar.arrivals
+            assert got.gate_delays == scalar.gate_delays
+            assert got.critical_path_ps == scalar.critical_path_ps
